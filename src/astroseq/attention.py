@@ -14,6 +14,7 @@ A *read* pass then queries the summaries: each output row is
 ``phi(q_n) (H . P_n) + x_n`` where ``H`` is the summed pathway matrix and
 ``P_n = 1 / (phi(q_n) presyn^T)`` normalizes per token.  All intermediates
 are (n, m), (n, d) or (m, d); cost grows linearly with token count.
+``astro_attention`` runs both passes for each head in one loop.
 
 The positional summary R is built from a distance-decay profile
 ``exp(-|i - j| * pos_scale)`` mixed through two learned projections sized
@@ -186,20 +187,6 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     return out
 
 
-@dataclass
-class WriteState:
-    """Fixed-size sequence summaries produced by the write pass.
-
-    ``key_totals`` is the raw (1, m) key mass kept alongside its
-    alpha-compressed form so the plain-normalizer ablation can reuse it.
-    """
-
-    hebb_keys: ValueNode
-    hebb_pos: ValueNode
-    presyn: ValueNode
-    key_totals: ValueNode
-
-
 def _mask_tile(mask, n_rows: int, n_cols: int) -> ValueNode:
     mask = np.asarray(mask, dtype=np.float64).reshape(-1)
     if mask.shape[0] != n_rows:
@@ -209,68 +196,12 @@ def _mask_tile(mask, n_rows: int, n_cols: int) -> ValueNode:
     return ad.constant(np.repeat(mask[:, None], n_cols, axis=1))
 
 
-def _write_core(phi_k: ValueNode, phi_r: ValueNode, v: ValueNode, alpha: float) -> WriteState:
-    m_width = phi_k.shape[1]
-    inv_m = 1.0 / m_width
-    hebb_keys = ad.scalar_mul(ad.matmul(ad.transpose(phi_k), v), inv_m)
-    hebb_pos = ad.scalar_mul(ad.matmul(ad.transpose(phi_r), v), inv_m)
-    key_totals = ad.col_sum(phi_k)
-    presyn = ad.power(key_totals, alpha)
-    return WriteState(hebb_keys, hebb_pos, presyn, key_totals)
-
-
-def write_mode(
-    x: ValueNode,
-    params: AttentionParams,
-    mask=None,
-    pos: ValueNode | None = None,
-) -> WriteState:
-    """Compress the token matrix into head-width summaries (single head).
-
-    ``mask`` marks valid rows with 1; masked rows contribute nothing to any
-    summary.  ``pos`` overrides the positional summary (used by tests and
-    by callers that precompute it).
-    """
-    n, d = x.shape
-    if d != params.d_model:
-        raise ShapeError(f"x has width {d}, parameters expect {params.d_model}")
-    k = ad.matmul(x, params.w_key)
-    v = ad.matmul(x, params.w_value)
-    r = pos if pos is not None else positional_matrix(n, params)
-    if r.shape != (n, params.m_hidden):
-        raise ShapeError(f"positional summary {r.shape} != {(n, params.m_hidden)}")
-    phi_k = phi(k)
-    phi_r = phi(r)
-    if mask is not None:
-        tile = _mask_tile(mask, n, params.m_hidden)
-        phi_k = ad.hadamard(phi_k, tile)
-        phi_r = ad.hadamard(phi_r, tile)
-    return _write_core(phi_k, phi_r, v, params.alpha)
-
-
-def _read_core(
-    phi_q: ValueNode,
-    write: WriteState,
-    use_H_astro: bool,
-    use_P: bool,
-) -> ValueNode:
-    if use_P:
-        norm_input = ad.matmul(phi_q, ad.transpose(write.presyn))
-    else:
-        m_width = write.key_totals.shape[1]
-        norm_input = ad.scalar_mul(
-            ad.matmul(phi_q, ad.transpose(write.key_totals)), 1.0 / m_width
-        )
-    feedback = ad.reciprocal(norm_input)
-    h = ad.add(write.hebb_keys, write.hebb_pos) if use_H_astro else write.hebb_keys
-    y = ad.matmul(phi_q, h)
-    return ad.hadamard(y, ad.broadcast_col(feedback, h.shape[1]))
-
-
-def read_mode(x: ValueNode, write: WriteState, params: AttentionParams) -> ValueNode:
-    """Query the summaries and add the residual (single head, both paths)."""
-    q = ad.matmul(x, params.w_query)
-    return ad.add(_read_core(phi(q), write, use_H_astro=True, use_P=True), x)
+def _head_cols(a: ValueNode, h: int, n_heads: int) -> ValueNode:
+    """Head ``h``'s block of columns; with one head, ``a`` itself (no copy)."""
+    if n_heads == 1:
+        return a
+    width = a.shape[1] // n_heads
+    return ad.slice_cols(a, h * width, (h + 1) * width)
 
 
 def astro_attention(
@@ -280,40 +211,49 @@ def astro_attention(
     use_P: bool = True,
     mask=None,
 ) -> ValueNode:
-    """Full attention block: write, read, optional heads and ablations.
+    """Full attention block: per head, write the summaries, then read them.
 
-    With ``use_H_astro=False`` the positional pathway is dropped; with
-    ``use_P=False`` the per-token normalizer falls back to the plain
+    ``mask`` marks valid rows with 1; masked rows contribute nothing to any
+    summary.  With ``use_H_astro=False`` the positional pathway is dropped;
+    with ``use_P=False`` the per-token normalizer falls back to the plain
     linear-attention denominator phi(q) (sum phi(k))^T / m, which makes the
     double ablation equal textbook linear attention plus the residual.
+    Several heads split the m and d axes evenly and ``w_out`` recombines
+    them.
     """
     n, d = x.shape
     if d != params.d_model:
         raise ShapeError(f"x has width {d}, parameters expect {params.d_model}")
-    if params.n_heads == 1:
-        write = write_mode(x, params, mask=mask)
-        q = ad.matmul(x, params.w_query)
-        return ad.add(_read_core(phi(q), write, use_H_astro, use_P), x)
-
-    m_h = params.m_hidden // params.n_heads
-    d_h = d // params.n_heads
+    heads = params.n_heads
+    m_h = params.m_hidden // heads
     k = ad.matmul(x, params.w_key)
-    q = ad.matmul(x, params.w_query)
     v = ad.matmul(x, params.w_value)
     r = positional_matrix(n, params)
-    tile_m = _mask_tile(mask, n, m_h) if mask is not None else None
-    head_outputs = []
-    for h in range(params.n_heads):
-        phi_k = phi(ad.slice_cols(k, h * m_h, (h + 1) * m_h))
-        phi_r = phi(ad.slice_cols(r, h * m_h, (h + 1) * m_h))
-        if tile_m is not None:
-            phi_k = ad.hadamard(phi_k, tile_m)
-            phi_r = ad.hadamard(phi_r, tile_m)
-        v_h = ad.slice_cols(v, h * d_h, (h + 1) * d_h)
-        write = _write_core(phi_k, phi_r, v_h, params.alpha)
-        phi_q = phi(ad.slice_cols(q, h * m_h, (h + 1) * m_h))
-        head_outputs.append(_read_core(phi_q, write, use_H_astro, use_P))
-    combined = head_outputs[0]
-    for other in head_outputs[1:]:
-        combined = ad.concat_cols(combined, other)
-    return ad.add(ad.matmul(combined, params.w_out), x)
+    tile = _mask_tile(mask, n, m_h) if mask is not None else None
+    for h in range(heads):
+        phi_k = phi(_head_cols(k, h, heads))
+        phi_r = phi(_head_cols(r, h, heads))
+        if tile is not None:
+            phi_k = ad.hadamard(phi_k, tile)
+            phi_r = ad.hadamard(phi_r, tile)
+        v_h = _head_cols(v, h, heads)
+        hebb_keys = ad.scalar_mul(ad.matmul(ad.transpose(phi_k), v_h), 1.0 / m_h)
+        hebb_pos = ad.scalar_mul(ad.matmul(ad.transpose(phi_r), v_h), 1.0 / m_h)
+        key_mass = ad.col_sum(phi_k)
+        key_norm = (
+            ad.power(key_mass, params.alpha) if use_P else ad.scalar_mul(key_mass, 1.0 / m_h)
+        )
+        if h == 0:
+            # Project queries only after the first head's write: the reverse
+            # sweep then reaches this projection right after the reads
+            # instead of holding q's gradient through the whole write.
+            q = ad.matmul(x, params.w_query)
+        phi_q = phi(_head_cols(q, h, heads))
+        feedback = ad.reciprocal(ad.matmul(phi_q, ad.transpose(key_norm)))
+        hebb = ad.add(hebb_keys, hebb_pos) if use_H_astro else hebb_keys
+        y = ad.matmul(phi_q, hebb)
+        y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[1]))
+        out = y if h == 0 else ad.concat_cols(out, y)
+    if heads > 1:
+        out = ad.matmul(out, params.w_out)
+    return ad.add(out, x)

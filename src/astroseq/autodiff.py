@@ -62,7 +62,6 @@ class Tape:
 
     def __init__(self) -> None:
         self._ops: list[ValueNode] = []
-        self._leaves: list[ValueNode] = []
         self.consumed = False
         self.stored_floats = 0
 
@@ -79,13 +78,6 @@ class Tape:
     def _record_op(self, node: "ValueNode") -> None:
         self._ops.append(node)
         self.stored_floats += node.value.size
-
-    def _record_leaf(self, node: "ValueNode") -> None:
-        self._leaves.append(node)
-
-    @property
-    def leaves(self) -> tuple["ValueNode", ...]:
-        return tuple(self._leaves)
 
     def _release(self) -> None:
         for node in self._ops:
@@ -135,21 +127,6 @@ class ValueNode:
     def zero_grad(self) -> None:
         self._grad = None
 
-    # Small amount of operator sugar so model code stays readable.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return hadamard(self, other)
-
     def __repr__(self) -> str:
         flags = "leaf" if self.is_leaf else "op"
         return f"ValueNode(shape={self.value.shape}, {flags}, requires_grad={self.requires_grad})"
@@ -158,14 +135,13 @@ class ValueNode:
 def leaf(value, requires_grad: bool = True) -> ValueNode:
     """Create a differentiation endpoint (parameter or input).
 
-    Registered on the active tape, if any, so it shows up in gradient maps;
+    Bound to the active tape, if any, so a backward call may start from it;
     its floats are not counted as activation storage.
     """
     node = ValueNode(value, requires_grad=requires_grad)
     tape = active_tape()
     if tape is not None and requires_grad:
         node._tape = tape
-        tape._record_leaf(node)
     return node
 
 
@@ -543,17 +519,6 @@ def backward(
                 f"backward: seed shape {seed.shape} does not match output {node.value.shape}"
             )
 
-    reachable: set[int] = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if id(n) in reachable:
-            continue
-        reachable.add(id(n))
-        for p in n._parents:
-            if p.requires_grad and id(p) not in reachable:
-                stack.append(p)
-
     pending: dict[int, np.ndarray] = {id(node): seed.astype(np.float64, copy=True)}
     live_floats = seed.size
     peak_floats = live_floats
@@ -561,9 +526,9 @@ def backward(
     if node.is_leaf:
         node._accumulate(pending[id(node)])
         touched[id(node)] = node
+    # Only the root and parents of swept nodes ever enter ``pending``, so
+    # nodes the root does not depend on are skipped without a separate pass.
     for n in reversed(tape._ops):
-        if id(n) not in reachable:
-            continue
         g = pending.pop(id(n), None)
         if g is None:
             continue

@@ -67,7 +67,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back (config, arrays); rejects wrong magic, version, or truncation."""
+    """Read back (config, arrays); rejects wrong magic, version, truncation,
+    and malformed or repeated parameter names."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -88,7 +89,12 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"checkpoint {path} has a corrupt parameter name: {exc}") from exc
+        if name in arrays:
+            raise ConfigError(f"checkpoint {path} holds parameter {name!r} twice")
         rows, cols = r.unpack("<QQ")
         data = r.take(rows * cols * 8)
         arrays[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()

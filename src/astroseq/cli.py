@@ -32,10 +32,10 @@ from .harness import (
     bench_rollouts,
     eval_run,
     resolve_schedule,
+    simulation_args,
     train_run,
 )
-from .neuroglia import DriveSpec, build_geometry, coupling_tensor, initial_state, run_stp_cycles
-from .retention import uniform_schedule
+from .retention import simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
 from .model import SegmentModel
 
@@ -123,15 +123,9 @@ def _emit(payload: dict, out_dir: Path | None, filename: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(args)
-    params, extras = cfg.sim_params()
+    sim = simulation_args(cfg)
     n_cycles = args.cycles if args.cycles is not None else cfg.n_segments
-    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
-    coupling = coupling_tensor(geometry, extras["scale"])
-    drive = DriveSpec(rate_hz=extras["drive_hz"])
-    initial = initial_state(geometry.n_neurons, params, stp=extras["init_stp"])
-    trace = run_stp_cycles(
-        params, coupling, n_cycles, extras["cycle_seconds"], drive, initial=initial
-    )
+    trace = simulate_cycles(n_cycles, **sim)
     boundaries = {
         "cycle_ends": [int(i) for i in trace.cycle_ends],
         "times": [float(trace.times[i]) for i in trace.cycle_ends],
@@ -149,8 +143,8 @@ def cmd_simulate(args) -> int:
             json.dumps(boundaries, indent=2) + "\n"
         )
     print(
-        f"simulated {n_cycles} cycles of {extras['cycle_seconds']}s "
-        f"({len(trace.times)} samples, {geometry.n_neurons} neurons)"
+        f"simulated {n_cycles} cycles of {sim['cycle_duration']}s "
+        f"({len(trace.times)} samples, {sim['geometry'].n_neurons} neurons)"
     )
     print(f"slow-level means at cycle ends: {boundaries['ltp_levels']}")
     return EXIT_OK

@@ -262,21 +262,14 @@ class RunConfig:
         return make_task(self.task, self.seg_len, self.n_segments, **knobs)
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            n_classes=n_classes,
-            d_model=self.d_model,
-            m_hidden=self.m_hidden,
-            n_heads=self.n_heads,
-            ffn_dim=self.ffn_dim,
-            n_layers=self.n_layers,
-            seg_len=self.seg_len,
-            n_segments=self.n_segments,
-            mem_tokens=self.mem_tokens,
-            dropout=self.dropout,
-            alpha=self.alpha,
-            pos_scale=self.pos_scale,
-        )
+        """The model fields of this config, for a task's vocabulary and classes."""
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(ModelConfig)
+            if f.name in own
+        }
+        return ModelConfig(**{**shared, "vocab_size": vocab_size, "n_classes": n_classes})
 
     def sim_params(self) -> tuple[SimParams, dict]:
         """Simulator parameters for derived retention, file overrides applied."""

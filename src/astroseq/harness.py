@@ -29,6 +29,24 @@ from .trainer import AdamW, amrb_rollout, bptt_rollout, classification_loss
 RECORD_SCHEMA = 1
 
 
+def simulation_args(cfg: RunConfig) -> dict:
+    """The dynamical system a run config describes, as keyword arguments of
+    ``simulate_cycles``, ``retention_schedule`` and ``load_or_derive``.
+
+    ``simulate`` and derived schedules both start here, so they see the same
+    system and the same initial state.
+    """
+    params, extras = cfg.sim_params()
+    return dict(
+        params=params,
+        drive=DriveSpec(rate_hz=extras["drive_hz"]),
+        geometry=build_geometry(extras["n_neurons"], extras["spacing"]),
+        scale=extras["scale"],
+        cycle_duration=extras["cycle_seconds"],
+        init_stp=extras["init_stp"],
+    )
+
+
 def resolve_schedule(cfg: RunConfig, cache_dir: str | Path | None = None) -> RetentionSchedule:
     """The retention schedule a run config asks for.
 
@@ -37,18 +55,9 @@ def resolve_schedule(cfg: RunConfig, cache_dir: str | Path | None = None) -> Ret
     """
     if cfg.retention_mode == "uniform":
         return uniform_schedule(cfg.n_segments)
-    params, extras = cfg.sim_params()
-    drive = DriveSpec(rate_hz=extras["drive_hz"])
-    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
     if cache_dir is None:
-        return retention_schedule(
-            cfg.n_segments, params, drive, geometry,
-            scale=extras["scale"], cycle_duration=extras["cycle_seconds"],
-        )
-    return load_or_derive(
-        cache_dir, cfg.n_segments, params, drive, geometry,
-        scale=extras["scale"], cycle_duration=extras["cycle_seconds"],
-    )
+        return retention_schedule(cfg.n_segments, **simulation_args(cfg))
+    return load_or_derive(cache_dir, cfg.n_segments, **simulation_args(cfg))
 
 
 def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:
@@ -183,7 +192,7 @@ def _write_artifacts(out_path: Path, record: dict, model: SegmentModel, model_cf
         writer.writerows(record["epochs"])
     save_checkpoint(
         out_path / "model.ckpt",
-        {"model": model_cfg.to_dict(), "run": record["config"], "seed": record["seed"]},
+        {"model": asdict(model_cfg), "run": record["config"], "seed": record["seed"]},
         model.state_arrays(),
     )
 

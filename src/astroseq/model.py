@@ -15,7 +15,7 @@ rebuilds views per segment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -83,24 +83,6 @@ class ModelConfig:
     def n_tokens(self) -> int:
         """Rows per attention call: segment tokens plus memory rows."""
         return self.seg_len + self.mem_tokens
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "n_classes": self.n_classes,
-            "d_model": self.d_model,
-            "m_hidden": self.m_hidden,
-            "n_heads": self.n_heads,
-            "ffn_dim": self.ffn_dim,
-            "n_layers": self.n_layers,
-            "seg_len": self.seg_len,
-            "n_segments": self.n_segments,
-            "mem_tokens": self.mem_tokens,
-            "dropout": self.dropout,
-            "alpha": self.alpha,
-            "pos_scale": self.pos_scale,
-            "pad_id": self.pad_id,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":

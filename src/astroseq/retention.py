@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import DegenerateScheduleError, InvalidArgumentError
 from .neuroglia import (
-    CouplingTensor,
     DriveSpec,
     SimParams,
-    SimState,
     SimTrace,
     SynapseGeometry,
     coupling_tensor,
+    initial_state,
     run_stp_cycles,
 )
 
@@ -130,6 +129,7 @@ def macro_digest(
     geometry: SynapseGeometry,
     scale: float,
     cycle_duration: float,
+    init_stp: float = 0.0,
 ) -> str:
     """Stable hash of everything that determines a derived schedule."""
     payload = {
@@ -139,9 +139,26 @@ def macro_digest(
         "positions": list(map(float, geometry.positions)),
         "scale": scale,
         "cycle_duration": cycle_duration,
+        "init_stp": init_stp,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def simulate_cycles(
+    n_cycles: int,
+    params: SimParams,
+    drive: DriveSpec,
+    geometry: SynapseGeometry,
+    scale: float,
+    cycle_duration: float = 50.0,
+    init_stp: float = 0.0,
+) -> SimTrace:
+    """Integrate n_cycles stimulation cycles from rest, with every
+    fast-plasticity level starting (and reset each cycle) at ``init_stp``."""
+    coupling = coupling_tensor(geometry, scale)
+    initial = initial_state(geometry.n_neurons, params, stp=init_stp)
+    return run_stp_cycles(params, coupling, n_cycles, cycle_duration, drive, initial=initial)
 
 
 def retention_schedule(
@@ -151,12 +168,11 @@ def retention_schedule(
     geometry: SynapseGeometry,
     scale: float,
     cycle_duration: float = 50.0,
-    initial: SimState | None = None,
+    init_stp: float = 0.0,
 ) -> RetentionSchedule:
     """Run n_segments stimulation cycles and normalize the level increments."""
-    coupling = coupling_tensor(geometry, scale)
-    trace = run_stp_cycles(
-        params, coupling, n_segments, cycle_duration, drive, initial=initial
+    trace = simulate_cycles(
+        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
     )
     increments = ltp_increments(trace, n_segments)
     total = float(increments.sum())
@@ -172,13 +188,14 @@ def retention_schedule(
         source={
             "kind": "derived",
             "digest": macro_digest(
-                n_segments, params, drive, geometry, scale, cycle_duration
+                n_segments, params, drive, geometry, scale, cycle_duration, init_stp
             ),
             "n_neurons": geometry.n_neurons,
             "cycle_seconds": cycle_duration,
             "dt": params.dt,
             "drive_hz": drive.rate_hz,
             "scale": scale,
+            "init_stp": init_stp,
         },
     )
 
@@ -191,18 +208,21 @@ def load_or_derive(
     geometry: SynapseGeometry,
     scale: float,
     cycle_duration: float = 50.0,
+    init_stp: float = 0.0,
 ) -> RetentionSchedule:
     """Disk-cached derivation keyed by the macro-parameter digest."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = macro_digest(n_segments, params, drive, geometry, scale, cycle_duration)
+    digest = macro_digest(
+        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
+    )
     path = cache_dir / f"retention_{digest[:16]}.json"
     if path.exists():
         schedule = RetentionSchedule.from_json(path.read_text())
         if schedule.source.get("digest") == digest:
             return schedule
     schedule = retention_schedule(
-        n_segments, params, drive, geometry, scale, cycle_duration
+        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
     )
     path.write_text(schedule.to_json())
     return schedule

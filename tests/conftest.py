@@ -1,6 +1,10 @@
 """Shared numerical helpers for the test suite."""
 
+import struct
+
 import numpy as np
+
+from astroseq.checkpoint import MAGIC, VERSION
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -42,3 +46,13 @@ def finite_diff_grad(fn, arrays, index, h=1e-5):
         flat[k] = orig
         gflat[k] = (up - down) / (2.0 * h)
     return grad
+
+
+def write_raw_checkpoint(path, names):
+    """A checkpoint written byte by byte: an empty config and one 1x1 array
+    per raw (possibly malformed or repeated) name."""
+    chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", 2), b"{}"]
+    chunks.append(struct.pack("<I", len(names)))
+    for name in names:
+        chunks += [struct.pack("<I", len(name)), name, struct.pack("<QQd", 1, 1, 1.0)]
+    path.write_bytes(b"".join(chunks))

@@ -1,11 +1,14 @@
 """Checkpoint file format: exact round trips and corruption detection."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from astroseq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from astroseq.errors import ConfigError
 from astroseq.model import ModelConfig, SegmentModel
+from conftest import write_raw_checkpoint
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -31,7 +34,7 @@ def test_model_state_round_trip(tmp_path):
                       seg_len=3, n_segments=2, mem_tokens=2)
     model = SegmentModel(cfg, seed=4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg.to_dict(), model.state_arrays())
+    save_checkpoint(path, asdict(cfg), model.state_arrays())
     config2, arrays2 = load_checkpoint(path)
     restored = SegmentModel(ModelConfig.from_dict(config2), seed=99)
     restored.load_arrays(arrays2)
@@ -71,3 +74,18 @@ def test_rejects_truncation_and_trailing_garbage(tmp_path):
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+
+def test_rejects_parameter_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, [b"\xff\xfe"])
+    with pytest.raises(ConfigError, match="parameter name"):
+        load_checkpoint(path)
+
+
+def test_rejects_duplicate_parameter_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, [b"w", b"w"])
+    with pytest.raises(ConfigError, match="twice"):
+        load_checkpoint(path)

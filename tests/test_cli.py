@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from astroseq import retention
 from astroseq.cli import main
+from conftest import write_raw_checkpoint
 
 
 def write_tiny_config(tmp_path, extra=""):
@@ -51,8 +54,9 @@ def test_retention_derived_small_system(tmp_path, capsys):
 
 
 def test_retention_degenerate_system_exits_3(tmp_path, capsys):
+    # No drive and no initial fast plasticity: the slow level never moves.
     cfg = write_tiny_config(
-        tmp_path, "\n[retention]\nmode = derived\nn_neurons = 2\ndrive_hz = 0\n"
+        tmp_path, "\n[retention]\nmode = derived\nn_neurons = 2\ndrive_hz = 0\ninit_stp = 0\n"
     )
     code = main(["retention", "--config", str(cfg)])
     assert code == 3
@@ -114,6 +118,53 @@ def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     code = main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names,reason",
+    [([b"\xff\xfe"], "corrupt parameter name"), ([b"w", b"w"], "'w' twice")],
+    ids=["not_utf8", "duplicate"],
+)
+def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, names, reason):
+    cfg = write_tiny_config(tmp_path)
+    path = tmp_path / "model.ckpt"
+    write_raw_checkpoint(path, names)
+    code = main(["eval", "--config", str(cfg), "--checkpoint", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+
+
+def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsys):
+    seen = []
+    original = retention.run_stp_cycles
+
+    def spy(*args, initial=None, **kwargs):
+        seen.append(initial)
+        return original(*args, initial=initial, **kwargs)
+
+    monkeypatch.setattr(retention, "run_stp_cycles", spy)
+    digests = []
+    for init_stp in (0.2, 0.0):
+        cfg = write_tiny_config(
+            tmp_path,
+            "\n[retention]\nmode = derived\nn_neurons = 2\ncycle_seconds = 4\n"
+            f"init_stp = {init_stp}\n",
+        )
+        seen.clear()
+        assert main(["simulate", "--config", str(cfg), "--cycles", "2"]) == 0
+        out = tmp_path / "ret"
+        assert main(["retention", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        simulated, derived = seen
+        for name in ("v", "fac", "stp", "ltp", "rate", "spikes"):
+            assert np.array_equal(getattr(simulated, name), getattr(derived, name))
+        assert np.all(derived.stp == init_stp)
+        source = json.loads((out / "retention.json").read_text())["source"]
+        assert source["init_stp"] == init_stp
+        digests.append(source["digest"])
+    assert digests[0] != digests[1]
+    assert len(list((tmp_path / "ret" / "retention_cache").glob("retention_*.json"))) == 2
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

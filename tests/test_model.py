@@ -1,5 +1,7 @@
 """Segment model: splitting, forward graph, pooling, dropout, round trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = tiny_config(n_heads=2, mem_tokens=0)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(InvalidArgumentError):
         ModelConfig.from_dict({"vocab_size": 7})
 
