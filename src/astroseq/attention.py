@@ -101,12 +101,6 @@ class AttentionParams:
     def n_max(self) -> int:
         return self.pos_mix.shape[0]
 
-    def leaves(self) -> list[ValueNode]:
-        out = [self.w_query, self.w_key, self.w_value, self.pos_mix, self.pos_read]
-        if self.w_out is not None:
-            out.append(self.w_out)
-        return out
-
 
 def init_attention_arrays(
     d: int, m: int, n_max: int, rng: np.random.Generator, n_heads: int = 1

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-Everything is a 2-D numpy array wrapped in a :class:`ValueNode`.  Operations
-executed inside a ``with Tape():`` block record their inputs and a
-vector-Jacobian closure; outside a tape they compute values only, which is
-what the replay-based trainer uses for its gradient-free forward pass.
+Everything is a 2-D numpy array wrapped in a :class:`ValueNode`; every
+primitive takes nodes, so wrap arrays with :func:`leaf` or :func:`constant`.
+Operations executed inside a ``with Tape():`` block record their inputs and
+a vector-Jacobian closure; outside a tape they compute values only, which
+is what the replay-based trainer uses for its gradient-free forward pass.
 
 Design points that the rest of the package relies on:
 
@@ -11,12 +12,14 @@ Design points that the rest of the package relies on:
   topological order because parents always exist before children.  The
   accumulation order is therefore fixed, so repeated backward passes over
   identical graphs produce bitwise-identical gradients.
+* One ``backward`` call is one reverse sweep, and it consumes its tape;
+  any further backward on that tape raises :class:`TapeConsumedError`.
+  Several objectives recorded on one tape are differentiated together by
+  passing the extra roots as ``more``: the sweep propagates the sum of
+  their seeds, so shared intermediates are visited once.
 * Leaf gradients (``ValueNode.grad``) persist and accumulate additively
-  across backward calls on the same tape.  Intermediate gradients are
-  transient per call, so seeding a second backward from a different output
-  does not double-count the first objective's contributions.
-* A tape is consumed by ``backward(..., retain=False)``; any further
-  backward on it raises :class:`TapeConsumedError`.
+  across sweeps, so one leaf may serve several tapes.  Intermediate
+  gradients are transient per sweep.
 * ``Tape.stored_floats`` counts the float64 entries of recorded
   intermediate values.  Leaves are excluded: they are the model, not
   activations.  The trainer uses this counter for its memory accounting.
@@ -56,8 +59,7 @@ class Tape:
             out = matmul(x, w)
         backward(out)
 
-    The same tape supports several backward calls as long as every call but
-    the last passes ``retain=True``.
+    The first backward call consumes the tape.
     """
 
     def __init__(self) -> None:
@@ -124,9 +126,6 @@ class ValueNode:
             self._grad = np.zeros_like(self.value)
         self._grad += g
 
-    def zero_grad(self) -> None:
-        self._grad = None
-
     def __repr__(self) -> str:
         flags = "leaf" if self.is_leaf else "op"
         return f"ValueNode(shape={self.value.shape}, {flags}, requires_grad={self.requires_grad})"
@@ -135,25 +134,15 @@ class ValueNode:
 def leaf(value, requires_grad: bool = True) -> ValueNode:
     """Create a differentiation endpoint (parameter or input).
 
-    Bound to the active tape, if any, so a backward call may start from it;
-    its floats are not counted as activation storage.
+    A leaf belongs to no tape: its floats are not counted as activation
+    storage, and every sweep that reaches it adds into its ``grad``.
     """
-    node = ValueNode(value, requires_grad=requires_grad)
-    tape = active_tape()
-    if tape is not None and requires_grad:
-        node._tape = tape
-    return node
+    return ValueNode(value, requires_grad=requires_grad)
 
 
 def constant(value) -> ValueNode:
     """A matrix that never receives gradients (masks, geometry, pooled weights)."""
     return ValueNode(value, requires_grad=False)
-
-
-def _as_node(x) -> ValueNode:
-    if isinstance(x, ValueNode):
-        return x
-    return ValueNode(np.asarray(x, dtype=np.float64))
 
 
 def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp) -> ValueNode:
@@ -178,32 +167,27 @@ def _require_same_shape(a: ValueNode, b: ValueNode, op: str) -> None:
 
 
 def add(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "add")
     return _emit(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def subtract(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "subtract")
     return _emit(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def hadamard(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     _require_same_shape(a, b, "hadamard")
     av, bv = a.value, b.value
     return _emit(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scalar_mul(a, c: float) -> ValueNode:
-    a = _as_node(a)
     c = float(c)
     return _emit(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(
             f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not align"
@@ -213,13 +197,11 @@ def matmul(a, b) -> ValueNode:
 
 
 def transpose(a) -> ValueNode:
-    a = _as_node(a)
     return _emit(a.value.T.copy(), (a,), lambda g: (g.T,))
 
 
 def row_sum(a) -> ValueNode:
     """Sum each row: (r, c) -> (r, 1)."""
-    a = _as_node(a)
     r, c = a.value.shape
     return _emit(
         a.value.sum(axis=1, keepdims=True),
@@ -230,7 +212,6 @@ def row_sum(a) -> ValueNode:
 
 def col_sum(a) -> ValueNode:
     """Sum each column: (r, c) -> (1, c)."""
-    a = _as_node(a)
     r, c = a.value.shape
     return _emit(
         a.value.sum(axis=0, keepdims=True),
@@ -241,7 +222,6 @@ def col_sum(a) -> ValueNode:
 
 def broadcast_col(a, n_cols: int) -> ValueNode:
     """Tile a column vector (r, 1) across n_cols columns."""
-    a = _as_node(a)
     if a.value.shape[1] != 1:
         raise ShapeError(f"broadcast_col expects a column vector, got {a.value.shape}")
     if n_cols < 1:
@@ -255,7 +235,6 @@ def broadcast_col(a, n_cols: int) -> ValueNode:
 
 def broadcast_row(a, n_rows: int) -> ValueNode:
     """Tile a row vector (1, c) across n_rows rows (bias addition helper)."""
-    a = _as_node(a)
     if a.value.shape[0] != 1:
         raise ShapeError(f"broadcast_row expects a row vector, got {a.value.shape}")
     if n_rows < 1:
@@ -269,7 +248,6 @@ def broadcast_row(a, n_rows: int) -> ValueNode:
 
 def add_bias(x, bias) -> ValueNode:
     """Add a (1, c) bias row to every row of x."""
-    x = _as_node(x)
     return add(x, broadcast_row(bias, x.value.shape[0]))
 
 
@@ -279,7 +257,6 @@ def add_bias(x, bias) -> ValueNode:
 
 def elu_plus_one(a) -> ValueNode:
     """The strictly positive feature map x >= 0 -> x + 1, x < 0 -> exp(x)."""
-    a = _as_node(a)
     x = a.value
     pos = x >= 0
     out = np.where(pos, x + 1.0, np.exp(np.minimum(x, 0.0)))
@@ -288,7 +265,6 @@ def elu_plus_one(a) -> ValueNode:
 
 
 def relu(a) -> ValueNode:
-    a = _as_node(a)
     x = a.value
     mask = (x > 0).astype(np.float64)
     return _emit(x * mask, (a,), lambda g: (g * mask,))
@@ -296,7 +272,6 @@ def relu(a) -> ValueNode:
 
 def power(a, exponent: float) -> ValueNode:
     """Elementwise x ** exponent for strictly positive x."""
-    a = _as_node(a)
     exponent = float(exponent)
     x = a.value
     if np.any(x <= 0.0):
@@ -312,7 +287,6 @@ def reciprocal(a) -> ValueNode:
     :class:`DomainError`; inputs inside (0, floor) are clamped, and the
     gradient there is zero because the output is locally constant.
     """
-    a = _as_node(a)
     x = a.value
     if np.any(x <= 0.0):
         raise DomainError("reciprocal: inputs must be strictly positive")
@@ -324,7 +298,6 @@ def reciprocal(a) -> ValueNode:
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
     """Row-wise layer normalization with learnable (1, c) gain and bias."""
-    x, gain, bias = _as_node(x), _as_node(gain), _as_node(bias)
     n, c = x.value.shape
     if gain.value.shape != (1, c) or bias.value.shape != (1, c):
         raise ShapeError(
@@ -350,7 +323,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
 
 
 def softmax_rows(a) -> ValueNode:
-    a = _as_node(a)
     x = a.value
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -368,7 +340,6 @@ def softmax_rows(a) -> ValueNode:
 
 
 def concat_rows(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     if a.value.shape[1] != b.value.shape[1]:
         raise ShapeError(
             f"concat_rows: column counts {a.value.shape} vs {b.value.shape} differ"
@@ -382,7 +353,6 @@ def concat_rows(a, b) -> ValueNode:
 
 
 def concat_cols(a, b) -> ValueNode:
-    a, b = _as_node(a), _as_node(b)
     if a.value.shape[0] != b.value.shape[0]:
         raise ShapeError(
             f"concat_cols: row counts {a.value.shape} vs {b.value.shape} differ"
@@ -396,7 +366,6 @@ def concat_cols(a, b) -> ValueNode:
 
 
 def slice_rows(a, start: int, stop: int) -> ValueNode:
-    a = _as_node(a)
     r = a.value.shape[0]
     # start == stop yields an empty slice; callers use it for optional blocks.
     if not (0 <= start <= stop <= r):
@@ -411,7 +380,6 @@ def slice_rows(a, start: int, stop: int) -> ValueNode:
 
 
 def slice_cols(a, start: int, stop: int) -> ValueNode:
-    a = _as_node(a)
     c = a.value.shape[1]
     if not (0 <= start <= stop <= c):
         raise InvalidArgumentError(f"slice_cols: bad range [{start}, {stop}) for {c} columns")
@@ -426,7 +394,6 @@ def slice_cols(a, start: int, stop: int) -> ValueNode:
 
 def embedding_rows(table, ids) -> ValueNode:
     """Gather rows of a (vocab, d) table by integer id; backward scatter-adds."""
-    table = _as_node(table)
     ids = np.asarray(ids, dtype=np.int64).ravel()
     vocab = table.value.shape[0]
     if ids.size == 0:
@@ -450,7 +417,6 @@ def embedding_rows(table, ids) -> ValueNode:
 
 def mse(pred, target) -> ValueNode:
     """Mean squared error against a constant target, as a (1, 1) node."""
-    pred = _as_node(pred)
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.value.shape:
         raise ShapeError(f"mse: target shape {target.shape} vs pred {pred.value.shape}")
@@ -462,7 +428,6 @@ def mse(pred, target) -> ValueNode:
 
 def cross_entropy(logits, labels) -> ValueNode:
     """Mean cross-entropy of (n, c) logits against integer labels, as (1, 1)."""
-    logits = _as_node(logits)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     n, c = logits.value.shape
     if labels.shape[0] != n:
@@ -489,45 +454,42 @@ def cross_entropy(logits, labels) -> ValueNode:
 # reverse sweep
 
 
-def backward(
-    node: ValueNode, seed=None, retain: bool = False, stats: dict | None = None
-) -> dict[ValueNode, np.ndarray]:
-    """Accumulate d(seed . node)/d(leaf) into every reachable leaf's grad.
+def backward(node: ValueNode, seed=None, more=()) -> int:
+    """Accumulate d(sum of seed . root)/d(leaf) into every reached leaf's grad.
 
-    ``seed`` defaults to all-ones (the usual choice for a (1, 1) loss).
-    Returns a map from reached leaves to their gradient accumulators; with
-    ``retain=True`` the tape stays usable for further backward calls, and
-    leaf gradients from successive calls sum.  If ``stats`` is a dict, it
-    receives ``pending_peak_floats``: the largest total size of transient
-    (non-leaf) gradient matrices alive at any point of the sweep.
+    The roots are ``node`` with ``seed`` plus the ``(root, seed)`` pairs in
+    ``more``, all recorded on one tape; a ``None`` seed means all-ones (the
+    usual choice for a (1, 1) loss).  The sweep consumes the tape.  Returns
+    the peak float count of transient (non-leaf) gradient matrices alive at
+    any point of the sweep, seeds included.
     """
     tape = node._tape
     if tape is None:
         raise InvalidArgumentError(
-            "backward target was not recorded on a tape (no grad history)"
+            "backward root was not recorded on a tape (a leaf or a tape-free result)"
         )
     if tape.consumed:
-        raise TapeConsumedError(
-            "tape already consumed by a backward call without retain=True"
-        )
-    if seed is None:
-        seed = np.ones_like(node.value)
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != node.value.shape:
-            raise ShapeError(
-                f"backward: seed shape {seed.shape} does not match output {node.value.shape}"
-            )
+        raise TapeConsumedError("tape already consumed by a backward sweep")
 
-    pending: dict[int, np.ndarray] = {id(node): seed.astype(np.float64, copy=True)}
-    live_floats = seed.size
+    pending: dict[int, np.ndarray] = {}
+    for root, root_seed in ((node, seed), *more):
+        if root._tape is not tape:
+            raise InvalidArgumentError("backward roots must be recorded on the same tape")
+        if root_seed is None:
+            root_seed = np.ones_like(root.value)
+        else:
+            root_seed = np.array(root_seed, dtype=np.float64)
+            if root_seed.shape != root.value.shape:
+                raise ShapeError(
+                    f"backward: seed shape {root_seed.shape} does not match output "
+                    f"{root.value.shape}"
+                )
+        prev = pending.get(id(root))
+        pending[id(root)] = root_seed if prev is None else prev + root_seed
+    live_floats = sum(g.size for g in pending.values())
     peak_floats = live_floats
-    touched: dict[int, ValueNode] = {}
-    if node.is_leaf:
-        node._accumulate(pending[id(node)])
-        touched[id(node)] = node
-    # Only the root and parents of swept nodes ever enter ``pending``, so
-    # nodes the root does not depend on are skipped without a separate pass.
+    # Only the roots and parents of swept nodes ever enter ``pending``, so
+    # nodes no root depends on are skipped without a separate pass.
     for n in reversed(tape._ops):
         g = pending.pop(id(n), None)
         if g is None:
@@ -538,7 +500,6 @@ def backward(
                 continue
             if parent.is_leaf:
                 parent._accumulate(pg)
-                touched[id(parent)] = parent
             else:
                 prev = pending.get(id(parent))
                 if prev is None:
@@ -548,10 +509,6 @@ def backward(
                     pending[id(parent)] = prev + pg
         peak_floats = max(peak_floats, live_floats)
 
-    if stats is not None:
-        stats["pending_peak_floats"] = peak_floats
-    if not retain:
-        tape.consumed = True
-        tape._release()
-
-    return {lf: lf.grad for lf in touched.values()}
+    tape.consumed = True
+    tape._release()
+    return peak_floats

@@ -32,7 +32,7 @@ class DomainError(AstroseqError, ArithmeticError):
 
 
 class NumericalOverflowError(AstroseqError, ArithmeticError):
-    """A state variable became non-finite during integration.
+    """A state variable or model output became non-finite.
 
     Carries the name of the offending variable so long runs can report
     where the blow-up happened.
@@ -44,7 +44,7 @@ class NumericalOverflowError(AstroseqError, ArithmeticError):
 
 
 class TapeConsumedError(AstroseqError, RuntimeError):
-    """A second backward pass was requested on a tape that was not retained."""
+    """A backward sweep was requested on a tape that an earlier sweep consumed."""
 
 
 class DegenerateScheduleError(AstroseqError, ArithmeticError):

@@ -135,7 +135,6 @@ def train_run(
                     batch,
                     schedule,
                     classification_loss(model, batch, mode=cfg.loss_mode),
-                    train=True,
                     drop_seed=drop_seed,
                 )
                 loss_sum += report.total_loss

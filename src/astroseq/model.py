@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionParams, astro_attention, init_attention_arrays
 from .autodiff import ValueNode
-from .errors import InvalidArgumentError, ShapeError
+from .errors import InvalidArgumentError, NumericalOverflowError, ShapeError
 from .retention import RetentionSchedule, uniform_schedule
 from .seeding import STREAM_INIT, spawn
 
@@ -166,9 +166,9 @@ def split_segments(
 class ModelViews:
     """Autodiff leaves over the model's current parameter values.
 
-    Valid for the tape that was active when they were built (or for
-    tape-free evaluation).  ``attn`` holds one parameter bundle per layer,
-    sharing the same leaves.
+    Their gradients add up over every sweep that reaches them, so the
+    trainer builds fresh views per tape and absorbs them after its sweep.
+    ``attn`` holds one parameter bundle per layer, sharing the same leaves.
     """
 
     leaves: dict[str, ValueNode]
@@ -220,9 +220,6 @@ class SegmentModel:
     def parameters(self) -> Iterator[Parameter]:
         return iter(self.params.values())
 
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -250,7 +247,7 @@ class SegmentModel:
     # -- graph builders -----------------------------------------------------
 
     def build_views(self) -> ModelViews:
-        """Fresh leaves over the current values (registered on any active tape)."""
+        """Fresh leaves over the current values, with zero gradients."""
         leaves = {name: ad.leaf(p.value) for name, p in self.params.items()}
         cfg = self.config
         attn = tuple(
@@ -278,9 +275,9 @@ class SegmentModel:
     def initial_memory(self, views: ModelViews) -> ValueNode:
         return views["mem_init"]
 
-    def _dropout(self, node: ValueNode, train: bool, rng) -> ValueNode:
+    def _dropout(self, node: ValueNode, rng) -> ValueNode:
         rate = self.config.dropout
-        if not train or rate == 0.0 or rng is None:
+        if rng is None or rate == 0.0:
             return node
         keep = (rng.random(node.shape) >= rate).astype(np.float64) / (1.0 - rate)
         return ad.hadamard(node, ad.constant(keep))
@@ -291,16 +288,16 @@ class SegmentModel:
         ids,
         mask,
         memory: ValueNode,
-        train: bool = False,
         drop_rng=None,
     ) -> tuple[ValueNode, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
         ``memory`` is the carried state entering this segment; the returned
         memory is unscaled (the caller applies the retention factor).
-        Memory rows are always valid in the attention mask.  When dropout
-        is active, ``drop_rng`` must be a generator seeded per segment so a
-        replayed forward reproduces the same masks.
+        Memory rows are always valid in the attention mask.  Dropout is
+        applied only when ``drop_rng`` is given (training); it must be a
+        generator seeded per segment so a replayed forward reproduces the
+        same masks.
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -319,14 +316,14 @@ class SegmentModel:
         full_mask = np.concatenate([mask, np.ones(cfg.mem_tokens)])
         for i, attn_params in enumerate(views.attn):
             a = astro_attention(h, attn_params, mask=full_mask)
-            a = self._dropout(a, train, drop_rng)
+            a = self._dropout(a, drop_rng)
             h1 = ad.layer_norm(
                 a, views[f"block{i}.norm_attn.gain"], views[f"block{i}.norm_attn.bias"]
             )
             f = ad.relu(
                 ad.add_bias(ad.matmul(h1, views[f"block{i}.ffn.w_in"]), views[f"block{i}.ffn.b_in"])
             )
-            f = self._dropout(f, train, drop_rng)
+            f = self._dropout(f, drop_rng)
             f = ad.add_bias(ad.matmul(f, views[f"block{i}.ffn.w_out"]), views[f"block{i}.ffn.b_out"])
             h = ad.layer_norm(
                 ad.add(h1, f),
@@ -372,5 +369,7 @@ class SegmentModel:
                 views, batch.ids[t - 1], batch.mask[t - 1], mem
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-        logits = self.classify(views, out, mem, batch.mask[-1])
-        return int(np.argmax(logits.value)), logits.value.copy()
+        logits = self.classify(views, out, mem, batch.mask[-1]).value
+        if not np.isfinite(logits).all():
+            raise NumericalOverflowError("logits")
+        return int(np.argmax(logits)), logits.copy()

@@ -25,6 +25,7 @@ or threshold crossings) arrive at the synapses at step k + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +59,12 @@ def _activation(name: str):
         ) from None
 
 
+@functools.cache
 def _centered(name: str):
     """The named activation shifted so that f(0) = 0.
 
     Keeps the all-zero state a fixed point even for sigmoid-style maps.
+    Cached per name, since ``step`` asks for it on every Euler step.
     """
     f = _activation(name)
     offset = float(np.asarray(f(np.zeros(1)))[0])

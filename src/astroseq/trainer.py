@@ -7,12 +7,13 @@ with the number of segments.
 ``amrb_rollout`` computes the same gradients with bounded storage.  A
 tape-free forward keeps only the memory matrix entering each segment (the
 replay buffer).  Walking segments last to first, it replays one segment on
-a fresh tape with the buffered memory as a detached leaf, back-propagates
-that segment's loss, then injects the gradient flowing in from the
-*later* segment through the replayed memory output.  Parameter gradients
-accumulate across segments; the gradient reaching the leaf becomes the
-injection for the segment before it.  Both rollouts leave gradients in
-``model.params[...].grad``.
+a fresh tape with the buffered memory as a detached leaf, and makes one
+reverse sweep from up to two roots: that segment's loss, if it has one,
+and the replayed memory output seeded with the gradient flowing in from
+the *later* segment.
+Parameter gradients accumulate across segments; the gradient reaching the
+leaf becomes the injection for the segment before it.  Both rollouts
+leave gradients in ``model.params[...].grad``.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
@@ -115,7 +116,6 @@ def bptt_rollout(
     batch: SegmentBatch,
     schedule: RetentionSchedule,
     loss_fn: LossFn,
-    train: bool = False,
     drop_seed=None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep."""
@@ -131,7 +131,6 @@ def bptt_rollout(
                 batch.ids[t - 1],
                 batch.mask[t - 1],
                 mem,
-                train=train,
                 drop_rng=_segment_rng(drop_seed, t),
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
@@ -142,19 +141,14 @@ def bptt_rollout(
         if total is None:
             raise InvalidArgumentError("loss function produced no loss for any segment")
     forward_peak = tape.stored_floats
-    stats: dict = {}
-    ad.backward(total, stats=stats)
+    pending_peak = ad.backward(total)
     model.absorb_grads(views)
-    mem_leaf = views["mem_init"]
-    mem_grad = (
-        mem_leaf._grad.copy() if mem_leaf._grad is not None else np.zeros_like(mem_leaf.value)
-    )
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
-        mem_grad=mem_grad,
+        mem_grad=views["mem_init"].grad,
         forward_peak=forward_peak,
-        backward_peak=forward_peak + stats["pending_peak_floats"],
+        backward_peak=forward_peak + pending_peak,
         replay_floats=0,
     )
 
@@ -164,7 +158,6 @@ def amrb_rollout(
     batch: SegmentBatch,
     schedule: RetentionSchedule,
     loss_fn: LossFn,
-    train: bool = False,
     drop_seed=None,
 ) -> GradReport:
     """Replay-based gradients: bounded storage, same result as BPTT."""
@@ -180,7 +173,6 @@ def amrb_rollout(
             batch.ids[t - 1],
             batch.mask[t - 1],
             ad.constant(replay[-1]),
-            train=train,
             drop_rng=_segment_rng(drop_seed, t),
         )
         replay.append(mem_raw.value * schedule.factor(t))
@@ -200,39 +192,29 @@ def amrb_rollout(
                 batch.ids[t - 1],
                 batch.mask[t - 1],
                 mem_in,
-                train=train,
                 drop_rng=_segment_rng(drop_seed, t),
             )
             mem_scaled = ad.scalar_mul(mem_raw, schedule.factor(t))
             loss_node = loss_fn(views_t, t, out, mem_scaled, batch.mask[t - 1])
-        pending_peak = 0
-        inject = grad_mem_next is not None and grad_mem_next.size > 0
+        roots = []
         if loss_node is not None:
             saw_loss = True
             seg_losses[t - 1] = float(loss_node.value[0, 0])
-            stats: dict = {}
-            ad.backward(loss_node, retain=inject, stats=stats)
-            pending_peak = max(pending_peak, stats["pending_peak_floats"])
-        if inject:
-            stats = {}
-            ad.backward(mem_scaled, seed=grad_mem_next, stats=stats)
-            pending_peak = max(pending_peak, stats["pending_peak_floats"])
+            roots.append((loss_node, None))
+        if grad_mem_next is not None and grad_mem_next.size > 0:
+            roots.append((mem_scaled, grad_mem_next))
+        pending_peak = ad.backward(*roots[0], more=roots[1:]) if roots else 0
         model.absorb_grads(views_t)
-        grad_mem_next = (
-            mem_in._grad.copy() if mem_in._grad is not None else np.zeros_like(mem_in.value)
-        )
+        grad_mem_next = mem_in.grad
         backward_peak = max(backward_peak, replay_floats + tape.stored_floats + pending_peak)
     if not saw_loss:
         raise InvalidArgumentError("loss function produced no loss for any segment")
 
-    mem_grad = grad_mem_next if grad_mem_next is not None else np.zeros_like(
-        model.params["mem_init"].value
-    )
-    model.params["mem_init"].grad += mem_grad
+    model.params["mem_init"].grad += grad_mem_next
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
-        mem_grad=mem_grad.copy(),
+        mem_grad=grad_mem_next,
         forward_peak=replay_floats,
         backward_peak=backward_peak,
         replay_floats=replay_floats,

@@ -163,54 +163,71 @@ def test_leaf_grad_zero_initialized():
 
 
 def test_backward_accumulates_additively_with_retain():
+    """A leaf shared by two tapes sums the gradients of both sweeps."""
     rng = np.random.default_rng(0)
-    xv = rng.standard_normal((3, 3))
-    with ad.Tape():
-        x = ad.leaf(xv)
-        y = ad.hadamard(x, x)
-        ad.backward(y, retain=True)
-        once = x.grad.copy()
-        ad.backward(y, retain=True)
-    assert np.allclose(x.grad, 2.0 * once)
+    x = ad.leaf(rng.standard_normal((3, 3)))
+    sweeps = []
+    for _ in range(2):
+        with ad.Tape():
+            y = ad.hadamard(x, x)
+        ad.backward(y)
+        sweeps.append(x.grad.copy())
+    assert np.allclose(sweeps[1], 2.0 * sweeps[0])
 
 
-def test_second_backward_without_retain_raises():
+def test_second_backward_raises():
     with ad.Tape():
         x = ad.leaf(np.ones((2, 2)))
         y = ad.add(x, x)
+    ad.backward(y)
+    with pytest.raises(TapeConsumedError):
         ad.backward(y)
-        with pytest.raises(TapeConsumedError):
-            ad.backward(y)
 
 
 def test_two_objectives_share_intermediates_without_double_count():
-    """Seeding a second backward from another head must not replay the first.
+    """One sweep from two roots equals two single-root sweeps added.
 
-    Both objectives go through the same intermediate h; the summed leaf
-    gradient has to equal the two independently computed gradients added.
+    Both objectives go through the same intermediate h, which the merged
+    sweep visits once with the sum of both objectives' gradients.
     """
     rng = np.random.default_rng(3)
     xv = rng.standard_normal((3, 4))
     wv = rng.standard_normal((4, 4))
     seed2 = rng.standard_normal((3, 4))
 
-    def run(first, second):
+    def run(*names):
         with ad.Tape():
-            x = ad.leaf(xv)
             w = ad.leaf(wv)
-            h = ad.matmul(x, w)
-            loss = ad.mse(h, np.zeros((3, 4)))
-            out = ad.scalar_mul(h, 2.0)
-            if first:
-                ad.backward(loss, retain=True)
-            if second:
-                ad.backward(out, seed=seed2, retain=True)
-            return w.grad.copy()
+            h = ad.matmul(ad.leaf(xv), w)
+            roots = {
+                "loss": (ad.mse(h, np.zeros((3, 4))), None),
+                "out": (ad.scalar_mul(h, 2.0), seed2),
+            }
+        first, *more = (roots[name] for name in names)
+        ad.backward(*first, more=more)
+        return w.grad.copy()
 
-    both = run(True, True)
-    only_loss = run(True, False)
-    only_out = run(False, True)
-    assert np.allclose(both, only_loss + only_out, atol=1e-12)
+    assert np.allclose(run("loss", "out"), run("loss") + run("out"), atol=1e-12)
+
+
+def test_roots_on_different_tapes_rejected():
+    x = ad.leaf(np.ones((2, 2)))
+    with ad.Tape():
+        y = ad.add(x, x)
+    with ad.Tape():
+        z = ad.add(x, x)
+    with pytest.raises(InvalidArgumentError):
+        ad.backward(y, more=[(z, None)])
+
+
+def test_leaf_root_rejected():
+    with ad.Tape():
+        x = ad.leaf(np.ones((2, 2)))
+        y = ad.add(x, x)
+    with pytest.raises(InvalidArgumentError):
+        ad.backward(x)
+    with pytest.raises(InvalidArgumentError):
+        ad.backward(y, more=[(x, None)])
 
 
 def test_backward_is_bitwise_deterministic():
@@ -230,13 +247,15 @@ def test_backward_is_bitwise_deterministic():
 
 
 def test_gradient_map_returns_reached_leaves():
+    """backward returns its peak transient floats; an unreached leaf keeps a zero grad."""
     with ad.Tape():
-        x = ad.leaf(np.ones((2, 2)))
-        unused = ad.leaf(np.ones((2, 2)))
-        y = ad.scalar_mul(x, 3.0)
-        grads = ad.backward(y)
-    assert x in grads and unused not in grads
-    assert np.allclose(grads[x], 3.0 * np.ones((2, 2)))
+        x = ad.leaf(np.ones((2, 3)))
+        unused = ad.leaf(np.ones((2, 3)))
+        y = ad.hadamard(ad.scalar_mul(x, 2.0), ad.scalar_mul(x, 3.0))
+    # The 6-float seed is freed as the two 6-float factor gradients appear.
+    assert ad.backward(y) == 12
+    assert np.allclose(x.grad, 12.0 * np.ones((2, 3)))
+    assert not unused.grad.any()
 
 
 def test_stored_floats_counts_intermediates_not_leaves():

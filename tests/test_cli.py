@@ -1,12 +1,16 @@
 """Command-line interface: outputs, artifacts, and exit-code contract."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from astroseq import retention
+from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
+from astroseq.config import load_run_config
+from astroseq.model import SegmentModel
 from conftest import write_raw_checkpoint
 
 
@@ -133,6 +137,21 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, names, reason):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+
+
+def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
+    # With a NaN head every logit is NaN, and argmax would silently pick class 0.
+    cfg_path = write_tiny_config(tmp_path)
+    run_cfg = load_run_config(cfg_path)
+    spec = run_cfg.build_task().spec
+    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
+    arrays = SegmentModel(model_cfg).state_arrays()
+    arrays["head.w"][:] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, {"model": asdict(model_cfg)}, arrays)
+    code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
+    assert code == 3
+    assert "logits" in capsys.readouterr().err
 
 
 def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsys):

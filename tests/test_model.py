@@ -227,9 +227,9 @@ def test_dropout_replays_identically_with_same_generator_seed():
     views = model.build_views()
     mem = model.initial_memory(views)
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(views, ids, mask, mem, train=True, drop_rng=spawn(9, 2, 1))
-    out_b, _ = model.segment_forward(views, ids, mask, mem, train=True, drop_rng=spawn(9, 2, 1))
-    out_c, _ = model.segment_forward(views, ids, mask, mem, train=True, drop_rng=spawn(9, 2, 2))
+    out_a, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 1))
+    out_b, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 1))
+    out_c, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 2))
     assert np.array_equal(out_a.value, out_b.value)
     assert np.abs(out_a.value - out_c.value).max() > 1e-9
 
@@ -240,6 +240,6 @@ def test_dropout_inactive_outside_training():
     views = model.build_views()
     mem = model.initial_memory(views)
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(views, ids, mask, mem, train=False)
-    out_b, _ = model.segment_forward(views, ids, mask, mem, train=False)
+    out_a, _ = model.segment_forward(views, ids, mask, mem)
+    out_b, _ = model.segment_forward(views, ids, mask, mem)
     assert np.array_equal(out_a.value, out_b.value)

@@ -52,12 +52,11 @@ def grads_by_name(model):
 
 def run_both(model, batch, schedule, mode="final", drop_seed=None):
     loss_fn = classification_loss(model, batch, mode=mode)
-    train = drop_seed is not None
     model.zero_grads()
-    rep_b = bptt_rollout(model, batch, schedule, loss_fn, train=train, drop_seed=drop_seed)
+    rep_b = bptt_rollout(model, batch, schedule, loss_fn, drop_seed=drop_seed)
     g_bptt = grads_by_name(model)
     model.zero_grads()
-    rep_a = amrb_rollout(model, batch, schedule, loss_fn, train=train, drop_seed=drop_seed)
+    rep_a = amrb_rollout(model, batch, schedule, loss_fn, drop_seed=drop_seed)
     g_amrb = grads_by_name(model)
     return rep_b, g_bptt, rep_a, g_amrb
 
@@ -117,6 +116,22 @@ def test_replay_matches_full_backprop_zero_memory():
     assert_grad_maps_match(g_bptt, g_amrb)
     assert rep_a.mem_grad.shape == (0, 4)
     assert rep_a.replay_floats == 0
+
+
+@pytest.mark.parametrize("mode,roots", [("final", [1, 1, 1]), ("per_segment", [1, 2, 2])])
+def test_replay_sweeps_each_segment_once(monkeypatch, mode, roots):
+    """Loss and injected memory gradient share one reverse sweep per segment."""
+    model, batch = build_setup(0)
+    seen = []
+    original = ad.backward
+
+    def counting(node, seed=None, more=()):
+        seen.append(1 + len(more))
+        return original(node, seed, more)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    amrb_rollout(model, batch, skewed_schedule(3), classification_loss(model, batch, mode=mode))
+    assert seen == roots
 
 
 def test_replay_matches_full_backprop_single_segment():
