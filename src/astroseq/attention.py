@@ -20,9 +20,9 @@ The positional summary R is built from a distance-decay profile
 ``exp(-|i - j| * pos_scale)`` mixed through two learned projections sized
 to a fixed capacity ``n_max``.  Token positions are their row indices, so
 memory tokens appended after the sequence occupy the positions right after
-it.  Building R is the one quadratic-size computation; its value is cached
-per token count when no tape is recording, so repeated inference pays only
-the linear part.
+it.  Building R is the one quadratic-size computation; when no tape is
+recording, its value is cached per token count and parameter version, so
+repeated inference pays only the linear part.
 """
 
 from __future__ import annotations
@@ -155,9 +155,11 @@ def _decay_profile(n_tokens: int, pos_scale: float) -> np.ndarray:
 def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     """The (n_tokens, m) positional summary R.
 
-    Differentiable through ``pos_mix``/``pos_read`` when a tape is active;
-    otherwise the value is cached per token count so inference and
-    benchmarking pay the quadratic construction only once.
+    Differentiable through ``pos_mix``/``pos_read`` when a tape is active.
+    Otherwise the value is cached per token count, together with the
+    ``pos_mix``/``pos_read`` value arrays it was built from; it is reused
+    while both are still the current arrays, so inference and benchmarking
+    pay the quadratic construction once per parameter version.
     """
     if n_tokens < 1:
         raise InvalidArgumentError("n_tokens must be at least 1")
@@ -166,8 +168,10 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
             f"{n_tokens} tokens exceed this block's capacity of {params.n_max}"
         )
     taping = active_tape() is not None
-    if not taping and n_tokens in params._pos_cache:
-        return ad.constant(params._pos_cache[n_tokens])
+    version = (params.pos_mix.value, params.pos_read.value)
+    cached = None if taping else params._pos_cache.get(n_tokens)
+    if cached is not None and cached[0] is version[0] and cached[1] is version[1]:
+        return ad.constant(cached[2])
     profile = ad.constant(_decay_profile(n_tokens, params.pos_scale))
     if n_tokens == params.n_max:
         mix, read = params.pos_mix, params.pos_read
@@ -177,7 +181,7 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     mixed = ad.matmul(ad.matmul(mix, profile), ad.transpose(mix))
     out = ad.matmul(mixed, read)
     if not taping:
-        params._pos_cache[n_tokens] = out.value
+        params._pos_cache[n_tokens] = (*version, out.value)
     return out
 
 

@@ -13,7 +13,8 @@ Design points that the rest of the package relies on:
   accumulation order is therefore fixed, so repeated backward passes over
   identical graphs produce bitwise-identical gradients.
 * One ``backward`` call is one reverse sweep, and it consumes its tape;
-  any further backward on that tape raises :class:`TapeConsumedError`.
+  any further sweep through that tape's nodes, from it or from a new tape
+  that used them, raises :class:`TapeConsumedError`.
   Several objectives recorded on one tape are differentiated together by
   passing the extra roots as ``more``: the sweep propagates the sum of
   their seeds, so shared intermediates are visited once.
@@ -82,6 +83,7 @@ class Tape:
         self.stored_floats += node.value.size
 
     def _release(self) -> None:
+        # ``_tape`` stays set, so a released node is never taken for a leaf.
         for node in self._ops:
             node._parents = ()
             node._vjp = None
@@ -113,7 +115,7 @@ class ValueNode:
 
     @property
     def is_leaf(self) -> bool:
-        return self._vjp is None
+        return self._tape is None
 
     @property
     def grad(self) -> np.ndarray:
@@ -500,6 +502,10 @@ def backward(node: ValueNode, seed=None, more=()) -> int:
                 continue
             if parent.is_leaf:
                 parent._accumulate(pg)
+            elif parent._tape is not tape:
+                if parent._tape.consumed:
+                    raise TapeConsumedError("an operand was recorded on a consumed tape")
+                raise InvalidArgumentError("an operand was recorded on another tape")
             else:
                 prev = pending.get(id(parent))
                 if prev is None:

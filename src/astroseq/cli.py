@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .errors import NUMERICAL_ERRORS, USAGE_ERRORS
+from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, InvalidArgumentError
 from .harness import (
     bench_attention,
     bench_rollouts,
@@ -105,7 +106,10 @@ def _out_dir(args) -> Path | None:
     if args.out_dir is None:
         return None
     path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot use --out-dir {path}: {exc}") from exc
     return path
 
 
@@ -161,6 +165,9 @@ def cmd_retention(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        print(f"--tolerance must be a finite value >= 0, got {args.tolerance}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = _load_config(args)
     out_dir = _out_dir(args)
     task = cfg.build_task()
@@ -204,7 +211,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    record = train_run(cfg, seed=args.seed, out_dir=args.out_dir)
+    record = train_run(cfg, seed=args.seed, out_dir=_out_dir(args))
     final = record["final"]
     print(
         f"trained {final['epochs_run']} epochs on {record['task']['name']}: "
@@ -223,8 +230,11 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"--sizes must be comma-separated integers, got {args.sizes!r}", file=sys.stderr)
         return EXIT_USAGE
-    if not sizes:
-        print("--sizes must name at least one token count", file=sys.stderr)
+    if not sizes or min(sizes) < 1:
+        print(f"--sizes must name positive token counts, got {args.sizes!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.repeats < 1:
+        print(f"--repeats must be positive, got {args.repeats}", file=sys.stderr)
         return EXIT_USAGE
     payload = {
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),

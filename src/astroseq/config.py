@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,11 +100,14 @@ def parse_sim_params(text: str) -> tuple[SimParams, dict]:
 
 def _coerce(kind, value: str, key: str, lineno: int):
     try:
-        return kind(value)
+        result = kind(value)
     except ValueError as exc:
         raise ConfigError(
             f"line {lineno}: cannot read {key!r}={value!r} as {kind.__name__}"
         ) from exc
+    if not math.isfinite(result):
+        raise ConfigError(f"line {lineno}: {key!r}={value!r} is not finite")
+    return result
 
 
 def load_sim_params(path) -> tuple[SimParams, dict]:
@@ -317,11 +321,14 @@ def _convert(kind, raw: str, section: str, key: str):
     elif kind is _OPTIONAL_STR:
         return None if raw.lower() in ("none", "") else raw
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def load_run_config(path) -> RunConfig:

@@ -143,7 +143,7 @@ def train_run(
                     peak_report[key] = max(peak_report[key], mem[key])
             inv = 1.0 / len(chunk)
             for p in model.parameters():
-                p.grad *= inv
+                p.grad[...] *= inv
             optimizer.step()
         val_acc = evaluate_accuracy(model, val_data, schedule)
         best_val = max(best_val, val_acc)

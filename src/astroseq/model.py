@@ -7,10 +7,10 @@ transformed memory rows carry state to the next segment, scaled by a
 per-segment retention factor; the classifier head pools the final
 segment's valid rows together with the final memory.
 
-The model owns plain float64 parameter arrays.  Every forward pass works
-on *views*: fresh autodiff leaves wrapping the current values, so one
-parameter set can serve many independent tapes (the replay-based trainer
-rebuilds views per segment).
+Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
+belongs to no tape, so one parameter set serves every tape the trainer
+records, and each reverse sweep adds straight into the parameters'
+gradients, in the order the sweep visits them.
 """
 
 from __future__ import annotations
@@ -92,18 +92,20 @@ class ModelConfig:
             raise InvalidArgumentError(f"bad model config: {exc}") from exc
 
 
-class Parameter:
-    """A named trainable array with a persistent gradient accumulator."""
+class Parameter(ValueNode):
+    """A named trainable matrix: an autodiff leaf with a persistent gradient.
 
-    __slots__ = ("name", "value", "grad", "decay")
+    Every sweep that reaches it adds into ``grad``, until ``zero_grad``.
+    An update replaces ``value`` with a new array and never writes into the
+    old one: the tape-free positional cache recognises a parameter version
+    by the identity of its value array.
+    """
+
+    __slots__ = ("name", "decay")
 
     def __init__(self, name: str, value: np.ndarray, decay: bool):
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"parameter {name!r} must be 2-D, got {arr.shape}")
+        super().__init__(value, requires_grad=True)
         self.name = name
-        self.value = arr
-        self.grad = np.zeros_like(arr)
         self.decay = decay
 
     def zero_grad(self) -> None:
@@ -162,22 +164,6 @@ def split_segments(
     return SegmentBatch(ids=ids, mask=mask, label=label, length=int(tokens.size))
 
 
-@dataclass
-class ModelViews:
-    """Autodiff leaves over the model's current parameter values.
-
-    Their gradients add up over every sweep that reaches them, so the
-    trainer builds fresh views per tape and absorbs them after its sweep.
-    ``attn`` holds one parameter bundle per layer, sharing the same leaves.
-    """
-
-    leaves: dict[str, ValueNode]
-    attn: tuple[AttentionParams, ...]
-
-    def __getitem__(self, name: str) -> ValueNode:
-        return self.leaves[name]
-
-
 class SegmentModel:
     """Parameter store plus the forward graph builders."""
 
@@ -209,6 +195,21 @@ class SegmentModel:
             self._add(f"block{i}.norm_ffn.bias", np.zeros((1, d)), decay=False)
         self._add("head.w", uniform(d, cfg.n_classes, d), decay=True)
         self._add("head.b", np.zeros((1, cfg.n_classes)), decay=False)
+        p = self.params
+        self.attn = tuple(
+            AttentionParams(
+                w_query=p[f"block{i}.attn.w_query"],
+                w_key=p[f"block{i}.attn.w_key"],
+                w_value=p[f"block{i}.attn.w_value"],
+                pos_mix=p[f"block{i}.attn.pos_mix"],
+                pos_read=p[f"block{i}.attn.pos_read"],
+                w_out=p.get(f"block{i}.attn.w_out"),
+                alpha=cfg.alpha,
+                pos_scale=cfg.pos_scale,
+                n_heads=cfg.n_heads,
+            )
+            for i in range(cfg.n_layers)
+        )
 
     def _add(self, name: str, value: np.ndarray, decay: bool) -> None:
         if name in self.params:
@@ -242,38 +243,9 @@ class SegmentModel:
                     f"parameter {name!r}: expected {p.value.shape}, got {arr.shape}"
                 )
             p.value = arr.copy()
-            p.grad = np.zeros_like(p.value)
+            p.zero_grad()
 
     # -- graph builders -----------------------------------------------------
-
-    def build_views(self) -> ModelViews:
-        """Fresh leaves over the current values, with zero gradients."""
-        leaves = {name: ad.leaf(p.value) for name, p in self.params.items()}
-        cfg = self.config
-        attn = tuple(
-            AttentionParams(
-                w_query=leaves[f"block{i}.attn.w_query"],
-                w_key=leaves[f"block{i}.attn.w_key"],
-                w_value=leaves[f"block{i}.attn.w_value"],
-                pos_mix=leaves[f"block{i}.attn.pos_mix"],
-                pos_read=leaves[f"block{i}.attn.pos_read"],
-                w_out=leaves.get(f"block{i}.attn.w_out"),
-                alpha=cfg.alpha,
-                pos_scale=cfg.pos_scale,
-                n_heads=cfg.n_heads,
-            )
-            for i in range(cfg.n_layers)
-        )
-        return ModelViews(leaves=leaves, attn=attn)
-
-    def absorb_grads(self, views: ModelViews) -> None:
-        """Add the leaf gradients accumulated on ``views`` into the parameters."""
-        for name, node in views.leaves.items():
-            if node._grad is not None:
-                self.params[name].grad += node._grad
-
-    def initial_memory(self, views: ModelViews) -> ValueNode:
-        return views["mem_init"]
 
     def _dropout(self, node: ValueNode, rng) -> ValueNode:
         rate = self.config.dropout
@@ -284,7 +256,6 @@ class SegmentModel:
 
     def segment_forward(
         self,
-        views: ModelViews,
         ids,
         mask,
         memory: ValueNode,
@@ -311,32 +282,31 @@ class SegmentModel:
             raise ShapeError(
                 f"memory must be {(cfg.mem_tokens, cfg.d_model)}, got {memory.shape}"
             )
-        x = ad.embedding_rows(views["embed"], ids)
+        p = self.params
+        x = ad.embedding_rows(p["embed"], ids)
         h = ad.concat_rows(x, memory)
         full_mask = np.concatenate([mask, np.ones(cfg.mem_tokens)])
-        for i, attn_params in enumerate(views.attn):
+        for i, attn_params in enumerate(self.attn):
             a = astro_attention(h, attn_params, mask=full_mask)
             a = self._dropout(a, drop_rng)
             h1 = ad.layer_norm(
-                a, views[f"block{i}.norm_attn.gain"], views[f"block{i}.norm_attn.bias"]
+                a, p[f"block{i}.norm_attn.gain"], p[f"block{i}.norm_attn.bias"]
             )
             f = ad.relu(
-                ad.add_bias(ad.matmul(h1, views[f"block{i}.ffn.w_in"]), views[f"block{i}.ffn.b_in"])
+                ad.add_bias(ad.matmul(h1, p[f"block{i}.ffn.w_in"]), p[f"block{i}.ffn.b_in"])
             )
             f = self._dropout(f, drop_rng)
-            f = ad.add_bias(ad.matmul(f, views[f"block{i}.ffn.w_out"]), views[f"block{i}.ffn.b_out"])
+            f = ad.add_bias(ad.matmul(f, p[f"block{i}.ffn.w_out"]), p[f"block{i}.ffn.b_out"])
             h = ad.layer_norm(
                 ad.add(h1, f),
-                views[f"block{i}.norm_ffn.gain"],
-                views[f"block{i}.norm_ffn.bias"],
+                p[f"block{i}.norm_ffn.gain"],
+                p[f"block{i}.norm_ffn.bias"],
             )
         out = ad.slice_rows(h, 0, cfg.seg_len)
         mem_out = ad.slice_rows(h, cfg.seg_len, cfg.n_tokens)
         return out, mem_out
 
-    def classify(
-        self, views: ModelViews, out_rows: ValueNode, memory: ValueNode, mask
-    ) -> ValueNode:
+    def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
         """Logits from mean-pooling valid final-segment rows and memory rows."""
         cfg = self.config
         mask = np.asarray(mask, dtype=np.float64).ravel()
@@ -348,7 +318,7 @@ class SegmentModel:
             raise InvalidArgumentError("nothing to pool: empty mask and no memory rows")
         pool = ad.constant((weights / total)[None, :])
         pooled = ad.matmul(pool, ad.concat_rows(out_rows, memory))
-        return ad.add_bias(ad.matmul(pooled, views["head.w"]), views["head.b"])
+        return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
     def predict(
         self, batch: SegmentBatch, schedule: RetentionSchedule | None = None
@@ -361,15 +331,12 @@ class SegmentModel:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
-        views = self.build_views()
-        mem = self.initial_memory(views)
+        mem = self.params["mem_init"]
         out = None
         for t in range(1, T + 1):
-            out, mem_raw = self.segment_forward(
-                views, batch.ids[t - 1], batch.mask[t - 1], mem
-            )
+            out, mem_raw = self.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem)
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-        logits = self.classify(views, out, mem, batch.mask[-1]).value
+        logits = self.classify(out, mem, batch.mask[-1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")
         return int(np.argmax(logits)), logits.copy()

@@ -10,10 +10,13 @@ replay buffer).  Walking segments last to first, it replays one segment on
 a fresh tape with the buffered memory as a detached leaf, and makes one
 reverse sweep from up to two roots: that segment's loss, if it has one,
 and the replayed memory output seeded with the gradient flowing in from
-the *later* segment.
-Parameter gradients accumulate across segments; the gradient reaching the
-leaf becomes the injection for the segment before it.  Both rollouts
-leave gradients in ``model.params[...].grad``.
+the *later* segment.  The gradient reaching the memory leaf becomes the
+injection for the segment before it.
+
+The parameters are the autodiff leaves, so both rollouts add each
+gradient straight into ``model.params[...].grad``.  Replay visits the
+operations in the order the single BPTT sweep does, so the two give the
+same gradients bit for bit.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
@@ -32,11 +35,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidArgumentError, TrainingAbortError
-from .model import ModelViews, SegmentBatch, SegmentModel
+from .model import SegmentBatch, SegmentModel
 from .retention import RetentionSchedule
 from .seeding import STREAM_DROPOUT, spawn
 
-LossFn = Callable[[ModelViews, int, ad.ValueNode, ad.ValueNode, np.ndarray], "ad.ValueNode | None"]
+LossFn = Callable[[int, ad.ValueNode, ad.ValueNode, np.ndarray], "ad.ValueNode | None"]
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,11 @@ class GradReport:
     """What one rollout computed and what it cost.
 
     ``seg_losses[t-1]`` is segment t's loss value (0.0 where the loss
-    function returned None).  ``mem_grad`` is the gradient with respect to
-    the memory entering segment 1; it is also accumulated into the
-    ``mem_init`` parameter.
+    function returned None).
     """
 
     seg_losses: tuple[float, ...]
     total_loss: float
-    mem_grad: np.ndarray
     forward_peak: int
     backward_peak: int
     replay_floats: int
@@ -77,10 +77,10 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         raise InvalidArgumentError("batch has no label to train against")
     T = batch.n_segments
 
-    def loss_fn(views, t, out, mem, mask):
+    def loss_fn(t, out, mem, mask):
         if mode == "final" and t < T:
             return None
-        logits = model.classify(views, out, mem, mask)
+        logits = model.classify(out, mem, mask)
         return ad.cross_entropy(logits, [batch.label])
 
     return loss_fn
@@ -122,19 +122,17 @@ def bptt_rollout(
     T = _check_rollout_args(model, batch, schedule)
     seg_losses = [0.0] * T
     with ad.Tape() as tape:
-        views = model.build_views()
-        mem = model.initial_memory(views)
+        mem = model.params["mem_init"]
         total = None
         for t in range(1, T + 1):
             out, mem_raw = model.segment_forward(
-                views,
                 batch.ids[t - 1],
                 batch.mask[t - 1],
                 mem,
                 drop_rng=_segment_rng(drop_seed, t),
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-            node = loss_fn(views, t, out, mem, batch.mask[t - 1])
+            node = loss_fn(t, out, mem, batch.mask[t - 1])
             if node is not None:
                 seg_losses[t - 1] = float(node.value[0, 0])
                 total = node if total is None else ad.add(total, node)
@@ -142,11 +140,9 @@ def bptt_rollout(
             raise InvalidArgumentError("loss function produced no loss for any segment")
     forward_peak = tape.stored_floats
     pending_peak = ad.backward(total)
-    model.absorb_grads(views)
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
-        mem_grad=views["mem_init"].grad,
         forward_peak=forward_peak,
         backward_peak=forward_peak + pending_peak,
         replay_floats=0,
@@ -166,10 +162,8 @@ def amrb_rollout(
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
-    views = model.build_views()
     for t in range(1, T):
         _, mem_raw = model.segment_forward(
-            views,
             batch.ids[t - 1],
             batch.mask[t - 1],
             ad.constant(replay[-1]),
@@ -185,17 +179,15 @@ def amrb_rollout(
     saw_loss = False
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
-            views_t = model.build_views()
             mem_in = ad.leaf(replay[t - 1])
             out, mem_raw = model.segment_forward(
-                views_t,
                 batch.ids[t - 1],
                 batch.mask[t - 1],
                 mem_in,
                 drop_rng=_segment_rng(drop_seed, t),
             )
             mem_scaled = ad.scalar_mul(mem_raw, schedule.factor(t))
-            loss_node = loss_fn(views_t, t, out, mem_scaled, batch.mask[t - 1])
+            loss_node = loss_fn(t, out, mem_scaled, batch.mask[t - 1])
         roots = []
         if loss_node is not None:
             saw_loss = True
@@ -204,17 +196,15 @@ def amrb_rollout(
         if grad_mem_next is not None and grad_mem_next.size > 0:
             roots.append((mem_scaled, grad_mem_next))
         pending_peak = ad.backward(*roots[0], more=roots[1:]) if roots else 0
-        model.absorb_grads(views_t)
         grad_mem_next = mem_in.grad
         backward_peak = max(backward_peak, replay_floats + tape.stored_floats + pending_peak)
     if not saw_loss:
         raise InvalidArgumentError("loss function produced no loss for any segment")
 
-    model.params["mem_init"].grad += grad_mem_next
+    model.params["mem_init"].grad[...] += grad_mem_next
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
-        mem_grad=grad_mem_next,
         forward_peak=replay_floats,
         backward_peak=backward_peak,
         replay_floats=replay_floats,
@@ -285,4 +275,5 @@ class AdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if p.decay and self.weight_decay:
                 update = update + self.weight_decay * p.value
-            p.value -= self.lr * update
+            # A new array, never an in-place write (see ``Parameter``).
+            p.value = p.value - self.lr * update

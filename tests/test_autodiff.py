@@ -184,6 +184,30 @@ def test_second_backward_raises():
         ad.backward(y)
 
 
+def test_operand_from_consumed_tape_raises():
+    """A swept op node is not a leaf: reusing it on a new tape is an error."""
+    x = ad.leaf(np.ones((1, 1)))
+    with ad.Tape():
+        y = ad.scalar_mul(x, 3.0)
+    ad.backward(y)
+    with ad.Tape():
+        z = ad.scalar_mul(y, 2.0)
+    assert not y.is_leaf
+    with pytest.raises(TapeConsumedError):
+        ad.backward(z)
+    assert x.grad[0, 0] == 3.0
+
+
+def test_operand_from_another_live_tape_rejected():
+    x = ad.leaf(np.ones((1, 1)))
+    with ad.Tape():
+        y = ad.scalar_mul(x, 3.0)
+        with ad.Tape():
+            z = ad.scalar_mul(y, 2.0)
+    with pytest.raises(InvalidArgumentError):
+        ad.backward(z)
+
+
 def test_two_objectives_share_intermediates_without_double_count():
     """One sweep from two roots equals two single-root sweeps added.
 

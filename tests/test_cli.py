@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from astroseq import retention
+from astroseq import cli, retention
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
 from astroseq.config import load_run_config
@@ -92,9 +92,18 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
     assert payload["memory"]["amrb"]["replay_buffer_bytes"] > 0
 
 
-def test_gradcheck_impossible_tolerance_exits_3(tmp_path, capsys):
+def test_gradcheck_discrepancy_exits_3(tmp_path, monkeypatch, capsys):
+    # Replay matches backprop bit for bit, so perturb one replayed entry.
+    replay = cli.amrb_rollout
+
+    def perturbed(model, *args):
+        report = replay(model, *args)
+        model.params["head.b"].grad[0, 0] += 1e-6
+        return report
+
+    monkeypatch.setattr(cli, "amrb_rollout", perturbed)
     cfg = write_tiny_config(tmp_path)
-    code = main(["gradcheck", "--config", str(cfg), "--tolerance", "0"])
+    code = main(["gradcheck", "--config", str(cfg), "--tolerance", "1e-8"])
     assert code == 3
     assert "FAILED" in capsys.readouterr().err
 
@@ -210,6 +219,31 @@ def test_bench_tiny_sizes(tmp_path, capsys):
 def test_bench_bad_sizes_exits_2(tmp_path, capsys):
     code = main(["bench", "--sizes", "a,b"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--sizes=8", "--repeats=0"],
+        ["bench", "--sizes=8", "--repeats=-3"],
+        ["bench", "--sizes=-4"],
+        ["gradcheck", "--tolerance=-1e-8"],
+        ["gradcheck", "--tolerance=nan"],
+        ["gradcheck", "--tolerance=inf"],
+    ],
+)
+def test_out_of_range_option_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert argv[-1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["retention", "train"])
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, command):
+    cfg = write_tiny_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", str(cfg), "--out-dir", str(taken)]) == 2
+    assert "--out-dir" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -173,6 +173,29 @@ def test_run_config_sim_params_defaults_and_file(tmp_path):
     assert extras2["n_neurons"] == 7
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("training", "grad_clip", "nan"),
+        ("training", "weight_decay", "nan"),
+        ("training", "lr", "inf"),
+        ("retention", "drive_hz", "nan"),
+        ("retention", "scale", "inf"),
+        ("model", "pos_scale", "inf"),
+        ("model", "dropout", "-inf"),
+    ],
+)
+def test_run_config_rejects_non_finite_floats(section, key, value):
+    with pytest.raises(ConfigError, match="not finite"):
+        parse_run_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("line", ["tau_mem = nan", "tau_n = inf", "scale = inf", "drive_hz = nan"])
+def test_sim_params_reject_non_finite_floats(line):
+    with pytest.raises(ConfigError, match="not finite"):
+        parse_sim_params(line + "\n")
+
+
 def test_load_run_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.ini")

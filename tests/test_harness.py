@@ -1,6 +1,7 @@
 """Training harness: records, artifacts, reproducibility, benchmarks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ def test_train_run_bptt_algorithm_matches_record_shape():
     record = train_run(cfg, seed=0)
     assert record["memory"]["replay_buffer_bytes"] == 0
     assert record["config"]["algorithm"] == "bptt"
+
+
+def test_train_run_replay_and_backprop_give_one_digest():
+    """Replay adds every gradient in the order full backprop does."""
+    cfg = tiny_run_config(n_heads=2, n_layers=2, dropout=0.1, loss_mode="per_segment", epochs=1)
+    digests = {
+        algorithm: train_run(replace(cfg, algorithm=algorithm), seed=3)["param_digest"]
+        for algorithm in ("amrb", "bptt")
+    }
+    assert digests["amrb"] == digests["bptt"]
 
 
 def test_eval_run_round_trip(tmp_path):

@@ -127,12 +127,11 @@ def test_state_arrays_round_trip_and_mismatch():
 def test_segment_forward_shapes_and_determinism():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=0)
-    views = model.build_views()
-    mem = model.initial_memory(views)
+    mem = model.params["mem_init"]
     ids = np.array([1, 2, 3])
     mask = np.ones(3)
-    out1, mem1 = model.segment_forward(views, ids, mask, mem)
-    out2, mem2 = model.segment_forward(views, ids, mask, mem)
+    out1, mem1 = model.segment_forward(ids, mask, mem)
+    out2, mem2 = model.segment_forward(ids, mask, mem)
     assert out1.shape == (cfg.seg_len, cfg.d_model)
     assert mem1.shape == (cfg.mem_tokens, cfg.d_model)
     assert np.array_equal(out1.value, out2.value)
@@ -141,24 +140,22 @@ def test_segment_forward_shapes_and_determinism():
 
 def test_segment_forward_rejects_bad_shapes():
     model = SegmentModel(tiny_config(), seed=0)
-    views = model.build_views()
-    mem = model.initial_memory(views)
+    mem = model.params["mem_init"]
     with pytest.raises(ShapeError):
-        model.segment_forward(views, [1, 2], np.ones(3), mem)
+        model.segment_forward([1, 2], np.ones(3), mem)
     with pytest.raises(ShapeError):
-        model.segment_forward(views, [1, 2, 3], np.ones(3), ad.constant(np.zeros((1, 4))))
+        model.segment_forward([1, 2, 3], np.ones(3), ad.constant(np.zeros((1, 4))))
 
 
 def test_memory_carries_information_between_segments():
     """Perturbing the memory seed must change the next segment's output."""
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=0)
-    views = model.build_views()
     ids = np.array([1, 2, 3])
     mask = np.ones(3)
-    out_a, _ = model.segment_forward(views, ids, mask, model.initial_memory(views))
+    out_a, _ = model.segment_forward(ids, mask, model.params["mem_init"])
     shifted = ad.constant(model.params["mem_init"].value + 0.37)
-    out_b, _ = model.segment_forward(views, ids, mask, shifted)
+    out_b, _ = model.segment_forward(ids, mask, shifted)
     assert np.abs(out_a.value - out_b.value).max() > 1e-8
 
 
@@ -175,12 +172,11 @@ def test_zero_memory_tokens_runs_end_to_end():
 def test_classify_matches_manual_pooling():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=3)
-    views = model.build_views()
     rng = np.random.default_rng(0)
     out = ad.constant(rng.normal(size=(cfg.seg_len, cfg.d_model)))
     mem = ad.constant(rng.normal(size=(cfg.mem_tokens, cfg.d_model)))
     mask = np.array([1.0, 1.0, 0.0])
-    logits = model.classify(views, out, mem, mask)
+    logits = model.classify(out, mem, mask)
     rows = np.concatenate([out.value[:2], mem.value])
     pooled = rows.mean(axis=0, keepdims=True)
     expected = pooled @ model.params["head.w"].value + model.params["head.b"].value
@@ -190,11 +186,10 @@ def test_classify_matches_manual_pooling():
 def test_classify_rejects_all_empty_pool():
     cfg = tiny_config(mem_tokens=0)
     model = SegmentModel(cfg, seed=0)
-    views = model.build_views()
     out = ad.constant(np.zeros((cfg.seg_len, cfg.d_model)))
     mem = ad.constant(np.zeros((0, cfg.d_model)))
     with pytest.raises(InvalidArgumentError):
-        model.classify(views, out, mem, np.zeros(cfg.seg_len))
+        model.classify(out, mem, np.zeros(cfg.seg_len))
 
 
 def test_predict_respects_schedule_length():
@@ -224,12 +219,11 @@ def test_dropout_replays_identically_with_same_generator_seed():
 
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
-    views = model.build_views()
-    mem = model.initial_memory(views)
+    mem = model.params["mem_init"]
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 1))
-    out_b, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 1))
-    out_c, _ = model.segment_forward(views, ids, mask, mem, drop_rng=spawn(9, 2, 2))
+    out_a, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 1))
+    out_b, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 1))
+    out_c, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 2))
     assert np.array_equal(out_a.value, out_b.value)
     assert np.abs(out_a.value - out_c.value).max() > 1e-9
 
@@ -237,9 +231,8 @@ def test_dropout_replays_identically_with_same_generator_seed():
 def test_dropout_inactive_outside_training():
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
-    views = model.build_views()
-    mem = model.initial_memory(views)
+    mem = model.params["mem_init"]
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(views, ids, mask, mem)
-    out_b, _ = model.segment_forward(views, ids, mask, mem)
+    out_a, _ = model.segment_forward(ids, mask, mem)
+    out_b, _ = model.segment_forward(ids, mask, mem)
     assert np.array_equal(out_a.value, out_b.value)

@@ -77,7 +77,6 @@ def test_replay_matches_full_backprop_final_loss(seed):
     model, batch = build_setup(seed)
     rep_b, g_bptt, rep_a, g_amrb = run_both(model, batch, skewed_schedule(3))
     assert_grad_maps_match(g_bptt, g_amrb)
-    assert rel_err(rep_a.mem_grad, rep_b.mem_grad) < 1e-10
     assert rep_a.seg_losses == pytest.approx(rep_b.seg_losses, abs=1e-12)
 
 
@@ -114,7 +113,7 @@ def test_replay_matches_full_backprop_zero_memory():
     model, batch = build_setup(0, mem_tokens=0)
     rep_b, g_bptt, rep_a, g_amrb = run_both(model, batch, uniform_schedule(3))
     assert_grad_maps_match(g_bptt, g_amrb)
-    assert rep_a.mem_grad.shape == (0, 4)
+    assert model.params["mem_init"].grad.shape == (0, 4)
     assert rep_a.replay_floats == 0
 
 
@@ -148,13 +147,12 @@ def rollout_loss_value(model, batch, schedule, mode="final"):
     """Tape-free total loss, recomputed from the current parameter values."""
     loss_fn = classification_loss(model, batch, mode=mode)
     T = batch.n_segments
-    views = model.build_views()
-    mem = model.initial_memory(views)
+    mem = model.params["mem_init"]
     total = 0.0
     for t in range(1, T + 1):
-        out, mem_raw = model.segment_forward(views, batch.ids[t - 1], batch.mask[t - 1], mem)
+        out, mem_raw = model.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem)
         mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-        node = loss_fn(views, t, out, mem, batch.mask[t - 1])
+        node = loss_fn(t, out, mem, batch.mask[t - 1])
         if node is not None:
             total += float(node.value[0, 0])
     return total
@@ -186,7 +184,7 @@ def test_memory_seed_gradient_matches_finite_differences():
     model, batch = build_setup(3, n_segments=3)
     schedule = skewed_schedule(3)
     model.zero_grads()
-    report = amrb_rollout(model, batch, schedule, classification_loss(model, batch))
+    amrb_rollout(model, batch, schedule, classification_loss(model, batch))
     value = model.params["mem_init"].value
     h = 1e-6
     fd = np.zeros_like(value)
@@ -198,7 +196,7 @@ def test_memory_seed_gradient_matches_finite_differences():
         down = rollout_loss_value(model, batch, schedule)
         value[idx] = orig
         fd[idx] = (up - down) / (2 * h)
-    assert rel_err(report.mem_grad, fd) < 1e-6
+    assert rel_err(model.params["mem_init"].grad, fd) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +274,23 @@ def test_classification_loss_guards():
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+
+def test_predict_after_step_equals_fresh_model():
+    """The tape-free positional cache follows each optimizer step."""
+    model, batch = build_setup(0)
+    schedule = uniform_schedule(3)
+    _, before = model.predict(batch, schedule)  # fills the positional cache
+    pos_mix = model.params["block0.attn.pos_mix"].value.copy()
+    model.zero_grads()
+    amrb_rollout(model, batch, schedule, classification_loss(model, batch))
+    AdamW(model.parameters(), lr=0.05).step()
+    assert not np.array_equal(model.params["block0.attn.pos_mix"].value, pos_mix)
+    fresh = SegmentModel(model.config, seed=1)
+    fresh.load_arrays(model.state_arrays())
+    _, after = model.predict(batch, schedule)
+    assert np.array_equal(after, fresh.predict(batch, schedule)[1])
+    assert not np.array_equal(after, before)
 
 
 def make_params(values):
