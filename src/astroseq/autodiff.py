@@ -13,8 +13,10 @@ Design points that the rest of the package relies on:
   accumulation order is therefore fixed, so repeated backward passes over
   identical graphs produce bitwise-identical gradients.
 * One ``backward`` call is one reverse sweep, and it consumes its tape;
-  any further sweep through that tape's nodes, from it or from a new tape
-  that used them, raises :class:`TapeConsumedError`.
+  a second sweep raises :class:`TapeConsumedError`.  An op takes its
+  operands from its own tape or from leaves: recording one on a node of a
+  consumed tape raises :class:`TapeConsumedError`, and on a node of another
+  live tape :class:`InvalidArgumentError`, before any gradient is written.
   Several objectives recorded on one tape are differentiated together by
   passing the extra roots as ``more``: the sweep propagates the sum of
   their seeds, so shared intermediates are visited once.
@@ -149,7 +151,15 @@ def constant(value) -> ValueNode:
 
 def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp) -> ValueNode:
     tape = active_tape()
-    needs = tape is not None and any(p.requires_grad for p in parents)
+    needs = False
+    if tape is not None:
+        for p in parents:
+            owner = p._tape
+            if owner is not None and owner is not tape:
+                if owner.consumed:
+                    raise TapeConsumedError("an operand was recorded on a consumed tape")
+                raise InvalidArgumentError("an operand was recorded on another tape")
+            needs = needs or p.requires_grad
     node = ValueNode(value, requires_grad=needs)
     if needs:
         node._parents = parents
@@ -502,10 +512,6 @@ def backward(node: ValueNode, seed=None, more=()) -> int:
                 continue
             if parent.is_leaf:
                 parent._accumulate(pg)
-            elif parent._tape is not tape:
-                if parent._tape.consumed:
-                    raise TapeConsumedError("an operand was recorded on a consumed tape")
-                raise InvalidArgumentError("an operand was recorded on another tape")
             else:
                 prev = pending.get(id(parent))
                 if prev is None:

@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -157,10 +158,7 @@ def cmd_simulate(args) -> int:
 def cmd_retention(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(args)
-    cache = out_dir / "retention_cache" if out_dir is not None else None
-    schedule = resolve_schedule(cfg, cache)
-    payload = json.loads(schedule.to_json())
-    _emit(payload, out_dir, "retention.json")
+    _emit(asdict(resolve_schedule(cfg)), out_dir, "retention.json")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .errors import InvalidArgumentError
 from .model import ModelConfig, SegmentModel
 from .neuroglia import DriveSpec, build_geometry
-from .retention import RetentionSchedule, load_or_derive, retention_schedule, uniform_schedule
+from .retention import RetentionSchedule, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
 from .trainer import AdamW, amrb_rollout, bptt_rollout, classification_loss
 
@@ -31,7 +31,7 @@ RECORD_SCHEMA = 1
 
 def simulation_args(cfg: RunConfig) -> dict:
     """The dynamical system a run config describes, as keyword arguments of
-    ``simulate_cycles``, ``retention_schedule`` and ``load_or_derive``.
+    ``simulate_cycles`` and ``retention_schedule``.
 
     ``simulate`` and derived schedules both start here, so they see the same
     system and the same initial state.
@@ -47,17 +47,16 @@ def simulation_args(cfg: RunConfig) -> dict:
     )
 
 
-def resolve_schedule(cfg: RunConfig, cache_dir: str | Path | None = None) -> RetentionSchedule:
+def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
     """The retention schedule a run config asks for.
 
-    ``derived`` runs the dynamical system (optionally cached on disk);
-    ``uniform`` is the all-ones ablation.
+    ``derived`` runs the dynamical system on every call; ``uniform`` is the
+    all-ones ablation.  Training, evaluation and the ``retention`` command
+    all get their schedule here.
     """
     if cfg.retention_mode == "uniform":
         return uniform_schedule(cfg.n_segments)
-    if cache_dir is None:
-        return retention_schedule(cfg.n_segments, **simulation_args(cfg))
-    return load_or_derive(cache_dir, cfg.n_segments, **simulation_args(cfg))
+    return retention_schedule(cfg.n_segments, **simulation_args(cfg))
 
 
 def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:
@@ -88,10 +87,10 @@ def train_run(
 ) -> dict:
     """Train per the config; returns the run record (and writes artifacts).
 
-    With ``out_dir`` set, writes ``run.json``, ``curve.csv``,
-    ``model.ckpt`` and (for derived schedules) a retention cache there.
-    A ``schedule`` argument overrides the config's retention mode, which
-    keeps schedule-comparison experiments on identical data and weights.
+    With ``out_dir`` set, writes ``run.json``, ``curve.csv`` and
+    ``model.ckpt`` there.  The schedule comes from ``resolve_schedule``
+    unless a ``schedule`` argument overrides the config's retention mode,
+    which keeps schedule-comparison experiments on identical data and weights.
     """
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -103,8 +102,7 @@ def train_run(
     model_cfg = cfg.model_config(spec.vocab_size, spec.n_classes)
     model = SegmentModel(model_cfg, seed=seed)
     if schedule is None:
-        cache = out_path / "retention_cache" if out_path is not None else None
-        schedule = resolve_schedule(cfg, cache)
+        schedule = resolve_schedule(cfg)
 
     train_data = task.dataset(cfg.train_samples, seed, split=0)
     val_data = task.dataset(cfg.val_samples, seed, split=1)

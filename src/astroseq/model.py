@@ -15,7 +15,7 @@ gradients, in the order the sweep visits them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -86,10 +86,23 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Build from a plain mapping, such as a checkpoint's model block.
+
+        Every value must have its field's type: int fields take an int,
+        float fields an int or a float, and neither takes a bool.
+        """
         try:
-            return cls(**data)
+            config = cls(**data)
         except TypeError as exc:
             raise InvalidArgumentError(f"bad model config: {exc}") from exc
+        for f in fields(cls):
+            value = getattr(config, f.name)
+            kinds = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InvalidArgumentError(
+                    f"bad model config: {f.name} must be {f.type}, got {value!r}"
+                )
+        return config
 
 
 class Parameter(ValueNode):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -357,18 +357,11 @@ def run_stp_cycles(
         raise InvalidArgumentError("n_cycles must be at least 1")
     n = coupling.n_neurons
     spc = steps_per_cycle(cycle_duration, params.dt)
-    state = initial if initial is not None else initial_state(n, params)
-    if state.v.shape[0] != n:
+    if initial is None:
+        initial = initial_state(n, params)
+    if initial.v.shape[0] != n:
         raise InvalidArgumentError("initial state size does not match coupling")
-    reset_template = SimState(
-        v=state.v.copy(),
-        fac=state.fac.copy(),
-        stp=state.stp.copy(),
-        ltp=state.ltp.copy(),
-        rate=state.rate.copy(),
-        spikes=state.spikes.copy(),
-        t=0.0,
-    )
+    state = initial
 
     n_samples = n_cycles * spc + 1
     times = np.empty(n_samples)
@@ -386,15 +379,9 @@ def run_stp_cycles(
     k = 0
     for cycle in range(n_cycles):
         if cycle > 0:
-            state = SimState(
-                v=reset_template.v.copy(),
-                fac=reset_template.fac.copy(),
-                stp=reset_template.stp.copy(),
-                ltp=state.ltp,
-                rate=reset_template.rate.copy(),
-                spikes=reset_template.spikes.copy(),
-                t=state.t,
-            )
+            # ``step`` never writes into a state's arrays, so the fast
+            # variables can restart from ``initial``'s own arrays.
+            state = replace(initial, ltp=state.ltp, t=state.t)
         for _ in range(spc):
             spikes_in = drive.spike_vector(state.t, params.dt, n)
             state = step(state, params, coupling, spikes_in)

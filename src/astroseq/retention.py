@@ -7,9 +7,10 @@ to one yields the per-segment retention factors.  Because the slow level
 saturates, the increments shrink with every cycle, so early segments
 receive the largest factors.
 
-Schedules are plain data (factors plus a provenance record) and are cached
-on disk keyed by a hash of everything that determines them, so training
-never has to integrate the ODE system inline.
+Schedules are plain data: factors plus a provenance record whose digest
+hashes everything that determines them.  They are derived afresh by every
+run that asks for one, so training, evaluation and ``simulate`` always see
+the same dynamical system.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -73,26 +73,6 @@ class RetentionSchedule:
                 f"segment index {t} outside 1..{self.n_segments}"
             )
         return self.factors[t - 1]
-
-    def to_json(self) -> str:
-        payload = {
-            "n_segments": self.n_segments,
-            "factors": list(self.factors),
-            "source": self.source,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RetentionSchedule":
-        try:
-            payload = json.loads(text)
-            return cls(
-                n_segments=int(payload["n_segments"]),
-                factors=tuple(float(f) for f in payload["factors"]),
-                source=dict(payload["source"]),
-            )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise InvalidArgumentError(f"bad schedule JSON: {exc}") from exc
 
 
 def uniform_schedule(n_segments: int) -> RetentionSchedule:
@@ -198,31 +178,3 @@ def retention_schedule(
             "init_stp": init_stp,
         },
     )
-
-
-def load_or_derive(
-    cache_dir: str | Path,
-    n_segments: int,
-    params: SimParams,
-    drive: DriveSpec,
-    geometry: SynapseGeometry,
-    scale: float,
-    cycle_duration: float = 50.0,
-    init_stp: float = 0.0,
-) -> RetentionSchedule:
-    """Disk-cached derivation keyed by the macro-parameter digest."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = macro_digest(
-        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
-    )
-    path = cache_dir / f"retention_{digest[:16]}.json"
-    if path.exists():
-        schedule = RetentionSchedule.from_json(path.read_text())
-        if schedule.source.get("digest") == digest:
-            return schedule
-    schedule = retention_schedule(
-        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
-    )
-    path.write_text(schedule.to_json())
-    return schedule

@@ -163,6 +163,24 @@ def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
     assert "logits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["seg_len", "n_layers", "mem_tokens", "vocab_size", "n_heads"])
+def test_eval_mistyped_model_config_exits_2(tmp_path, capsys, field):
+    # Floats that equal ints, and n_heads = true (which equals 1), are still
+    # the wrong type.
+    cfg_path = write_tiny_config(tmp_path)
+    run_cfg = load_run_config(cfg_path)
+    spec = run_cfg.build_task().spec
+    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
+    model = asdict(model_cfg)
+    model[field] = True if field == "n_heads" else float(model[field])
+    path = tmp_path / "typed.ckpt"
+    save_checkpoint(path, {"model": model}, SegmentModel(model_cfg).state_arrays())
+    code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsys):
     seen = []
     original = retention.run_stp_cycles
@@ -192,7 +210,7 @@ def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsy
         assert source["init_stp"] == init_stp
         digests.append(source["digest"])
     assert digests[0] != digests[1]
-    assert len(list((tmp_path / "ret" / "retention_cache").glob("retention_*.json"))) == 2
+    assert [p.name for p in out.iterdir()] == ["retention.json"]
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

@@ -48,22 +48,16 @@ def strip_timings(record):
     return out
 
 
-def test_resolve_schedule_uniform_and_derived(tmp_path):
+def test_resolve_schedule_uniform_and_derived():
     cfg = tiny_run_config()
     schedule = resolve_schedule(cfg)
     assert schedule.factors == (1.0, 1.0)
 
     derived_cfg = tiny_run_config(retention_mode="derived", n_neurons=2)
-    derived = resolve_schedule(derived_cfg, cache_dir=tmp_path)
+    derived = resolve_schedule(derived_cfg)
     assert derived.n_segments == 2
     assert abs(sum(derived.factors) - 1.0) < 1e-12
     assert derived.factors[0] > derived.factors[1]
-    cached = list(tmp_path.glob("retention_*.json"))
-    assert len(cached) == 1
-    # Second resolution must reuse the cache file, not add another.
-    again = resolve_schedule(derived_cfg, cache_dir=tmp_path)
-    assert again.factors == derived.factors
-    assert len(list(tmp_path.glob("retention_*.json"))) == 1
 
 
 def test_train_run_record_and_artifacts(tmp_path):
@@ -84,6 +78,25 @@ def test_train_run_record_and_artifacts(tmp_path):
     assert curve[0] == "epoch,train_loss,val_acc,seconds"
     assert len(curve) == 3
     assert (tmp_path / "model.ckpt").exists()
+
+
+def test_train_run_ignores_stale_schedule_files(tmp_path):
+    """A derived run uses the schedule the simulator gives, whatever files
+    sit in its out-dir; here a schedule file with the right digest and
+    edited factors."""
+    cfg = tiny_run_config(epochs=1, retention_mode="derived", n_neurons=2)
+    derived = resolve_schedule(cfg)
+    digest = derived.source["digest"]
+    stale = {"n_segments": 2, "factors": [0.5, 0.5], "source": derived.source}
+    cache = tmp_path / "retention_cache"
+    cache.mkdir()
+    (cache / f"retention_{digest[:16]}.json").write_text(json.dumps(stale))
+    before = set(tmp_path.rglob("*"))
+
+    record = train_run(cfg, seed=0, out_dir=tmp_path)
+    assert record["retention"]["factors"] == list(derived.factors)
+    added = {p.name for p in set(tmp_path.rglob("*")) - before}
+    assert added == {"run.json", "curve.csv", "model.ckpt"}
 
 
 def test_train_run_is_reproducible_modulo_timing():

@@ -91,19 +91,9 @@ def test_zero_drive_is_degenerate():
         )
 
 
-def test_json_round_trip_is_exact():
-    schedule = derive(3)
-    text = schedule.to_json()
-    again = rt.RetentionSchedule.from_json(text)
-    assert again == schedule
-    assert again.to_json() == text
-    with pytest.raises(InvalidArgumentError):
-        rt.RetentionSchedule.from_json("{not json")
-
-
 def test_derivation_is_byte_for_byte_reproducible():
     a, b = derive(3), derive(3)
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
 def test_digest_separates_distinct_macros():
@@ -112,24 +102,3 @@ def test_digest_separates_distinct_macros():
     other_rate = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(5.0), geometry, 2.0, 10.0)
     other_t = rt.macro_digest(4, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0)
     assert base != other_rate and base != other_t
-
-
-def test_cache_round_trip(tmp_path):
-    args = dict(
-        n_segments=2,
-        params=ng.SimParams(),
-        drive=ng.DriveSpec(10.0),
-        geometry=ng.build_geometry(3, 1.0),
-        scale=2.0,
-        cycle_duration=5.0,
-    )
-    first = rt.load_or_derive(tmp_path, **args)
-    files = list(tmp_path.glob("retention_*.json"))
-    assert len(files) == 1
-    stamp = files[0].stat().st_mtime_ns
-    second = rt.load_or_derive(tmp_path, **args)
-    assert second == first
-    assert files[0].stat().st_mtime_ns == stamp  # reused, not rewritten
-    # a different macro gets its own cache entry
-    rt.load_or_derive(tmp_path, **{**args, "n_segments": 3})
-    assert len(list(tmp_path.glob("retention_*.json"))) == 2
