@@ -20,9 +20,12 @@ The positional summary R is built from a distance-decay profile
 ``exp(-|i - j| * pos_scale)`` mixed through two learned projections sized
 to a fixed capacity ``n_max``.  Token positions are their row indices, so
 memory tokens appended after the sequence occupy the positions right after
-it.  Building R is the one quadratic-size computation; when no tape is
-recording, its value is cached per token count and parameter version, so
-repeated inference pays only the linear part.
+it.  R = mix (profile (mix^T read)) is built right to left, so every
+product is (n, n) x (n, m) and the build costs O(n^2 m), taped or not; at
+n == n_max its only (n, n) intermediate is mix^T.  That is the floor here:
+``pos_mix`` is itself an (n_max, n_max) parameter.  When no tape is
+recording, R is cached per token count and parameter version, so repeated
+inference pays only the linear part.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     Otherwise the value is cached per token count, together with the
     ``pos_mix``/``pos_read`` value arrays it was built from; it is reused
     while both are still the current arrays, so inference and benchmarking
-    pay the quadratic construction once per parameter version.
+    pay the O(n^2 m) construction once per parameter version.
     """
     if n_tokens < 1:
         raise InvalidArgumentError("n_tokens must be at least 1")
@@ -178,8 +181,8 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     else:
         mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
         read = ad.slice_rows(params.pos_read, 0, n_tokens)
-    mixed = ad.matmul(ad.matmul(mix, profile), ad.transpose(mix))
-    out = ad.matmul(mixed, read)
+    # Right to left, so every product is (n, n) x (n, m).
+    out = ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
     if not taping:
         params._pos_cache[n_tokens] = (*version, out.value)
     return out

@@ -13,13 +13,17 @@ Design points that the rest of the package relies on:
   accumulation order is therefore fixed, so repeated backward passes over
   identical graphs produce bitwise-identical gradients.
 * One ``backward`` call is one reverse sweep, and it consumes its tape;
-  a second sweep raises :class:`TapeConsumedError`.  An op takes its
-  operands from its own tape or from leaves: recording one on a node of a
-  consumed tape raises :class:`TapeConsumedError`, and on a node of another
-  live tape :class:`InvalidArgumentError`, before any gradient is written.
+  a second sweep raises :class:`TapeConsumedError`.  The consumed tape
+  drops its nodes, so reference counting frees them and their values.
+  An op takes its operands from its own tape or from leaves: recording
+  one on a node of a consumed tape raises :class:`TapeConsumedError`, and
+  on a node of another live tape :class:`InvalidArgumentError`, before any
+  gradient is written.
   Several objectives recorded on one tape are differentiated together by
   passing the extra roots as ``more``: the sweep propagates the sum of
   their seeds, so shared intermediates are visited once.
+* ``matmul`` and ``hadamard`` compute no gradient for an operand that
+  does not require one (a mask, the positional decay profile).
 * Leaf gradients (``ValueNode.grad``) persist and accumulate additively
   across sweeps, so one leaf may serve several tapes.  Intermediate
   gradients are transient per sweep.
@@ -86,9 +90,11 @@ class Tape:
 
     def _release(self) -> None:
         # ``_tape`` stays set, so a released node is never taken for a leaf.
+        # Emptying ``_ops`` breaks the tape <-> node cycle for refcounting.
         for node in self._ops:
             node._parents = ()
             node._vjp = None
+        self._ops = []
 
 
 class ValueNode:
@@ -191,7 +197,11 @@ def subtract(a, b) -> ValueNode:
 def hadamard(a, b) -> ValueNode:
     _require_same_shape(a, b, "hadamard")
     av, bv = a.value, b.value
-    return _emit(av * bv, (a, b), lambda g: (g * bv, g * av))
+    return _emit(
+        av * bv,
+        (a, b),
+        lambda g: (g * bv if a.requires_grad else None, g * av if b.requires_grad else None),
+    )
 
 
 def scalar_mul(a, c: float) -> ValueNode:
@@ -205,7 +215,11 @@ def matmul(a, b) -> ValueNode:
             f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not align"
         )
     av, bv = a.value, b.value
-    return _emit(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    return _emit(
+        av @ bv,
+        (a, b),
+        lambda g: (g @ bv.T if a.requires_grad else None, av.T @ g if b.requires_grad else None),
+    )
 
 
 def transpose(a) -> ValueNode:

@@ -119,16 +119,6 @@ def load_sim_params(path) -> tuple[SimParams, dict]:
     return parse_sim_params(text)
 
 
-def dump_sim_params(params: SimParams, extras: dict | None = None) -> str:
-    """Emit a file that parses back to exactly these values."""
-    lines = [f"{name} = {getattr(params, name)}" for name in sorted(_SIM_FIELDS)]
-    for key in sorted(extras or {}):
-        if key not in SIM_EXTRA_KEYS:
-            raise ConfigError(f"unknown extra simulator key {key!r}")
-        lines.append(f"{key} = {extras[key]}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -339,14 +329,3 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read run config {path}: {exc}") from exc
     return parse_run_config(text)
 
-
-def run_config_to_ini(cfg: RunConfig) -> str:
-    """Emit INI text that parses back to an equal RunConfig."""
-    lines = []
-    for section, schema in _RUN_SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (field_name, _) in schema.items():
-            value = getattr(cfg, field_name)
-            lines.append(f"{key} = {'none' if value is None else value}")
-        lines.append("")
-    return "\n".join(lines)

@@ -204,11 +204,14 @@ def eval_run(checkpoint_path: str | Path, cfg: RunConfig, seed: int = 0) -> dict
     model = SegmentModel(model_cfg, seed=seed)
     model.load_arrays(arrays)
     task = cfg.build_task()
-    if task.spec.vocab_size != model_cfg.vocab_size or task.spec.n_classes != model_cfg.n_classes:
+    mismatched = [
+        f"{name} {getattr(task.spec, name)} vs {getattr(model_cfg, name)}"
+        for name in ("vocab_size", "n_classes", "n_segments")
+        if getattr(task.spec, name) != getattr(model_cfg, name)
+    ]
+    if mismatched:
         raise InvalidArgumentError(
-            "task in config does not match the checkpointed model "
-            f"(vocab {task.spec.vocab_size} vs {model_cfg.vocab_size}, "
-            f"classes {task.spec.n_classes} vs {model_cfg.n_classes})"
+            f"task in config does not match the checkpointed model ({', '.join(mismatched)})"
         )
     schedule = resolve_schedule(cfg)
     data = task.dataset(cfg.val_samples, seed, split=1)

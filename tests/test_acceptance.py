@@ -7,12 +7,14 @@ are frozen; loosening them to make a failing check pass defeats the
 point of the gate.
 """
 
+import gc
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -152,6 +154,54 @@ def test_c2_replay_storage_advantage():
         f"peak floats {full.backward_peak} vs {replay.backward_peak}, "
         f"ratio {ratio:.2f} >= {n_segments / 2:.1f}, {elapsed:.1f}s",
     )
+
+
+# Beside C2: the storage advantage holds in real memory, because every
+# consumed tape is freed by reference counting.
+
+
+def _kv_rollout_inputs(n_segments: int = 8):
+    """The README key-value model and one sample, under a uniform schedule."""
+    cfg = RunConfig(task="kv_retrieval", seg_len=6, n_segments=n_segments, mem_tokens=4)
+    task = cfg.build_task()
+    model = SegmentModel(cfg.model_config(task.spec.vocab_size, task.spec.n_classes), seed=0)
+    batch = task.dataset(1, 0, split=0)[0]
+    schedule = RetentionSchedule(
+        n_segments=n_segments, factors=(1.0,) * n_segments, source={"kind": "uniform"}
+    )
+    return model, batch, schedule
+
+
+def test_rollouts_leave_no_unreachable_objects():
+    model, batch, schedule = _kv_rollout_inputs()
+    gc.collect()
+    gc.disable()
+    try:
+        for rollout in (amrb_rollout, bptt_rollout, amrb_rollout, bptt_rollout):
+            rollout(model, batch, schedule, classification_loss(model, batch))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_replay_real_peak_below_full_backprop():
+    """tracemalloc peak of one rollout: full backprop / replay >= T/2 at T=8."""
+    n_segments = 8
+    model, batch, schedule = _kv_rollout_inputs(n_segments)
+    peaks = {}
+    for rollout in (amrb_rollout, bptt_rollout):
+        rollout(model, batch, schedule, classification_loss(model, batch))  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rollout(model, batch, schedule, classification_loss(model, batch))
+            peaks[rollout.__name__] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    ratio = peaks["bptt_rollout"] / peaks["amrb_rollout"]
+    assert ratio >= n_segments / 2, f"real peak bytes {peaks}, ratio {ratio:.2f}"
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,10 @@ def test_no_quadratic_intermediate_given_positional_summary(monkeypatch):
     monkeypatch.setattr(at, "positional_matrix", lambda n_tokens, p: pos)
     with ad.Tape() as tape:
         out = at.astro_attention(ad.leaf(x), params)
+        recorded = list(tape._ops)  # the sweep below releases the tape
         ad.backward(out)
     limit = n * max(d, m)
-    for node in tape._ops:
+    for node in recorded:
         assert node.value.size <= limit
         assert not (node.value.shape[0] == n and node.value.shape[1] == n)
 
@@ -198,6 +199,80 @@ def test_positional_cache_reused_outside_tape():
     with ad.Tape():
         taped = at.positional_matrix(6, params)
     assert np.array_equal(taped.value, first.value)
+
+
+def _left_to_right_positional(n_tokens, params):
+    """R as ((mix . profile) . mix^T) . read, with two (n, n, n) products."""
+    profile = ad.constant(at._decay_profile(n_tokens, params.pos_scale))
+    mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
+    read = ad.slice_rows(params.pos_read, 0, n_tokens)
+    mixed = ad.matmul(ad.matmul(mix, profile), ad.transpose(mix))
+    return ad.matmul(mixed, read)
+
+
+@pytest.mark.parametrize("n,n_max", [(11, 16), (16, 16)], ids=["sliced", "full"])
+def test_taped_positional_matrix_matches_left_to_right_product(n, n_max):
+    _, arrays, _ = fresh(29, n=n, d=4, m=6, n_max=n_max)
+    seed = np.random.default_rng(3).standard_normal((n, 6))
+    results = []
+    for build in (at.positional_matrix, _left_to_right_positional):
+        params = at.make_attention_params(arrays)
+        with ad.Tape():
+            r = build(n, params)
+            ad.backward(r, seed=seed)
+        results.append((r.value, params.pos_mix.grad, params.pos_read.grad))
+    for got, expected in zip(*results):
+        assert rel_err(got, expected) < ORACLE_TOL
+
+
+def test_taped_positional_matrix_records_one_square_node():
+    """At the model's token count (n == n_max) the only (n, n) node is mix^T;
+    everything else the build records is (n, m)."""
+    n, m = 20, 6
+    _, _, params = fresh(37, n=n, d=4, m=m)
+    with ad.Tape() as tape:
+        at.positional_matrix(n, params)
+    square = [node for node in tape._ops if node.shape == (n, n)]
+    assert len(square) == 1
+    assert square[0]._parents == (params.pos_mix,)
+    assert np.array_equal(square[0].value, params.pos_mix.value.T)
+    assert all(node.shape == (n, m) for node in tape._ops if node is not square[0])
+    assert tape.stored_floats == n * n + 3 * n * m
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.hadamard])
+def test_constant_operand_gets_no_gradient(op):
+    """A product skips the gradient of its constant operand; the leaf's
+    gradient is the one a sweep that also differentiates the constant gives,
+    and matches finite differences."""
+    rng = np.random.default_rng(41)
+    arrays = [rng.standard_normal((4, 4)) for _ in range(3)]
+    weights = rng.standard_normal((4, 4))
+
+    def graph(c_left, w, c_right):
+        return op(op(c_left, w), c_right)
+
+    def sweep(make_const):
+        nodes = [make_const(arrays[0]), ad.leaf(arrays[1]), make_const(arrays[2])]
+        with ad.Tape():
+            out = graph(*nodes)
+            ad.backward(out, seed=weights)
+        return nodes
+
+    skipped = sweep(ad.constant)
+    assert skipped[0]._grad is None and skipped[2]._grad is None
+    full = sweep(ad.leaf)
+    assert np.array_equal(skipped[1].grad, full[1].grad)
+    with ad.Tape():
+        inner = op(ad.constant(arrays[0]), ad.leaf(arrays[1]))
+        assert inner._vjp(weights)[0] is None
+        outer = op(inner, ad.constant(arrays[2]))
+        assert outer._vjp(weights)[1] is None
+
+    def objective(arrs):
+        return float(np.sum(weights * graph(*map(ad.constant, arrs)).value))
+
+    assert rel_err(skipped[1].grad, finite_diff_grad(objective, arrays, 1)) < 1e-6
 
 
 def test_positions_are_row_indices():

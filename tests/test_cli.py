@@ -163,6 +163,22 @@ def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
     assert "logits" in capsys.readouterr().err
 
 
+def test_eval_segment_count_mismatch_exits_2(tmp_path, capsys):
+    # A copy model built for 2 segments must not be scored on a 3-segment task.
+    cfg_path = write_tiny_config(tmp_path)
+    run_cfg = load_run_config(cfg_path)
+    spec = run_cfg.build_task().spec
+    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
+    path = tmp_path / "two.ckpt"
+    save_checkpoint(path, {"model": asdict(model_cfg)}, SegmentModel(model_cfg).state_arrays())
+    three = tmp_path / "three.ini"
+    three.write_text(cfg_path.read_text().replace("n_segments = 2", "n_segments = 3"))
+    code = main(["eval", "--config", str(three), "--checkpoint", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_segments 3 vs 2" in err
+
+
 @pytest.mark.parametrize("field", ["seg_len", "n_layers", "mem_tokens", "vocab_size", "n_heads"])
 def test_eval_mistyped_model_config_exits_2(tmp_path, capsys, field):
     # Floats that equal ints, and n_heads = true (which equals 1), are still

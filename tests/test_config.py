@@ -4,12 +4,10 @@ import pytest
 
 from astroseq.config import (
     RunConfig,
-    dump_sim_params,
     load_run_config,
     load_sim_params,
     parse_run_config,
     parse_sim_params,
-    run_config_to_ini,
 )
 from astroseq.errors import ConfigError
 from astroseq.neuroglia import SimParams
@@ -70,13 +68,11 @@ def test_sim_params_validation_errors_become_config_errors():
         parse_sim_params("phi = sigmoidal\n")
 
 
-def test_sim_params_dump_round_trip():
-    params = SimParams(tau_mem=0.7, leak=0.3, act_ltp="sigmoid")
-    extras = {"n_neurons": 4, "drive_hz": 12.5}
-    text = dump_sim_params(params, extras)
-    params2, extras2 = parse_sim_params(text)
-    assert params2 == params
-    assert extras2 == extras
+def test_sim_params_file_parses_to_values():
+    text = "tau_mem = 0.7\nleak = 0.3\nact_ltp = sigmoid\nn_neurons = 4\ndrive_hz = 12.5\n"
+    params, extras = parse_sim_params(text)
+    assert params == SimParams(tau_mem=0.7, leak=0.3, act_ltp="sigmoid")
+    assert extras == {"n_neurons": 4, "drive_hz": 12.5}
 
 
 def test_load_sim_params_from_file(tmp_path):
@@ -98,8 +94,29 @@ def test_empty_run_config_gives_defaults():
     assert cfg == RunConfig()
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig(
+def test_run_config_ini_parses_to_values():
+    text = """
+[task]
+name = kv_retrieval
+n_segments = 8
+
+[model]
+m_hidden = 16
+n_heads = 2
+mem_tokens = 4
+
+[recurrence]
+algorithm = bptt
+loss_mode = per_segment
+
+[training]
+grad_clip = none
+
+[retention]
+mode = derived
+params_file = none
+"""
+    assert parse_run_config(text) == RunConfig(
         task="kv_retrieval",
         n_segments=8,
         mem_tokens=4,
@@ -111,7 +128,6 @@ def test_run_config_round_trip():
         grad_clip=None,
         sim_params_file=None,
     )
-    assert parse_run_config(run_config_to_ini(cfg)) == cfg
 
 
 def test_run_config_sections_override_defaults():
