@@ -23,20 +23,21 @@ memory tokens appended after the sequence occupy the positions right after
 it.  R = mix (profile (mix^T read)) is built right to left, so every
 product is (n, n) x (n, m) and the build costs O(n^2 m), taped or not; at
 n == n_max its only (n, n) intermediate is mix^T.  That is the floor here:
-``pos_mix`` is itself an (n_max, n_max) parameter.  When no tape is
-recording, R is cached per token count and parameter version, so repeated
-inference pays only the linear part.
+``pos_mix`` is itself an (n_max, n_max) parameter.  R depends on nothing
+but ``pos_mix``/``pos_read``, so whoever owns a parameter version builds
+it once with ``positional_matrix`` and hands it to every
+``astro_attention`` call; the per-call work is then linear in n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ValueNode, active_tape
+from .autodiff import ValueNode
 from .errors import CapacityError, InvalidArgumentError, ShapeError
 
 phi = ad.elu_plus_one
@@ -61,7 +62,6 @@ class AttentionParams:
     alpha: float = 0.25
     pos_scale: float = 2.0
     n_heads: int = 1
-    _pos_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         d, m = self.w_query.shape
@@ -134,15 +134,8 @@ def make_attention_params(
 ) -> AttentionParams:
     """Wrap plain arrays as trainable leaves (handy for standalone use)."""
     return AttentionParams(
-        w_query=ad.leaf(arrays["w_query"]),
-        w_key=ad.leaf(arrays["w_key"]),
-        w_value=ad.leaf(arrays["w_value"]),
-        pos_mix=ad.leaf(arrays["pos_mix"]),
-        pos_read=ad.leaf(arrays["pos_read"]),
-        w_out=ad.leaf(arrays["w_out"]) if "w_out" in arrays else None,
-        alpha=alpha,
-        pos_scale=pos_scale,
-        n_heads=n_heads,
+        **{key: ad.leaf(arr) for key, arr in arrays.items()},
+        alpha=alpha, pos_scale=pos_scale, n_heads=n_heads,
     )
 
 
@@ -159,10 +152,6 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     """The (n_tokens, m) positional summary R.
 
     Differentiable through ``pos_mix``/``pos_read`` when a tape is active.
-    Otherwise the value is cached per token count, together with the
-    ``pos_mix``/``pos_read`` value arrays it was built from; it is reused
-    while both are still the current arrays, so inference and benchmarking
-    pay the O(n^2 m) construction once per parameter version.
     """
     if n_tokens < 1:
         raise InvalidArgumentError("n_tokens must be at least 1")
@@ -170,11 +159,6 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
         raise CapacityError(
             f"{n_tokens} tokens exceed this block's capacity of {params.n_max}"
         )
-    taping = active_tape() is not None
-    version = (params.pos_mix.value, params.pos_read.value)
-    cached = None if taping else params._pos_cache.get(n_tokens)
-    if cached is not None and cached[0] is version[0] and cached[1] is version[1]:
-        return ad.constant(cached[2])
     profile = ad.constant(_decay_profile(n_tokens, params.pos_scale))
     if n_tokens == params.n_max:
         mix, read = params.pos_mix, params.pos_read
@@ -182,10 +166,7 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
         mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
         read = ad.slice_rows(params.pos_read, 0, n_tokens)
     # Right to left, so every product is (n, n) x (n, m).
-    out = ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
-    if not taping:
-        params._pos_cache[n_tokens] = (*version, out.value)
-    return out
+    return ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
 
 
 def _mask_tile(mask, n_rows: int, n_cols: int) -> ValueNode:
@@ -208,19 +189,16 @@ def _head_cols(a: ValueNode, h: int, n_heads: int) -> ValueNode:
 def astro_attention(
     x: ValueNode,
     params: AttentionParams,
-    use_H_astro: bool = True,
-    use_P: bool = True,
+    pos: ValueNode | None = None,
     mask=None,
 ) -> ValueNode:
     """Full attention block: per head, write the summaries, then read them.
 
+    ``pos`` is the block's positional summary R for x's token count, as
+    ``positional_matrix`` builds it; without it the block builds its own.
     ``mask`` marks valid rows with 1; masked rows contribute nothing to any
-    summary.  With ``use_H_astro=False`` the positional pathway is dropped;
-    with ``use_P=False`` the per-token normalizer falls back to the plain
-    linear-attention denominator phi(q) (sum phi(k))^T / m, which makes the
-    double ablation equal textbook linear attention plus the residual.
-    Several heads split the m and d axes evenly and ``w_out`` recombines
-    them.
+    summary.  Several heads split the m and d axes evenly and ``w_out``
+    recombines them.
     """
     n, d = x.shape
     if d != params.d_model:
@@ -229,7 +207,7 @@ def astro_attention(
     m_h = params.m_hidden // heads
     k = ad.matmul(x, params.w_key)
     v = ad.matmul(x, params.w_value)
-    r = positional_matrix(n, params)
+    r = positional_matrix(n, params) if pos is None else pos
     tile = _mask_tile(mask, n, m_h) if mask is not None else None
     for h in range(heads):
         phi_k = phi(_head_cols(k, h, heads))
@@ -241,9 +219,7 @@ def astro_attention(
         hebb_keys = ad.scalar_mul(ad.matmul(ad.transpose(phi_k), v_h), 1.0 / m_h)
         hebb_pos = ad.scalar_mul(ad.matmul(ad.transpose(phi_r), v_h), 1.0 / m_h)
         key_mass = ad.col_sum(phi_k)
-        key_norm = (
-            ad.power(key_mass, params.alpha) if use_P else ad.scalar_mul(key_mass, 1.0 / m_h)
-        )
+        key_norm = ad.power(key_mass, params.alpha)
         if h == 0:
             # Project queries only after the first head's write: the reverse
             # sweep then reaches this projection right after the reads
@@ -251,7 +227,7 @@ def astro_attention(
             q = ad.matmul(x, params.w_query)
         phi_q = phi(_head_cols(q, h, heads))
         feedback = ad.reciprocal(ad.matmul(phi_q, ad.transpose(key_norm)))
-        hebb = ad.add(hebb_keys, hebb_pos) if use_H_astro else hebb_keys
+        hebb = ad.add(hebb_keys, hebb_pos)
         y = ad.matmul(phi_q, hebb)
         y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[1]))
         out = y if h == 0 else ad.concat_cols(out, y)

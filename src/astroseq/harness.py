@@ -24,7 +24,7 @@ from .model import ModelConfig, SegmentModel
 from .neuroglia import DriveSpec, build_geometry
 from .retention import RetentionSchedule, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
-from .trainer import AdamW, amrb_rollout, bptt_rollout, classification_loss
+from .trainer import AdamW, PositionalStep, amrb_rollout, bptt_rollout, classification_loss
 
 RECORD_SCHEMA = 1
 
@@ -63,8 +63,9 @@ def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) ->
     if not data:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     correct = 0
+    pos = model.positional()
     for batch in data:
-        label, _ = model.predict(batch, schedule)
+        label, _ = model.predict(batch, schedule, pos)
         if label == batch.label:
             correct += 1
     return correct / len(data)
@@ -125,20 +126,17 @@ def train_run(
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             optimizer.zero_grad()
+            step = PositionalStep(model)
             for idx in chunk:
                 batch = train_data[idx]
                 drop_seed = (seed, epoch, int(idx)) if dropout_active else None
-                report = rollout(
-                    model,
-                    batch,
-                    schedule,
-                    classification_loss(model, batch, mode=cfg.loss_mode),
-                    drop_seed=drop_seed,
-                )
+                loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
+                report = rollout(model, batch, schedule, loss_fn, drop_seed, step)
                 loss_sum += report.total_loss
                 mem = report.memory_report()
                 for key in peak_report:
                     peak_report[key] = max(peak_report[key], mem[key])
+            step.backward()
             inv = 1.0 / len(chunk)
             for p in model.parameters():
                 p.grad[...] *= inv
@@ -250,16 +248,15 @@ def bench_attention(
     """Wall-clock of the linear-cost block against quadratic softmax.
 
     Each row times a tape-free forward at one token count (best of
-    ``repeats``).  The softmax reference is timed on precomputed Q, K, V
-    so it measures only the quadratic mixing.
+    ``repeats``), given R built before timing.  The softmax reference is
+    timed on precomputed Q, K, V so it measures only the quadratic mixing.
     """
-    from . import autodiff as ad
-    from .attention import astro_attention, init_attention_arrays, make_attention_params
+    from . import attention as at, autodiff as ad
 
     rng = spawn(seed, 7)
     n_max = max(sizes)
-    arrays = init_attention_arrays(d_model, m_hidden, n_max, rng)
-    params = make_attention_params(arrays)
+    arrays = at.init_attention_arrays(d_model, m_hidden, n_max, rng)
+    params = at.make_attention_params(arrays)
     rows = []
     for n in sizes:
         x_val = rng.normal(size=(n, d_model))
@@ -267,9 +264,10 @@ def bench_attention(
         q = x_val @ arrays["w_query"]
         k = x_val @ arrays["w_key"]
         v = x_val @ arrays["w_value"]
-        astro_attention(x, params)  # warm the positional cache for this n
+        pos = at.positional_matrix(n, params)
+        at.astro_attention(x, params, pos)  # warm-up
         best_astro = min(
-            _timed(lambda: astro_attention(x, params)) for _ in range(repeats)
+            _timed(lambda: at.astro_attention(x, params, pos)) for _ in range(repeats)
         )
         best_softmax = min(
             _timed(lambda: _softmax_attention_reference(q, k, v)) for _ in range(repeats)

@@ -10,7 +10,9 @@ segment's valid rows together with the final memory.
 Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
 belongs to no tape, so one parameter set serves every tape the trainer
 records, and each reverse sweep adds straight into the parameters'
-gradients, in the order the sweep visits them.
+gradients, in the order the sweep visits them.  ``segment_forward`` takes
+each block's positional summary R from its caller, who builds it once per
+parameter version.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import attention
 from . import autodiff as ad
 from .attention import AttentionParams, astro_attention, init_attention_arrays
 from .autodiff import ValueNode
@@ -110,8 +113,8 @@ class Parameter(ValueNode):
 
     Every sweep that reaches it adds into ``grad``, until ``zero_grad``.
     An update replaces ``value`` with a new array and never writes into the
-    old one: the tape-free positional cache recognises a parameter version
-    by the identity of its value array.
+    old one, so a recorded tape, or a positional summary built from the old
+    version, keeps the values it was made from.
     """
 
     __slots__ = ("name", "decay")
@@ -192,12 +195,17 @@ class SegmentModel:
 
         self._add("embed", uniform(cfg.vocab_size, d, d), decay=False)
         self._add("mem_init", uniform(cfg.mem_tokens, d, d), decay=False)
+        attn = []
         for i in range(cfg.n_layers):
             attn_arrays = init_attention_arrays(
                 d, cfg.m_hidden, cfg.n_tokens, rng, n_heads=cfg.n_heads
             )
             for key, arr in attn_arrays.items():
                 self._add(f"block{i}.attn.{key}", arr, decay=True)
+            attn.append(AttentionParams(
+                **{key: self.params[f"block{i}.attn.{key}"] for key in attn_arrays},
+                alpha=cfg.alpha, pos_scale=cfg.pos_scale, n_heads=cfg.n_heads,
+            ))
             self._add(f"block{i}.norm_attn.gain", np.ones((1, d)), decay=False)
             self._add(f"block{i}.norm_attn.bias", np.zeros((1, d)), decay=False)
             self._add(f"block{i}.ffn.w_in", uniform(d, cfg.ffn_dim, d), decay=True)
@@ -208,21 +216,7 @@ class SegmentModel:
             self._add(f"block{i}.norm_ffn.bias", np.zeros((1, d)), decay=False)
         self._add("head.w", uniform(d, cfg.n_classes, d), decay=True)
         self._add("head.b", np.zeros((1, cfg.n_classes)), decay=False)
-        p = self.params
-        self.attn = tuple(
-            AttentionParams(
-                w_query=p[f"block{i}.attn.w_query"],
-                w_key=p[f"block{i}.attn.w_key"],
-                w_value=p[f"block{i}.attn.w_value"],
-                pos_mix=p[f"block{i}.attn.pos_mix"],
-                pos_read=p[f"block{i}.attn.pos_read"],
-                w_out=p.get(f"block{i}.attn.w_out"),
-                alpha=cfg.alpha,
-                pos_scale=cfg.pos_scale,
-                n_heads=cfg.n_heads,
-            )
-            for i in range(cfg.n_layers)
-        )
+        self.attn = tuple(attn)
 
     def _add(self, name: str, value: np.ndarray, decay: bool) -> None:
         if name in self.params:
@@ -267,17 +261,23 @@ class SegmentModel:
         keep = (rng.random(node.shape) >= rate).astype(np.float64) / (1.0 - rate)
         return ad.hadamard(node, ad.constant(keep))
 
+    def positional(self) -> tuple[ValueNode, ...]:
+        """Each block's positional summary R (taped when a tape is active)."""
+        return tuple(attention.positional_matrix(self.config.n_tokens, a) for a in self.attn)
+
     def segment_forward(
         self,
         ids,
         mask,
         memory: ValueNode,
+        pos: tuple[ValueNode, ...],
         drop_rng=None,
     ) -> tuple[ValueNode, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
         ``memory`` is the carried state entering this segment; the returned
         memory is unscaled (the caller applies the retention factor).
+        ``pos`` holds each block's R, as ``positional`` builds it.
         Memory rows are always valid in the attention mask.  Dropout is
         applied only when ``drop_rng`` is given (training); it must be a
         generator seeded per segment so a replayed forward reproduces the
@@ -299,8 +299,8 @@ class SegmentModel:
         x = ad.embedding_rows(p["embed"], ids)
         h = ad.concat_rows(x, memory)
         full_mask = np.concatenate([mask, np.ones(cfg.mem_tokens)])
-        for i, attn_params in enumerate(self.attn):
-            a = astro_attention(h, attn_params, mask=full_mask)
+        for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
+            a = astro_attention(h, attn_params, r, mask=full_mask)
             a = self._dropout(a, drop_rng)
             h1 = ad.layer_norm(
                 a, p[f"block{i}.norm_attn.gain"], p[f"block{i}.norm_attn.bias"]
@@ -334,9 +334,10 @@ class SegmentModel:
         return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
     def predict(
-        self, batch: SegmentBatch, schedule: RetentionSchedule | None = None
+        self, batch: SegmentBatch, schedule: RetentionSchedule | None = None, pos=None
     ) -> tuple[int, np.ndarray]:
-        """Tape-free rollout over all segments; returns (label, logits row)."""
+        """Tape-free rollout over all segments; returns (label, logits row).
+        Without ``pos`` (from ``positional``) it builds R for this call."""
         T = batch.n_segments
         if schedule is None:
             schedule = uniform_schedule(T)
@@ -344,10 +345,12 @@ class SegmentModel:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
+        if pos is None:
+            pos = self.positional()
         mem = self.params["mem_init"]
         out = None
         for t in range(1, T + 1):
-            out, mem_raw = self.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem)
+            out, mem_raw = self.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem, pos)
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
         logits = self.classify(out, mem, batch.mask[-1]).value
         if not np.isfinite(logits).all():

@@ -13,6 +13,10 @@ and the replayed memory output seeded with the gradient flowing in from
 the *later* segment.  The gradient reaching the memory leaf becomes the
 injection for the segment before it.
 
+Both take each block's positional summary R as a leaf from a
+:class:`PositionalStep`, built once per optimizer step (a rollout called
+without one is a step of one sample), so no segment tape rebuilds it.
+
 The parameters are the autodiff leaves, so both rollouts add each
 gradient straight into ``model.params[...].grad``.  Replay visits the
 operations in the order the single BPTT sweep does, so the two give the
@@ -22,8 +26,9 @@ Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
 AMRB), and the peak alive during the backward phase (retained storage
 plus transient gradient matrices; for AMRB, the buffer plus one segment's
-tape).  Parameter values, their gradient accumulators, and optimizer
-moments are identical between the two algorithms and are not counted.
+tape; for both, the step's R build and R's gradient).  Parameter values,
+their gradient accumulators, and optimizer moments are identical between
+the two algorithms and are not counted.
 """
 
 from __future__ import annotations
@@ -111,26 +116,47 @@ def _segment_rng(drop_seed, t: int):
     return spawn(drop_seed, STREAM_DROPOUT, t)
 
 
+def _segment(model: SegmentModel, batch: SegmentBatch, t: int, memory, step, drop_seed):
+    """Segment t's forward, with the step's R and the segment's dropout masks."""
+    return model.segment_forward(
+        batch.ids[t - 1], batch.mask[t - 1], memory, step.leaves, _segment_rng(drop_seed, t)
+    )
+
+
+class PositionalStep:
+    """Each block's R, built on its own tape once per optimizer step; the
+    step's rollouts add into the ``leaves``' gradients, and ``backward``
+    sweeps their sums through the build, once, into the parameters."""
+
+    def __init__(self, model: SegmentModel):
+        with ad.Tape() as tape:
+            self._built = model.positional()
+        self.leaves = tuple(ad.leaf(r.value) for r in self._built)
+        # Alive from the build to its sweep: its tape plus R's gradients.
+        self.floats = tape.stored_floats + sum(r.value.size for r in self._built)
+
+    def backward(self) -> None:
+        roots = [(r, leaf.grad) for r, leaf in zip(self._built, self.leaves)]
+        ad.backward(*roots[0], more=roots[1:])
+
+
 def bptt_rollout(
     model: SegmentModel,
     batch: SegmentBatch,
     schedule: RetentionSchedule,
     loss_fn: LossFn,
     drop_seed=None,
+    step: PositionalStep | None = None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep."""
     T = _check_rollout_args(model, batch, schedule)
+    own_step, step = step is None, step or PositionalStep(model)
     seg_losses = [0.0] * T
     with ad.Tape() as tape:
         mem = model.params["mem_init"]
         total = None
         for t in range(1, T + 1):
-            out, mem_raw = model.segment_forward(
-                batch.ids[t - 1],
-                batch.mask[t - 1],
-                mem,
-                drop_rng=_segment_rng(drop_seed, t),
-            )
+            out, mem_raw = _segment(model, batch, t, mem, step, drop_seed)
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             node = loss_fn(t, out, mem, batch.mask[t - 1])
             if node is not None:
@@ -140,11 +166,13 @@ def bptt_rollout(
             raise InvalidArgumentError("loss function produced no loss for any segment")
     forward_peak = tape.stored_floats
     pending_peak = ad.backward(total)
+    if own_step:
+        step.backward()
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
         forward_peak=forward_peak,
-        backward_peak=forward_peak + pending_peak,
+        backward_peak=forward_peak + pending_peak + step.floats,
         replay_floats=0,
     )
 
@@ -155,20 +183,17 @@ def amrb_rollout(
     schedule: RetentionSchedule,
     loss_fn: LossFn,
     drop_seed=None,
+    step: PositionalStep | None = None,
 ) -> GradReport:
     """Replay-based gradients: bounded storage, same result as BPTT."""
     T = _check_rollout_args(model, batch, schedule)
     cfg = model.config
+    own_step, step = step is None, step or PositionalStep(model)
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
     for t in range(1, T):
-        _, mem_raw = model.segment_forward(
-            batch.ids[t - 1],
-            batch.mask[t - 1],
-            ad.constant(replay[-1]),
-            drop_rng=_segment_rng(drop_seed, t),
-        )
+        _, mem_raw = _segment(model, batch, t, ad.constant(replay[-1]), step, drop_seed)
         replay.append(mem_raw.value * schedule.factor(t))
     replay_floats = T * cfg.mem_tokens * cfg.d_model
 
@@ -180,12 +205,7 @@ def amrb_rollout(
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
             mem_in = ad.leaf(replay[t - 1])
-            out, mem_raw = model.segment_forward(
-                batch.ids[t - 1],
-                batch.mask[t - 1],
-                mem_in,
-                drop_rng=_segment_rng(drop_seed, t),
-            )
+            out, mem_raw = _segment(model, batch, t, mem_in, step, drop_seed)
             mem_scaled = ad.scalar_mul(mem_raw, schedule.factor(t))
             loss_node = loss_fn(t, out, mem_scaled, batch.mask[t - 1])
         roots = []
@@ -202,11 +222,13 @@ def amrb_rollout(
         raise InvalidArgumentError("loss function produced no loss for any segment")
 
     model.params["mem_init"].grad[...] += grad_mem_next
+    if own_step:
+        step.backward()
     return GradReport(
         seg_losses=tuple(seg_losses),
         total_loss=float(sum(seg_losses)),
         forward_peak=replay_floats,
-        backward_peak=backward_peak,
+        backward_peak=backward_peak + step.floats,
         replay_floats=replay_floats,
     )
 

@@ -27,8 +27,6 @@ def loop_reference(
     pos_scale=2.0,
     n_heads=1,
     mask=None,
-    use_H_astro=True,
-    use_P=True,
 ):
     """Per-token transcription of the mechanism, one accumulation at a time."""
     n, d = x.shape
@@ -62,10 +60,8 @@ def loop_reference(
         out = np.zeros((n, d_h))
         for t in range(n):
             pq = phi_np(qs[t])
-            c = float(pq @ g) if use_P else float(pq @ totals) / m_h
-            p = 1.0 / max(c, ad.RECIPROCAL_FLOOR)
-            h_sum = hebb + hebb_pos if use_H_astro else hebb
-            out[t] = p * (pq @ h_sum)
+            p = 1.0 / max(float(pq @ g), ad.RECIPROCAL_FLOOR)
+            out[t] = p * (pq @ (hebb + hebb_pos))
         heads.append(out)
     core = np.concatenate(heads, axis=1)
     if n_heads > 1:
@@ -104,23 +100,6 @@ def test_multi_head_matches_loop(seed):
     out = at.astro_attention(ad.constant(x), params)
     expected = loop_reference(x, arrays, n_heads=2)
     assert rel_err(out.value, expected) < ORACLE_TOL
-
-
-@pytest.mark.parametrize("use_H_astro,use_P", [(False, True), (True, False), (False, False)])
-def test_ablation_flags_match_loop(use_H_astro, use_P):
-    x, arrays, params = fresh(7, n=9, d=6, m=4)
-    out = at.astro_attention(ad.constant(x), params, use_H_astro=use_H_astro, use_P=use_P)
-    expected = loop_reference(x, arrays, use_H_astro=use_H_astro, use_P=use_P)
-    assert rel_err(out.value, expected) < ORACLE_TOL
-
-
-def test_double_ablation_is_textbook_linear_attention():
-    x, arrays, params = fresh(11, n=8, d=6, m=5)
-    out = at.astro_attention(ad.constant(x), params, use_H_astro=False, use_P=False)
-    k, q, v = x @ arrays["w_key"], x @ arrays["w_query"], x @ arrays["w_value"]
-    numerator = phi_np(q) @ (phi_np(k).T @ v)
-    denominator = (phi_np(q) @ phi_np(k).sum(axis=0))[:, None]
-    assert rel_err(out.value, numerator / denominator + x) < ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +169,32 @@ def test_no_quadratic_intermediate_given_positional_summary(monkeypatch):
         assert not (node.value.shape[0] == n and node.value.shape[1] == n)
 
 
-def test_positional_cache_reused_outside_tape():
-    x, _, params = fresh(19, n=6, d=6, m=4, n_max=9)
-    first = at.positional_matrix(6, params)
-    second = at.positional_matrix(6, params)
-    assert second.value is first.value
-    assert np.array_equal(first.value, second.value)
-    with ad.Tape():
-        taped = at.positional_matrix(6, params)
-    assert np.array_equal(taped.value, first.value)
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_given_positional_summary_equals_built_one(n_heads):
+    """R handed in by the caller gives the block the R it would build: the
+    same values taped or not, the same output, and under a tape the same
+    gradients once R's gradient is swept through its own build."""
+    x, arrays, params = fresh(19, n=6, d=6, m=4, n_max=9, n_heads=n_heads)
+    free = at.positional_matrix(6, params)
+    assert free.is_leaf
+    assert np.array_equal(at.astro_attention(ad.constant(x), params, free).value,
+                          at.astro_attention(ad.constant(x), params).value)
+    weights = np.random.default_rng(5).standard_normal(x.shape)
+    grads = []
+    for given in (False, True):
+        params = at.make_attention_params(arrays, n_heads=n_heads)
+        with ad.Tape():
+            built = at.positional_matrix(6, params)
+        assert np.array_equal(built.value, free.value)
+        pos = ad.leaf(built.value) if given else None
+        with ad.Tape():
+            out = at.astro_attention(ad.leaf(x), params, pos)
+        ad.backward(out, seed=weights)
+        if given:
+            ad.backward(built, seed=pos.grad)
+        grads.append([params.pos_mix.grad, params.pos_read.grad, params.w_key.grad])
+    for got, expected in zip(*grads):
+        assert rel_err(got, expected) < ORACLE_TOL
 
 
 def _left_to_right_positional(n_tokens, params):

@@ -168,6 +168,24 @@ def test_evaluate_accuracy_rejects_empty_data():
         evaluate_accuracy(model, [], uniform_schedule(2))
 
 
+def test_train_run_builds_positional_summary_once_per_step_and_evaluation(monkeypatch):
+    """Each optimizer step records one taped R build per layer, and each
+    evaluation builds R once per layer for all its samples."""
+    from astroseq import attention, autodiff
+
+    calls = []
+    original = attention.positional_matrix
+
+    def counting(n_tokens, params):
+        calls.append("taped" if autodiff.active_tape() is not None else "free")
+        return original(n_tokens, params)
+
+    monkeypatch.setattr(attention, "positional_matrix", counting)
+    train_run(tiny_run_config(n_layers=2, epochs=1), seed=0)
+    assert calls.count("taped") == 2 * 3  # 2 layers, 24 samples in steps of 8
+    assert calls.count("free") == 2
+
+
 def test_bench_attention_rows():
     rows = bench_attention(sizes=(8, 16), d_model=8, m_hidden=4, repeats=1, seed=0)
     assert [r["n_tokens"] for r in rows] == [8, 16]

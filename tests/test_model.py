@@ -130,8 +130,9 @@ def test_segment_forward_shapes_and_determinism():
     mem = model.params["mem_init"]
     ids = np.array([1, 2, 3])
     mask = np.ones(3)
-    out1, mem1 = model.segment_forward(ids, mask, mem)
-    out2, mem2 = model.segment_forward(ids, mask, mem)
+    pos = model.positional()
+    out1, mem1 = model.segment_forward(ids, mask, mem, pos)
+    out2, mem2 = model.segment_forward(ids, mask, mem, pos)
     assert out1.shape == (cfg.seg_len, cfg.d_model)
     assert mem1.shape == (cfg.mem_tokens, cfg.d_model)
     assert np.array_equal(out1.value, out2.value)
@@ -140,11 +141,11 @@ def test_segment_forward_shapes_and_determinism():
 
 def test_segment_forward_rejects_bad_shapes():
     model = SegmentModel(tiny_config(), seed=0)
-    mem = model.params["mem_init"]
+    mem, pos = model.params["mem_init"], model.positional()
     with pytest.raises(ShapeError):
-        model.segment_forward([1, 2], np.ones(3), mem)
+        model.segment_forward([1, 2], np.ones(3), mem, pos)
     with pytest.raises(ShapeError):
-        model.segment_forward([1, 2, 3], np.ones(3), ad.constant(np.zeros((1, 4))))
+        model.segment_forward([1, 2, 3], np.ones(3), ad.constant(np.zeros((1, 4))), pos)
 
 
 def test_memory_carries_information_between_segments():
@@ -153,9 +154,10 @@ def test_memory_carries_information_between_segments():
     model = SegmentModel(cfg, seed=0)
     ids = np.array([1, 2, 3])
     mask = np.ones(3)
-    out_a, _ = model.segment_forward(ids, mask, model.params["mem_init"])
+    pos = model.positional()
+    out_a, _ = model.segment_forward(ids, mask, model.params["mem_init"], pos)
     shifted = ad.constant(model.params["mem_init"].value + 0.37)
-    out_b, _ = model.segment_forward(ids, mask, shifted)
+    out_b, _ = model.segment_forward(ids, mask, shifted, pos)
     assert np.abs(out_a.value - out_b.value).max() > 1e-8
 
 
@@ -221,9 +223,10 @@ def test_dropout_replays_identically_with_same_generator_seed():
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 1))
-    out_b, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 1))
-    out_c, _ = model.segment_forward(ids, mask, mem, drop_rng=spawn(9, 2, 2))
+    pos = model.positional()
+    out_a, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 1))
+    out_b, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 1))
+    out_c, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 2))
     assert np.array_equal(out_a.value, out_b.value)
     assert np.abs(out_a.value - out_c.value).max() > 1e-9
 
@@ -233,6 +236,7 @@ def test_dropout_inactive_outside_training():
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
     ids, mask = np.array([1, 2, 3]), np.ones(3)
-    out_a, _ = model.segment_forward(ids, mask, mem)
-    out_b, _ = model.segment_forward(ids, mask, mem)
+    pos = model.positional()
+    out_a, _ = model.segment_forward(ids, mask, mem, pos)
+    out_b, _ = model.segment_forward(ids, mask, mem, pos)
     assert np.array_equal(out_a.value, out_b.value)

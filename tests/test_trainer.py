@@ -9,6 +9,8 @@ from astroseq.model import ModelConfig, Parameter, SegmentModel, split_segments
 from astroseq.retention import RetentionSchedule, uniform_schedule
 from astroseq.trainer import (
     AdamW,
+    PositionalStep,
+    _segment_rng,
     amrb_rollout,
     bptt_rollout,
     classification_loss,
@@ -17,7 +19,9 @@ from astroseq.trainer import (
 from conftest import rel_err
 
 
-def build_setup(seed, n_segments=3, mem_tokens=2, n_heads=1, dropout=0.0, mode="final"):
+def build_setup(
+    seed, n_segments=3, mem_tokens=2, n_heads=1, dropout=0.0, mode="final", n_layers=1
+):
     cfg = ModelConfig(
         vocab_size=9,
         n_classes=3,
@@ -25,7 +29,7 @@ def build_setup(seed, n_segments=3, mem_tokens=2, n_heads=1, dropout=0.0, mode="
         m_hidden=4,
         n_heads=n_heads,
         ffn_dim=6,
-        n_layers=1,
+        n_layers=n_layers,
         seg_len=3,
         n_segments=n_segments,
         mem_tokens=mem_tokens,
@@ -117,9 +121,10 @@ def test_replay_matches_full_backprop_zero_memory():
     assert rep_a.replay_floats == 0
 
 
-@pytest.mark.parametrize("mode,roots", [("final", [1, 1, 1]), ("per_segment", [1, 2, 2])])
+@pytest.mark.parametrize("mode,roots", [("final", [1, 1, 1, 1]), ("per_segment", [1, 2, 2, 1])])
 def test_replay_sweeps_each_segment_once(monkeypatch, mode, roots):
-    """Loss and injected memory gradient share one reverse sweep per segment."""
+    """Loss and injected memory gradient share one reverse sweep per segment;
+    a rollout run as a step of its own then sweeps its R build once."""
     model, batch = build_setup(0)
     seen = []
     original = ad.backward
@@ -131,6 +136,70 @@ def test_replay_sweeps_each_segment_once(monkeypatch, mode, roots):
     monkeypatch.setattr(ad, "backward", counting)
     amrb_rollout(model, batch, skewed_schedule(3), classification_loss(model, batch, mode=mode))
     assert seen == roots
+
+
+def per_segment_build_grads(model, batches, schedule, mode, drop_seeds):
+    """One step's gradients with R built afresh in every segment, on the
+    rollout's own tape, as each segment built it before R was shared."""
+    model.zero_grads()
+    for batch, drop_seed in zip(batches, drop_seeds):
+        loss_fn = classification_loss(model, batch, mode=mode)
+        with ad.Tape():
+            mem, total = model.params["mem_init"], None
+            for t in range(1, batch.n_segments + 1):
+                out, mem_raw = model.segment_forward(
+                    batch.ids[t - 1], batch.mask[t - 1], mem, model.positional(),
+                    drop_rng=_segment_rng(drop_seed, t),
+                )
+                mem = ad.scalar_mul(mem_raw, schedule.factor(t))
+                node = loss_fn(t, out, mem, batch.mask[t - 1])
+                if node is not None:
+                    total = node if total is None else ad.add(total, node)
+        ad.backward(total)
+    return grads_by_name(model)
+
+
+@pytest.mark.parametrize("rollout", [amrb_rollout, bptt_rollout])
+def test_shared_positional_step_matches_per_segment_builds(rollout):
+    """A step whose rollouts share one R build gets the gradients of
+    per-segment builds: 2 layers, 2 heads, dropout, a loss per segment."""
+    model, _ = build_setup(4, n_heads=2, dropout=0.1, n_layers=2)
+    rng = np.random.default_rng(8)
+    batches = [
+        split_segments(rng.integers(1, 9, size=9), 3, 3, label=int(rng.integers(3)))
+        for _ in range(3)
+    ]
+    schedule, drop_seeds = skewed_schedule(3), [(5, 1, i) for i in range(3)]
+    expected = per_segment_build_grads(model, batches, schedule, "per_segment", drop_seeds)
+    model.zero_grads()
+    step = PositionalStep(model)
+    for batch, drop_seed in zip(batches, drop_seeds):
+        loss_fn = classification_loss(model, batch, mode="per_segment")
+        rollout(model, batch, schedule, loss_fn, drop_seed=drop_seed, step=step)
+    step.backward()
+    assert_grad_maps_match(expected, grads_by_name(model), tol=1e-12)
+
+
+def test_step_builds_positional_summary_once_per_layer(monkeypatch):
+    """However many samples and segments a step has, it records one taped
+    R build per layer."""
+    from astroseq import attention
+
+    model, batch = build_setup(0, n_layers=2)
+    taped = []
+    original = attention.positional_matrix
+
+    def counting(n_tokens, params):
+        taped.append(ad.active_tape() is not None)
+        return original(n_tokens, params)
+
+    monkeypatch.setattr(attention, "positional_matrix", counting)
+    loss_fn = classification_loss(model, batch, mode="per_segment")
+    step = PositionalStep(model)
+    for rollout in (amrb_rollout, bptt_rollout, amrb_rollout):
+        rollout(model, batch, skewed_schedule(3), loss_fn, drop_seed=1, step=step)
+    step.backward()
+    assert taped == [True, True]
 
 
 def test_replay_matches_full_backprop_single_segment():
@@ -147,10 +216,10 @@ def rollout_loss_value(model, batch, schedule, mode="final"):
     """Tape-free total loss, recomputed from the current parameter values."""
     loss_fn = classification_loss(model, batch, mode=mode)
     T = batch.n_segments
-    mem = model.params["mem_init"]
+    mem, pos = model.params["mem_init"], model.positional()
     total = 0.0
     for t in range(1, T + 1):
-        out, mem_raw = model.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem)
+        out, mem_raw = model.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem, pos)
         mem = ad.scalar_mul(mem_raw, schedule.factor(t))
         node = loss_fn(t, out, mem, batch.mask[t - 1])
         if node is not None:
@@ -277,10 +346,10 @@ def test_classification_loss_guards():
 
 
 def test_predict_after_step_equals_fresh_model():
-    """The tape-free positional cache follows each optimizer step."""
+    """``predict`` builds R from the parameters as they are after a step."""
     model, batch = build_setup(0)
     schedule = uniform_schedule(3)
-    _, before = model.predict(batch, schedule)  # fills the positional cache
+    _, before = model.predict(batch, schedule)
     pos_mix = model.params["block0.attn.pos_mix"].value.copy()
     model.zero_grads()
     amrb_rollout(model, batch, schedule, classification_loss(model, batch))
