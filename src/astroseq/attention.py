@@ -78,8 +78,10 @@ class AttentionParams:
             )
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidArgumentError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.pos_scale < 0:
-            raise InvalidArgumentError("pos_scale must be non-negative")
+        if not (np.isfinite(self.pos_scale) and self.pos_scale >= 0):
+            raise InvalidArgumentError(
+                f"pos_scale must be finite and non-negative, got {self.pos_scale}"
+            )
         if self.n_heads < 1:
             raise InvalidArgumentError("n_heads must be at least 1")
         if m % self.n_heads or d % self.n_heads:

@@ -8,8 +8,12 @@ Two file formats feed the command-line tools:
 * A *simulator parameter file*: flat ``key = value`` lines for the
   dynamical system.  Keys may use either the descriptive field names of
   ``SimParams`` or the compact physics-style aliases (``tau_n``,
-  ``lambda``, ``gamma_s``, ...); a few extra keys describe the
+  ``lambda``, ``gamma_s``, ...); the ``[retention]`` keys other than
+  ``mode`` and ``params_file`` may sit there too and describe the
   surrounding experiment (grid size, drive rate, cycle length).
+
+A setting's type is the annotation of its ``RunConfig`` or ``SimParams``
+field; both formats read their text through ``_convert``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,30 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .model import ModelConfig
 from .neuroglia import SimParams
 from .tasks import make_task
+
+_KINDS = {"int": int, "float": float, "str": str}
+
+
+def _convert(annotation: str, raw: str, where: str):
+    """Read ``raw`` as a field annotated ``int``, ``float`` or ``str``,
+    optionally ``| None`` (spelled ``none`` or left empty); floats must be
+    finite.  ``where`` names the setting in error messages."""
+    kind = annotation.removesuffix(" | None")
+    raw = raw.strip()
+    if kind != annotation and raw.lower() in ("none", ""):
+        return None
+    try:
+        value = _KINDS[kind](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {raw!r} is not a valid {kind}") from exc
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where} = {raw!r} is not finite")
+    return value
+
 
 # ---------------------------------------------------------------------------
 # simulator parameter files
@@ -47,25 +71,15 @@ SIM_ALIASES = {
     "g": "syn_gain",
 }
 
-_SIM_STRING_FIELDS = {"act_rate", "act_hebb", "act_astro", "act_ltp", "syn_gain"}
-_SIM_FIELDS = {f.name for f in dataclasses.fields(SimParams)}
-
-# Experiment-scope keys that may sit in the same file.
-SIM_EXTRA_KEYS = {
-    "n_neurons": int,
-    "spacing": float,
-    "scale": float,
-    "cycle_seconds": float,
-    "drive_hz": float,
-    "init_stp": float,
-}
+_SIM_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
 
 
 def parse_sim_params(text: str) -> tuple[SimParams, dict]:
     """Parse ``key = value`` lines into (SimParams, extras).
 
     ``#`` starts a comment; blank lines are skipped; unknown or repeated
-    keys are errors.  Extras hold the experiment-scope keys, coerced.
+    keys are errors.  Extras hold the experiment keys (``SIM_EXTRA_KEYS``),
+    typed like their ``RunConfig`` fields.
     """
     values: dict = {}
     extras: dict = {}
@@ -77,101 +91,67 @@ def parse_sim_params(text: str) -> tuple[SimParams, dict]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key = key.strip()
         canonical = SIM_ALIASES.get(key, key)
         if canonical in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(canonical)
-        if canonical in _SIM_FIELDS:
-            if canonical in _SIM_STRING_FIELDS:
-                values[canonical] = value
-            else:
-                values[canonical] = _coerce(float, value, key, lineno)
+        where = f"line {lineno}: {key}"
+        if canonical in _SIM_TYPES:
+            values[canonical] = _convert(_SIM_TYPES[canonical], value, where)
         elif canonical in SIM_EXTRA_KEYS:
-            extras[canonical] = _coerce(SIM_EXTRA_KEYS[canonical], value, key, lineno)
+            extras[canonical] = _convert(_RUN_TYPES[SIM_EXTRA_KEYS[canonical]], value, where)
         else:
             raise ConfigError(f"line {lineno}: unknown simulator key {key!r}")
     try:
         params = SimParams(**values)
-    except Exception as exc:
+    except InvalidArgumentError as exc:
         raise ConfigError(f"bad simulator parameters: {exc}") from exc
     return params, extras
 
 
-def _coerce(kind, value: str, key: str, lineno: int):
+def _read(path, what: str) -> str:
     try:
-        result = kind(value)
-    except ValueError as exc:
-        raise ConfigError(
-            f"line {lineno}: cannot read {key!r}={value!r} as {kind.__name__}"
-        ) from exc
-    if not math.isfinite(result):
-        raise ConfigError(f"line {lineno}: {key!r}={value!r} is not finite")
-    return result
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_sim_params(path) -> tuple[SimParams, dict]:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read simulator parameters {path}: {exc}") from exc
-    return parse_sim_params(text)
+    return parse_sim_params(_read(path, "simulator parameters"))
 
 
 # ---------------------------------------------------------------------------
 # run configuration
 
-_OPTIONAL_FLOAT = "optional_float"
-_OPTIONAL_STR = "optional_str"
+# INI keys named differently from their RunConfig fields.
+_RENAMED = {
+    "name": "task",
+    "mode": "retention_mode",
+    "scale": "coupling_scale",
+    "params_file": "sim_params_file",
+}
 
-# section -> ini key -> (dataclass field, type tag)
-_RUN_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "task": {
-        "name": ("task", str),
-        "seg_len": ("seg_len", int),
-        "n_segments": ("n_segments", int),
-        "n_classes": ("n_classes", int),
-        "n_keys": ("n_keys", int),
-        "n_distractors": ("n_distractors", int),
-        "max_depth": ("max_depth", int),
-        "max_args": ("max_args", int),
-    },
-    "model": {
-        "d_model": ("d_model", int),
-        "m_hidden": ("m_hidden", int),
-        "n_heads": ("n_heads", int),
-        "ffn_dim": ("ffn_dim", int),
-        "n_layers": ("n_layers", int),
-        "mem_tokens": ("mem_tokens", int),
-        "dropout": ("dropout", float),
-        "alpha": ("alpha", float),
-        "pos_scale": ("pos_scale", float),
-    },
-    "recurrence": {
-        "algorithm": ("algorithm", str),
-        "loss_mode": ("loss_mode", str),
-    },
-    "training": {
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "train_samples": ("train_samples", int),
-        "val_samples": ("val_samples", int),
-        "lr": ("lr", float),
-        "weight_decay": ("weight_decay", float),
-        "grad_clip": ("grad_clip", _OPTIONAL_FLOAT),
-        "target_val_acc": ("target_val_acc", _OPTIONAL_FLOAT),
-    },
-    "retention": {
-        "mode": ("retention_mode", str),
-        "n_neurons": ("n_neurons", int),
-        "spacing": ("spacing", float),
-        "scale": ("coupling_scale", float),
-        "cycle_seconds": ("cycle_seconds", float),
-        "drive_hz": ("drive_hz", float),
-        "init_stp": ("init_stp", float),
-        "params_file": ("sim_params_file", _OPTIONAL_STR),
-    },
+# section -> ini key -> RunConfig field
+_RUN_SCHEMA: dict[str, dict[str, str]] = {
+    section: {key: _RENAMED.get(key, key) for key in keys.split()}
+    for section, keys in {
+        "task": "name seg_len n_segments n_classes n_keys n_distractors max_depth max_args",
+        "model": "d_model m_hidden n_heads ffn_dim n_layers mem_tokens dropout alpha pos_scale",
+        "recurrence": "algorithm loss_mode",
+        "training": (
+            "epochs batch_size train_samples val_samples lr weight_decay grad_clip "
+            "target_val_acc"
+        ),
+        "retention": "mode n_neurons spacing scale cycle_seconds drive_hz init_stp params_file",
+    }.items()
+}
+
+# Experiment keys a simulator parameter file may set -> RunConfig field.
+SIM_EXTRA_KEYS = {
+    key: name
+    for key, name in _RUN_SCHEMA["retention"].items()
+    if key not in ("mode", "params_file")
 }
 
 
@@ -267,19 +247,15 @@ class RunConfig:
 
     def sim_params(self) -> tuple[SimParams, dict]:
         """Simulator parameters for derived retention, file overrides applied."""
-        extras = {
-            "n_neurons": self.n_neurons,
-            "spacing": self.spacing,
-            "scale": self.coupling_scale,
-            "cycle_seconds": self.cycle_seconds,
-            "drive_hz": self.drive_hz,
-            "init_stp": self.init_stp,
-        }
+        extras = {key: getattr(self, name) for key, name in SIM_EXTRA_KEYS.items()}
         if self.sim_params_file is None:
             return SimParams(), extras
         params, file_extras = load_sim_params(self.sim_params_file)
         extras.update(file_extras)
         return params, extras
+
+
+_RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -289,6 +265,8 @@ def parse_run_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad run config: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
     values: dict = {}
     for section in cp.sections():
         if section not in _RUN_SCHEMA:
@@ -297,35 +275,11 @@ def parse_run_config(text: str) -> RunConfig:
         for key, raw in cp.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field_name, kind = schema[key]
-            values[field_name] = _convert(kind, raw, section, key)
+            name = schema[key]
+            values[name] = _convert(_RUN_TYPES[name], raw, f"[{section}] {key}")
     return RunConfig(**values)
 
 
-def _convert(kind, raw: str, section: str, key: str):
-    raw = raw.strip()
-    if kind is _OPTIONAL_FLOAT:
-        if raw.lower() in ("none", ""):
-            return None
-        kind = float
-    elif kind is _OPTIONAL_STR:
-        return None if raw.lower() in ("none", "") else raw
-    try:
-        value = kind(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
-    return value
-
-
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read run config {path}: {exc}") from exc
-    return parse_run_config(text)
+    return parse_run_config(_read(path, "run config"))
 

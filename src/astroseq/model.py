@@ -77,8 +77,10 @@ class ModelConfig:
             raise InvalidArgumentError("dropout must be in [0, 1)")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidArgumentError("alpha must be in (0, 1]")
-        if self.pos_scale < 0:
-            raise InvalidArgumentError("pos_scale must be non-negative")
+        if not (np.isfinite(self.pos_scale) and self.pos_scale >= 0):
+            raise InvalidArgumentError(
+                f"pos_scale must be finite and non-negative, got {self.pos_scale}"
+            )
         if not (0 <= self.pad_id < self.vocab_size):
             raise InvalidArgumentError("pad_id must be a valid vocabulary id")
 

@@ -109,7 +109,7 @@ def macro_digest(
     geometry: SynapseGeometry,
     scale: float,
     cycle_duration: float,
-    init_stp: float = 0.0,
+    init_stp: float,
 ) -> str:
     """Stable hash of everything that determines a derived schedule."""
     payload = {
@@ -131,8 +131,8 @@ def simulate_cycles(
     drive: DriveSpec,
     geometry: SynapseGeometry,
     scale: float,
-    cycle_duration: float = 50.0,
-    init_stp: float = 0.0,
+    cycle_duration: float,
+    init_stp: float,
 ) -> SimTrace:
     """Integrate n_cycles stimulation cycles from rest, with every
     fast-plasticity level starting (and reset each cycle) at ``init_stp``."""
@@ -147,8 +147,8 @@ def retention_schedule(
     drive: DriveSpec,
     geometry: SynapseGeometry,
     scale: float,
-    cycle_duration: float = 50.0,
-    init_stp: float = 0.0,
+    cycle_duration: float,
+    init_stp: float,
 ) -> RetentionSchedule:
     """Run n_segments stimulation cycles and normalize the level increments."""
     trace = simulate_cycles(

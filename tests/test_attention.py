@@ -304,6 +304,9 @@ def test_shape_validation():
         at.make_attention_params(arrays, alpha=0.0)
     with pytest.raises(InvalidArgumentError):
         at.make_attention_params(arrays, n_heads=4)  # 4 does not divide 6
+    for pos_scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="pos_scale"):
+            at.make_attention_params(arrays, pos_scale=pos_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,23 @@ def test_eval_mistyped_model_config_exits_2(tmp_path, capsys, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("pos_scale", [float("nan"), float("inf")])
+def test_eval_non_finite_pos_scale_exits_2(tmp_path, capsys, pos_scale):
+    # JSON spells these NaN and Infinity; the model must refuse them before
+    # any logits are computed.
+    cfg_path = write_tiny_config(tmp_path)
+    run_cfg = load_run_config(cfg_path)
+    spec = run_cfg.build_task().spec
+    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
+    model = {**asdict(model_cfg), "pos_scale": pos_scale}
+    path = tmp_path / "pos.ckpt"
+    save_checkpoint(path, {"model": model}, SegmentModel(model_cfg).state_arrays())
+    code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pos_scale" in err
+
+
 def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsys):
     seen = []
     original = retention.run_stp_cycles

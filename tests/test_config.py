@@ -1,8 +1,14 @@
 """Config parsing: simulator parameter files and INI run configs."""
 
+import configparser
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from astroseq.config import (
+    _RUN_SCHEMA,
     RunConfig,
     load_run_config,
     load_sim_params,
@@ -12,6 +18,8 @@ from astroseq.config import (
 from astroseq.errors import ConfigError
 from astroseq.neuroglia import SimParams
 from astroseq.tasks import KVRetrievalTask
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,36 @@ def test_run_config_rejects_unknown_sections_keys_and_values():
         parse_run_config("[recurrence]\nalgorithm = magic\n")
     with pytest.raises(ConfigError):
         parse_run_config("no section header")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nepochs = 1\nbogus = 3\n",
+        "[DEFAULT]\nseg_len = 4\n[task]\nname = copy\n",
+        "[DEFAULT]\nseg_len = 4\n[task]\nname = copy\n[model]\nd_model = 8\n",
+    ],
+    ids=["alone", "beside_task", "beside_task_and_model"],
+)
+def test_run_config_rejects_default_section(text):
+    # configparser hides [DEFAULT] from sections() and copies its keys into
+    # every other section; it is not a section of the run config.
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        parse_run_config(text)
+
+
+def test_readme_example_parses_and_sets_every_key():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    cfg = parse_run_config(block)
+    assert cfg.task == "kv_retrieval" and cfg.retention_mode == "derived"
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(block)
+    assert {s: set(cp[s]) for s in cp.sections()} == {
+        s: set(keys) for s, keys in _RUN_SCHEMA.items()
+    }
+    # ...and the schema names every RunConfig field once.
+    fields = [name for keys in _RUN_SCHEMA.values() for name in keys.values()]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_run_config_builds_task_and_model():

@@ -79,6 +79,9 @@ def test_config_validation():
         tiny_config(dropout=1.0)
     with pytest.raises(InvalidArgumentError):
         tiny_config(pad_id=7)
+    for pos_scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="pos_scale"):
+            tiny_config(pos_scale=pos_scale)
 
 
 def test_config_dict_round_trip():

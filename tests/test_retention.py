@@ -1,4 +1,4 @@
-"""Schedule derivation: normalization, monotonicity, caching, serialization."""
+"""Schedule derivation: increments, normalization, monotonicity, degeneracy, digests."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ def derive(n_segments, cycle_seconds=10.0, **param_overrides):
         geometry,
         scale=2.0,
         cycle_duration=cycle_seconds,
+        init_stp=0.0,
     )
 
 
@@ -88,6 +89,7 @@ def test_zero_drive_is_degenerate():
             ng.build_geometry(3, 1.0),
             scale=2.0,
             cycle_duration=5.0,
+            init_stp=0.0,
         )
 
 
@@ -98,7 +100,7 @@ def test_derivation_is_byte_for_byte_reproducible():
 
 def test_digest_separates_distinct_macros():
     geometry = ng.build_geometry(3, 1.0)
-    base = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0)
-    other_rate = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(5.0), geometry, 2.0, 10.0)
-    other_t = rt.macro_digest(4, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0)
+    base = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0, 0.0)
+    other_rate = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(5.0), geometry, 2.0, 10.0, 0.0)
+    other_t = rt.macro_digest(4, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0, 0.0)
     assert base != other_rate and base != other_t
