@@ -32,7 +32,6 @@ it once with ``positional_matrix`` and hands it to every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -141,13 +140,10 @@ def make_attention_params(
     )
 
 
-@lru_cache(maxsize=64)
 def _decay_profile(n_tokens: int, pos_scale: float) -> np.ndarray:
-    """exp(-|i - j| * pos_scale) over positions 0..n_tokens-1 (read-only)."""
+    """exp(-|i - j| * pos_scale) over positions 0..n_tokens-1."""
     idx = np.arange(n_tokens, dtype=np.float64)
-    r = np.exp(-np.abs(idx[:, None] - idx[None, :]) * pos_scale)
-    r.setflags(write=False)
-    return r
+    return np.exp(-np.abs(idx[:, None] - idx[None, :]) * pos_scale)
 
 
 def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:

@@ -1,4 +1,4 @@
-"""Single-file binary checkpoints: a versioned header, the model config as
+"""Single-file binary checkpoints: a versioned header, a config block as
 embedded JSON, and every parameter as name + shape + row-major float64.
 
 Layout (all integers little-endian):
@@ -83,7 +83,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     (config_len,) = r.unpack("<Q")
     try:
         config = json.loads(r.take(config_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past Python's digit limit
         raise ConfigError(f"checkpoint {path} has a corrupt config block: {exc}") from exc
     (n_params,) = r.unpack("<I")
     arrays: dict[str, np.ndarray] = {}

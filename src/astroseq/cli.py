@@ -9,7 +9,9 @@ Commands:
 * ``gradcheck``  compare replay gradients against full backprop
 * ``train``      train a segment model per the run config
 * ``bench``      time the attention block and both gradient algorithms
-* ``eval``       score a saved checkpoint on fresh validation data
+* ``eval``       score a checkpoint, under the run it stores, on fresh
+                 validation data; a ``--config`` must describe that run
+                 and may change only ``[recurrence]`` and ``[training]`` keys
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure (overflow, degenerate schedule, aborted training, or a failed
@@ -47,7 +49,8 @@ EXIT_NUMERICAL = 3
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="run config file (INI); defaults apply if omitted")
+    sub.add_argument("--config", help="run config file (INI); defaults apply if omitted "
+                     "(eval: the checkpoint's run, which the file must describe)")
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument("--out-dir", help="directory for artifacts; created if missing")
 
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions")
     bench.set_defaults(handler=cmd_bench)
 
-    ev = commands.add_parser("eval", help="score a checkpoint")
+    ev = commands.add_parser("eval", help="score a checkpoint under the run it stores")
     _common(ev)
     ev.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     ev.set_defaults(handler=cmd_eval)
@@ -164,8 +167,7 @@ def cmd_retention(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        print(f"--tolerance must be a finite value >= 0, got {args.tolerance}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = _load_config(args)
     out_dir = _out_dir(args)
     task = cfg.build_task()
@@ -225,15 +227,14 @@ def cmd_bench(args) -> int:
     out_dir = _out_dir(args)
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-    except ValueError:
-        print(f"--sizes must be comma-separated integers, got {args.sizes!r}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from exc
     if not sizes or min(sizes) < 1:
-        print(f"--sizes must name positive token counts, got {args.sizes!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError(f"--sizes must name positive token counts, got {args.sizes!r}")
     if args.repeats < 1:
-        print(f"--repeats must be positive, got {args.repeats}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError(f"--repeats must be positive, got {args.repeats}")
     payload = {
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
         "rollouts": bench_rollouts(cfg, seed=args.seed),
@@ -243,7 +244,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    cfg = None if args.config is None else load_run_config(args.config)
     out_dir = _out_dir(args)
     record = eval_run(args.checkpoint, cfg, seed=args.seed)
     _emit(record, out_dir, "eval.json")

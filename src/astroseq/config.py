@@ -1,6 +1,6 @@
-"""Run configuration (INI sections) and simulator parameter files.
+"""Run configuration (INI sections), stored runs and simulator parameter files.
 
-Two file formats feed the command-line tools:
+Three formats feed the command-line tools:
 
 * A *run config*: INI sections ``[task]``, ``[model]``, ``[recurrence]``,
   ``[training]``, ``[retention]`` describing one training or evaluation
@@ -11,16 +11,17 @@ Two file formats feed the command-line tools:
   ``lambda``, ``gamma_s``, ...); the ``[retention]`` keys other than
   ``mode`` and ``params_file`` may sit there too and describe the
   surrounding experiment (grid size, drive rate, cycle length).
+* A *stored run*: ``asdict(RunConfig)`` as JSON, a checkpoint's ``run`` block.
 
 A setting's type is the annotation of its ``RunConfig`` or ``SimParams``
-field; both formats read their text through ``_convert``.
+field; ``_check`` states what each type admits.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,10 +33,24 @@ from .tasks import make_task
 _KINDS = {"int": int, "float": float, "str": str}
 
 
+def _check(annotation: str, value, where: str):
+    """``value`` as a field annotated ``int``, ``float`` or ``str`` (or ``| None``):
+    no bool is a number, an int may stand for a float, floats must be finite."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return None
+    accepted = (int, float) if kind == "float" else _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} = {value!r} is not a valid {annotation}")
+    # Unlike math.isfinite, this comparison also takes ints too large for a float.
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} = {value!r} is not finite")
+    return float(value) if kind == "float" else value
+
+
 def _convert(annotation: str, raw: str, where: str):
-    """Read ``raw`` as a field annotated ``int``, ``float`` or ``str``,
-    optionally ``| None`` (spelled ``none`` or left empty); floats must be
-    finite.  ``where`` names the setting in error messages."""
+    """Read the text ``raw`` as a field of this annotation (``_check``); an
+    optional field's ``none`` or empty text is None."""
     kind = annotation.removesuffix(" | None")
     raw = raw.strip()
     if kind != annotation and raw.lower() in ("none", ""):
@@ -44,9 +59,7 @@ def _convert(annotation: str, raw: str, where: str):
         value = _KINDS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"{where} = {raw!r} is not a valid {kind}") from exc
-    if kind == "float" and not math.isfinite(value):
-        raise ConfigError(f"{where} = {raw!r} is not finite")
-    return value
+    return _check(kind, value, where)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +296,29 @@ def parse_run_config(text: str) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     return parse_run_config(_read(path, "run config"))
 
+
+def read_stored_run(data) -> RunConfig:
+    """A stored run, ``asdict(RunConfig)`` read back from JSON: every field
+    present, each with a value of its field's type (``_check``)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"stored run must be an object, got {type(data).__name__}")
+    unknown, missing = sorted(set(data) - set(_RUN_TYPES)), sorted(set(_RUN_TYPES) - set(data))
+    if unknown or missing:
+        raise ConfigError(f"stored run: unknown keys {unknown}, missing keys {missing}")
+    return RunConfig(**{
+        name: _check(annotation, data[name], f"stored run: {name}")
+        for name, annotation in _RUN_TYPES.items()
+    })
+
+
+def check_same_run(given: RunConfig, stored: RunConfig) -> None:
+    """Refuse ``given`` if a [task], [model] or [retention] field differs from
+    ``stored``, naming each; [recurrence] and [training] do not change a score."""
+    mismatched = [
+        f"{name} {getattr(given, name)!r} vs {getattr(stored, name)!r}"
+        for section in ("task", "model", "retention")
+        for name in _RUN_SCHEMA[section].values()
+        if getattr(given, name) != getattr(stored, name)
+    ]
+    if mismatched:
+        raise InvalidArgumentError(f"config differs from the stored run ({', '.join(mismatched)})")

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig
-from .errors import InvalidArgumentError
-from .model import ModelConfig, SegmentModel
+from .config import RunConfig, check_same_run, read_stored_run
+from .errors import ConfigError, InvalidArgumentError
+from .model import SegmentModel
 from .neuroglia import DriveSpec, build_geometry
 from .retention import RetentionSchedule, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
@@ -100,8 +100,7 @@ def train_run(
 
     task = cfg.build_task()
     spec = task.spec
-    model_cfg = cfg.model_config(spec.vocab_size, spec.n_classes)
-    model = SegmentModel(model_cfg, seed=seed)
+    model = SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
     if schedule is None:
         schedule = resolve_schedule(cfg)
 
@@ -172,11 +171,11 @@ def train_run(
         "wall_seconds": time.perf_counter() - started,
     }
     if out_path is not None:
-        _write_artifacts(out_path, record, model, model_cfg)
+        _write_artifacts(out_path, record, model)
     return record
 
 
-def _write_artifacts(out_path: Path, record: dict, model: SegmentModel, model_cfg: ModelConfig):
+def _write_artifacts(out_path: Path, record: dict, model: SegmentModel):
     import csv
     import json
 
@@ -187,32 +186,28 @@ def _write_artifacts(out_path: Path, record: dict, model: SegmentModel, model_cf
         writer.writerows(record["epochs"])
     save_checkpoint(
         out_path / "model.ckpt",
-        {"model": asdict(model_cfg), "run": record["config"], "seed": record["seed"]},
+        {"run": record["config"], "seed": record["seed"]},
         model.state_arrays(),
     )
 
 
-def eval_run(checkpoint_path: str | Path, cfg: RunConfig, seed: int = 0) -> dict:
-    """Reload a checkpoint and score it on a fresh validation split."""
+def eval_run(checkpoint_path: str | Path, cfg: RunConfig | None = None, seed: int = 0) -> dict:
+    """Reload a checkpoint and score it, under the run it stores, on a fresh
+    validation split.  A ``cfg`` must describe that run (``check_same_run``);
+    it sets only the number of validation samples."""
     payload, arrays = load_checkpoint(checkpoint_path)
-    try:
-        model_cfg = ModelConfig.from_dict(payload["model"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"checkpoint lacks a model config: {exc}") from exc
-    model = SegmentModel(model_cfg, seed=seed)
+    if not isinstance(payload, dict) or "run" not in payload:
+        raise ConfigError(f"checkpoint {checkpoint_path} holds no run config")
+    run = read_stored_run(payload["run"])
+    if cfg is not None:
+        check_same_run(cfg, run)
+        run = replace(run, val_samples=cfg.val_samples)
+    task = run.build_task()
+    spec = task.spec
+    model = SegmentModel(run.model_config(spec.vocab_size, spec.n_classes), seed=seed)
     model.load_arrays(arrays)
-    task = cfg.build_task()
-    mismatched = [
-        f"{name} {getattr(task.spec, name)} vs {getattr(model_cfg, name)}"
-        for name in ("vocab_size", "n_classes", "n_segments")
-        if getattr(task.spec, name) != getattr(model_cfg, name)
-    ]
-    if mismatched:
-        raise InvalidArgumentError(
-            f"task in config does not match the checkpointed model ({', '.join(mismatched)})"
-        )
-    schedule = resolve_schedule(cfg)
-    data = task.dataset(cfg.val_samples, seed, split=1)
+    schedule = resolve_schedule(run)
+    data = task.dataset(run.val_samples, seed, split=1)
     acc = evaluate_accuracy(model, data, schedule)
     return {
         "schema": RECORD_SCHEMA,

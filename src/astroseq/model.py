@@ -17,7 +17,7 @@ parameter version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -54,7 +54,6 @@ class ModelConfig:
     dropout: float = 0.0
     alpha: float = 0.25
     pos_scale: float = 2.0
-    pad_id: int = 0
 
     def __post_init__(self):
         if self.vocab_size < 2:
@@ -81,33 +80,11 @@ class ModelConfig:
             raise InvalidArgumentError(
                 f"pos_scale must be finite and non-negative, got {self.pos_scale}"
             )
-        if not (0 <= self.pad_id < self.vocab_size):
-            raise InvalidArgumentError("pad_id must be a valid vocabulary id")
 
     @property
     def n_tokens(self) -> int:
         """Rows per attention call: segment tokens plus memory rows."""
         return self.seg_len + self.mem_tokens
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        """Build from a plain mapping, such as a checkpoint's model block.
-
-        Every value must have its field's type: int fields take an int,
-        float fields an int or a float, and neither takes a bool.
-        """
-        try:
-            config = cls(**data)
-        except TypeError as exc:
-            raise InvalidArgumentError(f"bad model config: {exc}") from exc
-        for f in fields(cls):
-            value = getattr(config, f.name)
-            kinds = int if f.type == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise InvalidArgumentError(
-                    f"bad model config: {f.name} must be {f.type}, got {value!r}"
-                )
-        return config
 
 
 class Parameter(ValueNode):

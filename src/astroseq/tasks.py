@@ -57,16 +57,11 @@ class _TaskBase:
         if n < 1:
             raise InvalidArgumentError("dataset size must be positive")
         rng = spawn(seed, STREAM_DATA, split)
-        out = []
-        for _ in range(n):
-            tokens, label = self.sample(rng)
-            out.append(
-                split_segments(
-                    tokens, self.spec.seg_len, self.spec.n_segments,
-                    pad_id=PAD_ID, label=label,
-                )
-            )
-        return out
+        return [self._segmented(*self.sample(rng)) for _ in range(n)]
+
+    def _segmented(self, tokens, label: int) -> SegmentBatch:
+        spec = self.spec
+        return split_segments(tokens, spec.seg_len, spec.n_segments, pad_id=PAD_ID, label=label)
 
 
 class CopyTask(_TaskBase):
@@ -273,12 +268,7 @@ class ListOpsTask(_TaskBase):
             tokens, label = self.sample(rng)
             if quota[label] > 0:
                 quota[label] -= 1
-                out.append(
-                    split_segments(
-                        tokens, self.spec.seg_len, self.spec.n_segments,
-                        pad_id=PAD_ID, label=label,
-                    )
-                )
+                out.append(self._segmented(tokens, label))
                 guard = 0
             else:
                 guard += 1

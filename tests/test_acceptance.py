@@ -204,6 +204,46 @@ def test_replay_real_peak_below_full_backprop():
     assert ratio >= n_segments / 2, f"real peak bytes {peaks}, ratio {ratio:.2f}"
 
 
+def _listops_rollout_inputs(n_segments: int):
+    """A ListOps model (16-token segments, 4 memory rows) and one sample,
+    under a uniform schedule."""
+    cfg = RunConfig(task="listops", seg_len=16, n_segments=n_segments, mem_tokens=4)
+    task = cfg.build_task()
+    model = SegmentModel(cfg.model_config(task.spec.vocab_size, task.spec.n_classes), seed=0)
+    batch = task.dataset(1, 0, split=0)[0]
+    schedule = RetentionSchedule(
+        n_segments=n_segments, factors=(1.0,) * n_segments, source={"kind": "uniform"}
+    )
+    return model, batch, schedule
+
+
+def _real_peak(rollout, model, batch, schedule) -> int:
+    """tracemalloc peak bytes of one rollout, after a warm-up rollout."""
+    rollout(model, batch, schedule, classification_loss(model, batch))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rollout(model, batch, schedule, classification_loss(model, batch))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_real_peak_stays_flat_as_segments_grow():
+    """Over T in {4, 8, 16}, on kv and ListOps: replay's tracemalloc peak
+    grows by at most 1.25x while full backprop's grows at least 3x."""
+    for inputs in (_kv_rollout_inputs, _listops_rollout_inputs):
+        peaks = {
+            rollout.__name__: [_real_peak(rollout, *inputs(T)) for T in (4, 8, 16)]
+            for rollout in (amrb_rollout, bptt_rollout)
+        }
+        amrb, bptt = peaks["amrb_rollout"], peaks["bptt_rollout"]
+        detail = f"{inputs.__name__}: real peak bytes at T=4/8/16 {peaks}"
+        assert amrb[-1] / amrb[0] <= 1.25, detail
+        assert bptt[-1] / bptt[0] >= 3.0, detail
+
+
 # ---------------------------------------------------------------------------
 # C3: derived retention schedules are normalized, positive, decreasing
 

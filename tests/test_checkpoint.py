@@ -1,13 +1,15 @@
 """Checkpoint file format: exact round trips and corruption detection."""
 
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from astroseq.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from astroseq.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from astroseq.errors import ConfigError
-from astroseq.model import ModelConfig, SegmentModel
+from astroseq.config import RunConfig, read_stored_run
+from astroseq.model import SegmentModel
 from conftest import write_raw_checkpoint
 
 
@@ -30,13 +32,16 @@ def test_round_trip_is_bitwise_exact(tmp_path):
 
 
 def test_model_state_round_trip(tmp_path):
-    cfg = ModelConfig(vocab_size=7, n_classes=3, d_model=4, m_hidden=4, ffn_dim=6,
-                      seg_len=3, n_segments=2, mem_tokens=2)
-    model = SegmentModel(cfg, seed=4)
+    run = RunConfig(seg_len=3, n_segments=2, n_classes=3, d_model=4, m_hidden=4,
+                    ffn_dim=6, mem_tokens=2)
+    spec = run.build_task().spec
+    model = SegmentModel(run.model_config(spec.vocab_size, spec.n_classes), seed=4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, asdict(cfg), model.state_arrays())
+    save_checkpoint(path, {"run": asdict(run)}, model.state_arrays())
     config2, arrays2 = load_checkpoint(path)
-    restored = SegmentModel(ModelConfig.from_dict(config2), seed=99)
+    run2 = read_stored_run(config2["run"])
+    assert run2 == run
+    restored = SegmentModel(run2.model_config(spec.vocab_size, spec.n_classes), seed=99)
     restored.load_arrays(arrays2)
     for name, p in model.params.items():
         assert np.array_equal(restored.params[name].value, p.value)
@@ -68,6 +73,17 @@ def test_rejects_truncation_and_trailing_garbage(tmp_path):
         load_checkpoint(path)
     path.write_bytes(blob + b"junk")
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+def test_rejects_config_block_with_oversized_integer(tmp_path):
+    # json.loads refuses ints past Python's digit limit with a plain ValueError.
+    config = b'{"lr": ' + b"1" * 5000 + b"}"
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(
+        MAGIC + struct.pack("<IQ", VERSION, len(config)) + config + struct.pack("<I", 0)
+    )
+    with pytest.raises(ConfigError, match="corrupt config block"):
         load_checkpoint(path)
 
 

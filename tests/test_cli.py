@@ -148,16 +148,21 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, names, reason):
     assert err.startswith("error:") and reason in err
 
 
-def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
-    # With a NaN head every logit is NaN, and argmax would silently pick class 0.
+def tiny_checkpoint_inputs(tmp_path):
+    """The tiny config's path, its run block and fresh parameters for it."""
     cfg_path = write_tiny_config(tmp_path)
     run_cfg = load_run_config(cfg_path)
     spec = run_cfg.build_task().spec
     model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
-    arrays = SegmentModel(model_cfg).state_arrays()
+    return cfg_path, asdict(run_cfg), SegmentModel(model_cfg).state_arrays()
+
+
+def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
+    # With a NaN head every logit is NaN, and argmax would silently pick class 0.
+    cfg_path, run, arrays = tiny_checkpoint_inputs(tmp_path)
     arrays["head.w"][:] = np.nan
     path = tmp_path / "nan.ckpt"
-    save_checkpoint(path, {"model": asdict(model_cfg)}, arrays)
+    save_checkpoint(path, {"run": run}, arrays)
     code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
     assert code == 3
     assert "logits" in capsys.readouterr().err
@@ -165,12 +170,9 @@ def test_eval_non_finite_logits_exits_3(tmp_path, capsys):
 
 def test_eval_segment_count_mismatch_exits_2(tmp_path, capsys):
     # A copy model built for 2 segments must not be scored on a 3-segment task.
-    cfg_path = write_tiny_config(tmp_path)
-    run_cfg = load_run_config(cfg_path)
-    spec = run_cfg.build_task().spec
-    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
+    cfg_path, run, arrays = tiny_checkpoint_inputs(tmp_path)
     path = tmp_path / "two.ckpt"
-    save_checkpoint(path, {"model": asdict(model_cfg)}, SegmentModel(model_cfg).state_arrays())
+    save_checkpoint(path, {"run": run}, arrays)
     three = tmp_path / "three.ini"
     three.write_text(cfg_path.read_text().replace("n_segments = 2", "n_segments = 3"))
     code = main(["eval", "--config", str(three), "--checkpoint", str(path)])
@@ -179,18 +181,14 @@ def test_eval_segment_count_mismatch_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "n_segments 3 vs 2" in err
 
 
-@pytest.mark.parametrize("field", ["seg_len", "n_layers", "mem_tokens", "vocab_size", "n_heads"])
+@pytest.mark.parametrize("field", ["seg_len", "n_layers", "mem_tokens", "n_classes", "n_heads"])
 def test_eval_mistyped_model_config_exits_2(tmp_path, capsys, field):
     # Floats that equal ints, and n_heads = true (which equals 1), are still
     # the wrong type.
-    cfg_path = write_tiny_config(tmp_path)
-    run_cfg = load_run_config(cfg_path)
-    spec = run_cfg.build_task().spec
-    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
-    model = asdict(model_cfg)
-    model[field] = True if field == "n_heads" else float(model[field])
+    cfg_path, run, arrays = tiny_checkpoint_inputs(tmp_path)
+    run[field] = True if field == "n_heads" else float(run[field])
     path = tmp_path / "typed.ckpt"
-    save_checkpoint(path, {"model": model}, SegmentModel(model_cfg).state_arrays())
+    save_checkpoint(path, {"run": run}, arrays)
     code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
     assert code == 2
     err = capsys.readouterr().err
@@ -199,19 +197,77 @@ def test_eval_mistyped_model_config_exits_2(tmp_path, capsys, field):
 
 @pytest.mark.parametrize("pos_scale", [float("nan"), float("inf")])
 def test_eval_non_finite_pos_scale_exits_2(tmp_path, capsys, pos_scale):
-    # JSON spells these NaN and Infinity; the model must refuse them before
-    # any logits are computed.
-    cfg_path = write_tiny_config(tmp_path)
-    run_cfg = load_run_config(cfg_path)
-    spec = run_cfg.build_task().spec
-    model_cfg = run_cfg.model_config(spec.vocab_size, spec.n_classes)
-    model = {**asdict(model_cfg), "pos_scale": pos_scale}
+    # JSON spells these NaN and Infinity; the stored run must be refused
+    # before any logits are computed.
+    cfg_path, run, arrays = tiny_checkpoint_inputs(tmp_path)
     path = tmp_path / "pos.ckpt"
-    save_checkpoint(path, {"model": model}, SegmentModel(model_cfg).state_arrays())
+    save_checkpoint(path, {"run": {**run, "pos_scale": pos_scale}}, arrays)
     code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pos_scale" in err
+
+
+def train_tiny(tmp_path, extra=""):
+    """Train the tiny config plus ``extra``; returns (config path, run directory)."""
+    cfg = write_tiny_config(tmp_path, extra)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    return cfg, out
+
+
+DERIVED = "\n[retention]\nmode = derived\nn_neurons = 2\ncycle_seconds = 4\n"
+
+
+def test_eval_without_config_scores_the_stored_run(tmp_path, capsys):
+    # A derived-trained model is scored under its own schedule, not the
+    # default uniform one.
+    _, out = train_tiny(tmp_path, DERIVED)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+    record = json.loads(capsys.readouterr().out)
+    trained = json.loads((out / "run.json").read_text())
+    assert trained["retention"]["source"]["kind"] == "derived"
+    assert record["retention"]["factors"] == trained["retention"]["factors"]
+    assert record["n_samples"] == trained["config"]["val_samples"]
+
+
+def test_eval_config_with_other_retention_mode_exits_2(tmp_path, capsys):
+    cfg, out = train_tiny(tmp_path, DERIVED)
+    uniform = tmp_path / "uniform.ini"
+    uniform.write_text(cfg.read_text().replace("mode = derived", "mode = uniform"))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(uniform), "--checkpoint", str(out / "model.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "retention_mode" in err
+
+
+def test_eval_config_may_change_training_keys(tmp_path, capsys):
+    cfg, out = train_tiny(tmp_path)
+    other = tmp_path / "other.ini"
+    other.write_text(
+        cfg.read_text()
+        .replace("epochs = 2", "epochs = 5")
+        .replace("val_samples = 12", "val_samples = 7")
+        + "lr = 0.5\n"
+    )
+    capsys.readouterr()
+    assert main(["eval", "--config", str(other), "--checkpoint", str(out / "model.ckpt")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 7
+
+
+@pytest.mark.parametrize(
+    "payload", [{"seed": 0}, [1, 2], "run", None], ids=["no_run", "list", "string", "null"]
+)
+def test_eval_checkpoint_without_run_block_exits_2(tmp_path, capsys, payload):
+    cfg_path, _, arrays = tiny_checkpoint_inputs(tmp_path)
+    path = tmp_path / "bare.ckpt"
+    save_checkpoint(path, payload, arrays)
+    for argv in (["--config", str(cfg_path)], []):
+        code = main(["eval", *argv, "--checkpoint", str(path)])
+        assert code == 2
+        assert "holds no run config" in capsys.readouterr().err
 
 
 def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,14 @@
 """Segment model: splitting, forward graph, pooling, dropout, round trips."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from astroseq import autodiff as ad
-from astroseq.errors import InvalidArgumentError, ShapeError
+from astroseq.config import RunConfig, read_stored_run
+from astroseq.errors import ConfigError, InvalidArgumentError, ShapeError
 from astroseq.model import (
     ModelConfig,
     Parameter,
@@ -77,18 +79,18 @@ def test_config_validation():
         tiny_config(n_heads=3)  # does not divide m_hidden=4
     with pytest.raises(InvalidArgumentError):
         tiny_config(dropout=1.0)
-    with pytest.raises(InvalidArgumentError):
-        tiny_config(pad_id=7)
     for pos_scale in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError, match="pos_scale"):
             tiny_config(pos_scale=pos_scale)
 
 
 def test_config_dict_round_trip():
-    cfg = tiny_config(n_heads=2, mem_tokens=0)
-    assert ModelConfig.from_dict(asdict(cfg)) == cfg
-    with pytest.raises(InvalidArgumentError):
-        ModelConfig.from_dict({"vocab_size": 7})
+    # A checkpoint stores the run, and the model config is rebuilt from it.
+    run = RunConfig(n_heads=2, mem_tokens=0, d_model=4, m_hidden=4, ffn_dim=6, seg_len=3)
+    stored = json.loads(json.dumps(asdict(run)))
+    assert read_stored_run(stored).model_config(7, 3) == run.model_config(7, 3)
+    with pytest.raises(ConfigError):
+        read_stored_run({"d_model": 4})
 
 
 def test_parameter_must_be_2d():
