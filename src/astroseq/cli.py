@@ -13,9 +13,9 @@ Commands:
                  validation data; a ``--config`` must describe that run
                  and may change only ``[recurrence]`` and ``[training]`` keys
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (overflow, degenerate schedule, aborted training, or a failed
-gradient check).
+Exit codes: 0 success, 2 usage or configuration error (a run too large
+to allocate included), 3 numerical failure (overflow, degenerate schedule,
+aborted training, or a failed gradient check).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .harness import (
     bench_rollouts,
     eval_run,
     resolve_schedule,
-    simulation_args,
     train_run,
 )
 from .retention import simulate_cycles
@@ -131,9 +130,9 @@ def _emit(payload: dict, out_dir: Path | None, filename: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(args)
-    sim = simulation_args(cfg)
+    params, extras = cfg.sim_params()
     n_cycles = args.cycles if args.cycles is not None else cfg.n_segments
-    trace = simulate_cycles(n_cycles, **sim)
+    trace = simulate_cycles(n_cycles, params, extras)
     boundaries = {
         "cycle_ends": [int(i) for i in trace.cycle_ends],
         "times": [float(trace.times[i]) for i in trace.cycle_ends],
@@ -151,8 +150,8 @@ def cmd_simulate(args) -> int:
             json.dumps(boundaries, indent=2) + "\n"
         )
     print(
-        f"simulated {n_cycles} cycles of {sim['cycle_duration']}s "
-        f"({len(trace.times)} samples, {sim['geometry'].n_neurons} neurons)"
+        f"simulated {n_cycles} cycles of {extras['cycle_seconds']}s "
+        f"({len(trace.times)} samples, {extras['n_neurons']} neurons)"
     )
     print(f"slow-level means at cycle ends: {boundaries['ltp_levels']}")
     return EXIT_OK
@@ -262,6 +261,10 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,30 +21,11 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
 from .model import SegmentModel
-from .neuroglia import DriveSpec, build_geometry
 from .retention import RetentionSchedule, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
 from .trainer import AdamW, PositionalStep, amrb_rollout, bptt_rollout, classification_loss
 
 RECORD_SCHEMA = 1
-
-
-def simulation_args(cfg: RunConfig) -> dict:
-    """The dynamical system a run config describes, as keyword arguments of
-    ``simulate_cycles`` and ``retention_schedule``.
-
-    ``simulate`` and derived schedules both start here, so they see the same
-    system and the same initial state.
-    """
-    params, extras = cfg.sim_params()
-    return dict(
-        params=params,
-        drive=DriveSpec(rate_hz=extras["drive_hz"]),
-        geometry=build_geometry(extras["n_neurons"], extras["spacing"]),
-        scale=extras["scale"],
-        cycle_duration=extras["cycle_seconds"],
-        init_stp=extras["init_stp"],
-    )
 
 
 def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
@@ -56,7 +37,7 @@ def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
     """
     if cfg.retention_mode == "uniform":
         return uniform_schedule(cfg.n_segments)
-    return retention_schedule(cfg.n_segments, **simulation_args(cfg))
+    return retention_schedule(cfg.n_segments, *cfg.sim_params())
 
 
 def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .attention import AttentionParams, astro_attention, init_attention_arrays
 from .autodiff import ValueNode
 from .errors import InvalidArgumentError, NumericalOverflowError, ShapeError
-from .retention import RetentionSchedule, uniform_schedule
+from .retention import RetentionSchedule
 from .seeding import STREAM_INIT, spawn
 
 
@@ -313,19 +313,15 @@ class SegmentModel:
         return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
     def predict(
-        self, batch: SegmentBatch, schedule: RetentionSchedule | None = None, pos=None
+        self, batch: SegmentBatch, schedule: RetentionSchedule, pos
     ) -> tuple[int, np.ndarray]:
-        """Tape-free rollout over all segments; returns (label, logits row).
-        Without ``pos`` (from ``positional``) it builds R for this call."""
+        """Tape-free rollout over all segments under ``schedule``, with R
+        from ``positional``; returns (label, logits row)."""
         T = batch.n_segments
-        if schedule is None:
-            schedule = uniform_schedule(T)
         if schedule.n_segments != T:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
-        if pos is None:
-            pos = self.positional()
         mem = self.params["mem_init"]
         out = None
         for t in range(1, T + 1):

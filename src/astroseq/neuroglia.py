@@ -135,7 +135,6 @@ class SynapseGeometry:
     """
 
     positions: np.ndarray
-    midpoints: np.ndarray
     distances: np.ndarray
 
     @property
@@ -144,7 +143,7 @@ class SynapseGeometry:
 
 
 def build_geometry(n_neurons: int, spacing: float = 1.0) -> SynapseGeometry:
-    """Place neurons at 0, spacing, 2*spacing, ... and compute midpoints."""
+    """Place neurons at 0, spacing, 2*spacing, ... and compute midpoint distances."""
     if n_neurons < 1:
         raise InvalidArgumentError("n_neurons must be at least 1")
     if spacing <= 0:
@@ -153,7 +152,7 @@ def build_geometry(n_neurons: int, spacing: float = 1.0) -> SynapseGeometry:
     midpoints = 0.5 * (positions[:, None] + positions[None, :])
     flat = midpoints.ravel()
     distances = np.abs(flat[:, None] - flat[None, :])
-    return SynapseGeometry(positions=positions, midpoints=midpoints, distances=distances)
+    return SynapseGeometry(positions=positions, distances=distances)
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,6 @@ class DriveSpec:
 
     def spike_vector(self, t: float, dt: float, n: int) -> np.ndarray:
         """Spike indicators for the step covering (t, t + dt]."""
-        if self.rate_hz == 0:
-            return np.zeros(n)
         eps = 1e-9
         before = math.floor(t * self.rate_hz + eps)
         after = math.floor((t + dt) * self.rate_hz + eps)
@@ -205,32 +202,14 @@ class SimState:
     t: float = 0.0
 
 
-def initial_state(
-    n_neurons: int,
-    params: SimParams,
-    fac: np.ndarray | float | None = None,
-    stp: np.ndarray | float | None = None,
-    ltp: np.ndarray | float | None = None,
-) -> SimState:
-    """Rest state: v at reset, everything else zero unless overridden."""
-
-    def matrix(value):
-        if value is None:
-            return np.zeros((n_neurons, n_neurons))
-        if np.isscalar(value):
-            return np.full((n_neurons, n_neurons), float(value))
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != (n_neurons, n_neurons):
-            raise InvalidArgumentError(
-                f"override shape {arr.shape} != ({n_neurons}, {n_neurons})"
-            )
-        return arr.copy()
-
+def initial_state(n_neurons: int, params: SimParams, stp: float = 0.0) -> SimState:
+    """Rest state: v at reset, every fast-plasticity level at ``stp``, and
+    everything else zero."""
     return SimState(
         v=np.full(n_neurons, params.v_reset, dtype=np.float64),
-        fac=matrix(fac),
-        stp=matrix(stp),
-        ltp=matrix(ltp),
+        fac=np.zeros((n_neurons, n_neurons)),
+        stp=np.full((n_neurons, n_neurons), float(stp)),
+        ltp=np.zeros((n_neurons, n_neurons)),
         rate=np.zeros(n_neurons),
         spikes=np.zeros(n_neurons),
         t=0.0,

@@ -7,17 +7,24 @@ to one yields the per-segment retention factors.  Because the slow level
 saturates, the increments shrink with every cycle, so early segments
 receive the largest factors.
 
-Schedules are plain data: factors plus a provenance record whose digest
-hashes everything that determines them.  They are derived afresh by every
-run that asks for one, so training, evaluation and ``simulate`` always see
-the same dynamical system.
+The simulated experiment has one description: the ``(params, extras)``
+pair of ``RunConfig.sim_params``, where ``params`` holds the ``SimParams``
+constants and ``extras`` the six experiment keys ``n_neurons``,
+``spacing``, ``scale``, ``cycle_seconds``, ``drive_hz`` and ``init_stp``.
+``simulate`` and derived schedules both take that pair as it is, so
+training, evaluation and ``simulate`` see the same system and the same
+initial state.
+
+Schedules are plain data: factors plus a provenance record that holds the
+experiment keys and a digest of everything that determines the factors.
+They are derived afresh by every run that asks for one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +33,7 @@ from .neuroglia import (
     DriveSpec,
     SimParams,
     SimTrace,
-    SynapseGeometry,
+    build_geometry,
     coupling_tensor,
     initial_state,
     run_stp_cycles,
@@ -102,58 +109,32 @@ def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
     return np.diff(np.asarray(boundary_means))
 
 
-def macro_digest(
-    n_segments: int,
-    params: SimParams,
-    drive: DriveSpec,
-    geometry: SynapseGeometry,
-    scale: float,
-    cycle_duration: float,
-    init_stp: float,
-) -> str:
-    """Stable hash of everything that determines a derived schedule."""
-    payload = {
-        "n_segments": n_segments,
-        "params": {k: getattr(params, k) for k in sorted(params.__dataclass_fields__)},
-        "drive_hz": drive.rate_hz,
-        "positions": list(map(float, geometry.positions)),
-        "scale": scale,
-        "cycle_duration": cycle_duration,
-        "init_stp": init_stp,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def simulate_cycles(n_cycles: int, params: SimParams, extras: dict) -> SimTrace:
+    """Integrate n_cycles stimulation cycles of the experiment ``extras``
+    describes, as ``RunConfig.sim_params`` returns it with ``params``.
 
-
-def simulate_cycles(
-    n_cycles: int,
-    params: SimParams,
-    drive: DriveSpec,
-    geometry: SynapseGeometry,
-    scale: float,
-    cycle_duration: float,
-    init_stp: float,
-) -> SimTrace:
-    """Integrate n_cycles stimulation cycles from rest, with every
-    fast-plasticity level starting (and reset each cycle) at ``init_stp``."""
-    coupling = coupling_tensor(geometry, scale)
-    initial = initial_state(geometry.n_neurons, params, stp=init_stp)
-    return run_stp_cycles(params, coupling, n_cycles, cycle_duration, drive, initial=initial)
-
-
-def retention_schedule(
-    n_segments: int,
-    params: SimParams,
-    drive: DriveSpec,
-    geometry: SynapseGeometry,
-    scale: float,
-    cycle_duration: float,
-    init_stp: float,
-) -> RetentionSchedule:
-    """Run n_segments stimulation cycles and normalize the level increments."""
-    trace = simulate_cycles(
-        n_segments, params, drive, geometry, scale, cycle_duration, init_stp
+    The neurons sit ``spacing`` apart, synapses couple with
+    exp(-distance * ``scale``), every neuron is driven at ``drive_hz``, and
+    each cycle lasts ``cycle_seconds``.  The system starts from rest with
+    every fast-plasticity level at ``init_stp``, and is reset there each cycle.
+    """
+    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
+    coupling = coupling_tensor(geometry, extras["scale"])
+    initial = initial_state(extras["n_neurons"], params, stp=extras["init_stp"])
+    drive = DriveSpec(rate_hz=extras["drive_hz"])
+    return run_stp_cycles(
+        params, coupling, n_cycles, extras["cycle_seconds"], drive, initial=initial
     )
+
+
+def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> RetentionSchedule:
+    """Simulate n_segments cycles of the experiment and normalize the
+    slow-level increments.
+
+    ``source`` records the experiment keys as given, ``dt``, and the sha256
+    of every input: ``n_segments``, all ``SimParams`` fields and ``extras``.
+    """
+    trace = simulate_cycles(n_segments, params, extras)
     increments = ltp_increments(trace, n_segments)
     total = float(increments.sum())
     if not np.isfinite(total) or total <= 0.0 or np.any(increments <= 0.0):
@@ -161,20 +142,16 @@ def retention_schedule(
             "slow-level increments are not strictly positive; "
             "the drive configuration produced no usable retention signal"
         )
-    factors = increments / total
+    blob = json.dumps(
+        {"n_segments": n_segments, "params": asdict(params), **extras}, sort_keys=True
+    )
     return RetentionSchedule(
         n_segments=n_segments,
-        factors=tuple(float(f) for f in factors),
+        factors=tuple(float(f) for f in increments / total),
         source={
             "kind": "derived",
-            "digest": macro_digest(
-                n_segments, params, drive, geometry, scale, cycle_duration, init_stp
-            ),
-            "n_neurons": geometry.n_neurons,
-            "cycle_seconds": cycle_duration,
+            "digest": hashlib.sha256(blob.encode()).hexdigest(),
             "dt": params.dt,
-            "drive_hz": drive.rate_hz,
-            "scale": scale,
-            "init_stp": init_stp,
+            **extras,
         },
     )

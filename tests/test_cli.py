@@ -279,27 +279,46 @@ def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsy
         return original(*args, initial=initial, **kwargs)
 
     monkeypatch.setattr(retention, "run_stp_cycles", spy)
+    sim_file = tmp_path / "sim.params"
+    sim_file.write_text("init_stp = 0.1\nn_neurons = 3\n")
     digests = []
-    for init_stp in (0.2, 0.0):
+    for init_stp, n_neurons, extra in (
+        (0.2, 2, "init_stp = 0.2\n"),
+        (0.0, 2, "init_stp = 0.0\n"),
+        (0.1, 3, f"init_stp = 0.0\nparams_file = {sim_file}\n"),
+    ):
         cfg = write_tiny_config(
             tmp_path,
-            "\n[retention]\nmode = derived\nn_neurons = 2\ncycle_seconds = 4\n"
-            f"init_stp = {init_stp}\n",
+            "\n[retention]\nmode = derived\nn_neurons = 2\ncycle_seconds = 4\n" + extra,
         )
         seen.clear()
         assert main(["simulate", "--config", str(cfg), "--cycles", "2"]) == 0
+        assert f"{n_neurons} neurons" in capsys.readouterr().out
         out = tmp_path / "ret"
         assert main(["retention", "--config", str(cfg), "--out-dir", str(out)]) == 0
         capsys.readouterr()
         simulated, derived = seen
         for name in ("v", "fac", "stp", "ltp", "rate", "spikes"):
             assert np.array_equal(getattr(simulated, name), getattr(derived, name))
+        assert derived.stp.shape == (n_neurons, n_neurons)
         assert np.all(derived.stp == init_stp)
         source = json.loads((out / "retention.json").read_text())["source"]
-        assert source["init_stp"] == init_stp
+        assert (source["init_stp"], source["n_neurons"]) == (init_stp, n_neurons)
         digests.append(source["digest"])
-    assert digests[0] != digests[1]
+    assert len(set(digests)) == 3
     assert [p.name for p in out.iterdir()] == ["retention.json"]
+
+
+def test_run_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys):
+    def out_of_memory(self, *args, **kwargs):
+        raise MemoryError("Unable to allocate 728. TiB for an array with shape (10000002,)")
+
+    monkeypatch.setattr(SegmentModel, "__init__", out_of_memory)
+    code = main(["gradcheck", "--config", str(write_tiny_config(tmp_path))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "728. TiB" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

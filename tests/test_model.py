@@ -170,7 +170,7 @@ def test_zero_memory_tokens_runs_end_to_end():
     cfg = tiny_config(mem_tokens=0)
     model = SegmentModel(cfg, seed=0)
     batch = split_segments([1, 2, 3, 4, 5, 6], seg_len=3, n_segments=2, label=0)
-    label, logits = model.predict(batch)
+    label, logits = model.predict(batch, uniform_schedule(2), model.positional())
     assert logits.shape == (1, cfg.n_classes)
     assert 0 <= label < cfg.n_classes
     assert model.params["mem_init"].value.shape == (0, cfg.d_model)
@@ -203,17 +203,18 @@ def test_predict_respects_schedule_length():
     model = SegmentModel(tiny_config(), seed=0)
     batch = split_segments([1, 2, 3, 4], seg_len=3, n_segments=2, label=0)
     with pytest.raises(InvalidArgumentError):
-        model.predict(batch, uniform_schedule(3))
+        model.predict(batch, uniform_schedule(3), model.positional())
 
 
 def test_retention_factor_changes_prediction_logits():
     model = SegmentModel(tiny_config(), seed=0)
     batch = split_segments([1, 2, 3, 4, 5, 6], seg_len=3, n_segments=2, label=0)
-    _, base = model.predict(batch, uniform_schedule(2))
+    pos = model.positional()
+    _, base = model.predict(batch, uniform_schedule(2), pos)
     skewed = RetentionSchedule(
         n_segments=2, factors=(0.7, 0.3), source={"kind": "derived"}
     )
-    _, scaled = model.predict(batch, skewed)
+    _, scaled = model.predict(batch, skewed, pos)
     assert np.abs(base - scaled).max() > 1e-9
 
 

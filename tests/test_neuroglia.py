@@ -20,8 +20,12 @@ def default_setup(n=3, scale=2.0, **overrides):
 def test_geometry_positions_and_midpoints():
     geo = ng.build_geometry(4, 0.5)
     assert np.allclose(geo.positions, [0.0, 0.5, 1.0, 1.5])
-    assert geo.midpoints[1, 3] == pytest.approx(1.0)
-    assert np.allclose(geo.midpoints, geo.midpoints.T)
+    # synapse (0, 0) sits at 0 and synapse (1, 3) at the midpoint 1.0
+    assert geo.distances[0, 1 * 4 + 3] == pytest.approx(1.0)
+    # synapses (i, j) and (j, i) share a midpoint
+    for i in range(4):
+        for j in range(4):
+            assert geo.distances[i * 4 + j, j * 4 + i] == 0.0
 
 
 def test_geometry_distance_matrix_properties():
@@ -281,12 +285,11 @@ def test_cycle_duration_must_divide_dt():
 
 def test_initial_state_overrides():
     params = ng.SimParams()
-    st = ng.initial_state(3, params, stp=0.05, fac=np.full((3, 3), 0.2))
-    assert np.allclose(st.stp, 0.05)
-    assert np.allclose(st.fac, 0.2)
-    assert np.allclose(st.v, params.v_reset)
-    with pytest.raises(InvalidArgumentError):
-        ng.initial_state(3, params, ltp=np.zeros((2, 2)))
+    st = ng.initial_state(3, params, stp=0.05)
+    assert np.all(st.stp == 0.05)
+    assert not st.fac.any() and not st.ltp.any()
+    assert np.all(st.v == params.v_reset)
+    assert not ng.initial_state(3, params).stp.any()
 
 
 def test_spatial_modulation_centre_exceeds_corner():

@@ -1,25 +1,23 @@
 """Schedule derivation: increments, normalization, monotonicity, degeneracy, digests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from astroseq import neuroglia as ng
 from astroseq import retention as rt
+from astroseq.config import SIM_EXTRA_KEYS, RunConfig
 from astroseq.errors import DegenerateScheduleError, InvalidArgumentError
+from astroseq.harness import resolve_schedule
+
+EXPERIMENT = dict(
+    n_neurons=3, spacing=1.0, scale=2.0, cycle_seconds=10.0, drive_hz=10.0, init_stp=0.0
+)
 
 
-def derive(n_segments, cycle_seconds=10.0, **param_overrides):
-    params = ng.SimParams(**param_overrides)
-    geometry = ng.build_geometry(3, 1.0)
-    return rt.retention_schedule(
-        n_segments,
-        params,
-        ng.DriveSpec(10.0),
-        geometry,
-        scale=2.0,
-        cycle_duration=cycle_seconds,
-        init_stp=0.0,
-    )
+def derive(n_segments, **experiment):
+    return rt.retention_schedule(n_segments, ng.SimParams(), {**EXPERIMENT, **experiment})
 
 
 def test_increments_match_hand_computed_boundary_means():
@@ -81,16 +79,7 @@ def test_schedule_validation():
 
 def test_zero_drive_is_degenerate():
     with pytest.raises(DegenerateScheduleError):
-        params = ng.SimParams()
-        rt.retention_schedule(
-            2,
-            params,
-            ng.DriveSpec(0.0),
-            ng.build_geometry(3, 1.0),
-            scale=2.0,
-            cycle_duration=5.0,
-            init_stp=0.0,
-        )
+        derive(2, drive_hz=0.0, cycle_seconds=5.0)
 
 
 def test_derivation_is_byte_for_byte_reproducible():
@@ -98,9 +87,54 @@ def test_derivation_is_byte_for_byte_reproducible():
     assert a == b
 
 
+def _changed(value):
+    """A different value of a SimParams field that keeps the parameters
+    valid: another activation, or a shifted constant."""
+    if isinstance(value, str):
+        return next(name for name in sorted(ng.ACTIVATIONS) if name != value)
+    return value * 1.25 + 0.05
+
+
 def test_digest_separates_distinct_macros():
-    geometry = ng.build_geometry(3, 1.0)
-    base = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0, 0.0)
-    other_rate = rt.macro_digest(2, ng.SimParams(), ng.DriveSpec(5.0), geometry, 2.0, 10.0, 0.0)
-    other_t = rt.macro_digest(4, ng.SimParams(), ng.DriveSpec(10.0), geometry, 2.0, 10.0, 0.0)
-    assert base != other_rate and base != other_t
+    """Every input changes the digest: the segment count, each SimParams
+    field and each experiment key.  A tiny one-neuron experiment keeps the
+    simulations cheap; spacing and scale do not move its factors, but they
+    must still move its digest."""
+    experiment = dict(EXPERIMENT, n_neurons=1, cycle_seconds=2.0)
+    params = ng.SimParams()
+
+    def digest(n_segments=2, params=params, **changes):
+        schedule = rt.retention_schedule(n_segments, params, {**experiment, **changes})
+        return schedule.source["digest"]
+
+    base = digest()
+    assert digest() == base
+    digests = {"n_segments": digest(n_segments=3)}
+    for field in dataclasses.fields(ng.SimParams):
+        old = getattr(params, field.name)
+        new = params.dt / 2 if field.name == "dt" else _changed(old)
+        digests[field.name] = digest(params=dataclasses.replace(params, **{field.name: new}))
+    for key, value in experiment.items():
+        digests[key] = digest(**{key: value * 2 if value else 0.05})
+    assert base not in digests.values()
+    assert len(set(digests.values())) == len(digests), digests
+
+
+def test_source_records_the_experiment_as_given(tmp_path):
+    """``source`` holds kind, digest, dt and all six experiment keys; a
+    simulator file's values replace the config's."""
+    keys = {"kind", "digest", "dt", *SIM_EXTRA_KEYS}
+    cfg = RunConfig(
+        n_segments=2, retention_mode="derived", n_neurons=2, cycle_seconds=4.0, spacing=1.5
+    )
+    source = resolve_schedule(cfg).source
+    assert set(source) == keys
+    assert source["kind"] == "derived"
+    assert source["spacing"] == 1.5
+    assert source["dt"] == ng.SimParams().dt
+    sim_file = tmp_path / "sim.params"
+    sim_file.write_text("dt = 0.02\nspacing = 2.5\n")
+    source = resolve_schedule(dataclasses.replace(cfg, sim_params_file=str(sim_file))).source
+    assert set(source) == keys
+    assert (source["spacing"], source["dt"]) == (2.5, 0.02)
+    assert (source["n_neurons"], source["cycle_seconds"]) == (2, 4.0)

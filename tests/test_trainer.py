@@ -349,7 +349,7 @@ def test_predict_after_step_equals_fresh_model():
     """``predict`` builds R from the parameters as they are after a step."""
     model, batch = build_setup(0)
     schedule = uniform_schedule(3)
-    _, before = model.predict(batch, schedule)
+    _, before = model.predict(batch, schedule, model.positional())
     pos_mix = model.params["block0.attn.pos_mix"].value.copy()
     model.zero_grads()
     amrb_rollout(model, batch, schedule, classification_loss(model, batch))
@@ -357,8 +357,8 @@ def test_predict_after_step_equals_fresh_model():
     assert not np.array_equal(model.params["block0.attn.pos_mix"].value, pos_mix)
     fresh = SegmentModel(model.config, seed=1)
     fresh.load_arrays(model.state_arrays())
-    _, after = model.predict(batch, schedule)
-    assert np.array_equal(after, fresh.predict(batch, schedule)[1])
+    _, after = model.predict(batch, schedule, model.positional())
+    assert np.array_equal(after, fresh.predict(batch, schedule, fresh.positional())[1])
     assert not np.array_equal(after, before)
 
 
