@@ -5,7 +5,9 @@ embedded, a bank of learned memory rows is appended after it, and the
 combined matrix runs through post-norm attention/feed-forward blocks.  The
 transformed memory rows carry state to the next segment, scaled by a
 per-segment retention factor; the classifier head pools the final
-segment's valid rows together with the final memory.
+segment's valid rows together with the final memory.  ``segments`` is
+the one walk: prediction, full backprop and both passes of replay take
+it, so the retention factor is applied in one place.
 
 Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
 belongs to no tape, so one parameter set serves every tape the trainer
@@ -28,7 +30,7 @@ from .attention import AttentionParams, astro_attention, init_attention_arrays
 from .autodiff import ValueNode
 from .errors import InvalidArgumentError, NumericalOverflowError, ShapeError
 from .retention import RetentionSchedule
-from .seeding import STREAM_INIT, spawn
+from .seeding import STREAM_DROPOUT, STREAM_INIT, spawn
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,17 @@ def split_segments(
     return SegmentBatch(ids=ids, mask=mask, label=label, length=int(tokens.size))
 
 
+def _segment_rng(drop_seed, t: int):
+    """Per-segment dropout generator; a tuple seed scopes it further
+    (e.g. (master, epoch, sample)) while staying replay-stable."""
+    if drop_seed is None:
+        return None
+    if isinstance(drop_seed, tuple):
+        head, *rest = drop_seed
+        return spawn(head, STREAM_DROPOUT, *rest, t)
+    return spawn(drop_seed, STREAM_DROPOUT, t)
+
+
 class SegmentModel:
     """Parameter store plus the forward graph builders."""
 
@@ -255,7 +268,7 @@ class SegmentModel:
         """Run one segment; returns (token rows, raw memory rows).
 
         ``memory`` is the carried state entering this segment; the returned
-        memory is unscaled (the caller applies the retention factor).
+        memory is unscaled (``segments`` applies the retention factor).
         ``pos`` holds each block's R, as ``positional`` builds it.
         Memory rows are always valid in the attention mask.  Dropout is
         applied only when ``drop_rng`` is given (training); it must be a
@@ -312,21 +325,44 @@ class SegmentModel:
         pooled = ad.matmul(pool, ad.concat_rows(out_rows, memory))
         return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
-    def predict(
-        self, batch: SegmentBatch, schedule: RetentionSchedule, pos
-    ) -> tuple[int, np.ndarray]:
-        """Tape-free rollout over all segments under ``schedule``, with R
-        from ``positional``; returns (label, logits row)."""
+    def segments(
+        self,
+        batch: SegmentBatch,
+        schedule: RetentionSchedule,
+        pos: tuple[ValueNode, ...],
+        drop_seed=None,
+        start: int = 1,
+        memory: ValueNode | None = None,
+    ) -> Iterator[tuple[int, ValueNode, ValueNode]]:
+        """Walk segments ``start..T``; yields (t, token rows, memory rows
+        scaled by segment t's retention factor).
+
+        ``memory`` enters segment ``start`` (default: ``mem_init``) and
+        ``pos`` holds each block's R.  Segment t's dropout generator is
+        seeded from ``drop_seed`` and t alone, so a walk resumed at t from
+        the memory yielded at t-1 repeats the full walk's segment t.  Ops
+        record on the active tape, if any.
+        """
         T = batch.n_segments
         if schedule.n_segments != T:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
-        mem = self.params["mem_init"]
-        out = None
-        for t in range(1, T + 1):
-            out, mem_raw = self.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem, pos)
+        mem = self.params["mem_init"] if memory is None else memory
+        for t in range(start, T + 1):
+            out, mem_raw = self.segment_forward(
+                batch.ids[t - 1], batch.mask[t - 1], mem, pos, _segment_rng(drop_seed, t)
+            )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
+            yield t, out, mem
+
+    def predict(
+        self, batch: SegmentBatch, schedule: RetentionSchedule, pos
+    ) -> tuple[int, np.ndarray]:
+        """Tape-free rollout over all segments under ``schedule``, with R
+        from ``positional``; returns (label, logits row)."""
+        for _, out, mem in self.segments(batch, schedule, pos):
+            pass
         logits = self.classify(out, mem, batch.mask[-1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")

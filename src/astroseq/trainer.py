@@ -17,8 +17,10 @@ Both take each block's positional summary R as a leaf from a
 :class:`PositionalStep`, built once per optimizer step (a rollout called
 without one is a step of one sample), so no segment tape rebuilds it.
 
-The parameters are the autodiff leaves, so both rollouts add each
-gradient straight into ``model.params[...].grad``.  Replay visits the
+Replay's forward and each replayed segment, like BPTT's forward, walk
+``SegmentModel.segments``, which applies the retention factor.  The
+parameters are the autodiff leaves, so both rollouts add each gradient
+straight into ``model.params[...].grad``.  Replay visits the
 operations in the order the single BPTT sweep does, so the two give the
 same gradients bit for bit.
 
@@ -34,6 +36,7 @@ the two algorithms and are not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -42,9 +45,8 @@ from . import autodiff as ad
 from .errors import InvalidArgumentError, TrainingAbortError
 from .model import SegmentBatch, SegmentModel
 from .retention import RetentionSchedule
-from .seeding import STREAM_DROPOUT, spawn
 
-LossFn = Callable[[int, ad.ValueNode, ad.ValueNode, np.ndarray], "ad.ValueNode | None"]
+LossFn = Callable[[int, ad.ValueNode, ad.ValueNode], "ad.ValueNode | None"]
 
 
 @dataclass(frozen=True)
@@ -82,45 +84,13 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         raise InvalidArgumentError("batch has no label to train against")
     T = batch.n_segments
 
-    def loss_fn(t, out, mem, mask):
+    def loss_fn(t, out, mem):
         if mode == "final" and t < T:
             return None
-        logits = model.classify(out, mem, mask)
+        logits = model.classify(out, mem, batch.mask[t - 1])
         return ad.cross_entropy(logits, [batch.label])
 
     return loss_fn
-
-
-def _check_rollout_args(model: SegmentModel, batch: SegmentBatch, schedule: RetentionSchedule):
-    T = batch.n_segments
-    if schedule.n_segments != T:
-        raise InvalidArgumentError(
-            f"schedule covers {schedule.n_segments} segments, batch has {T}"
-        )
-    if batch.ids.shape[1] != model.config.seg_len:
-        raise InvalidArgumentError(
-            f"batch segments hold {batch.ids.shape[1]} tokens, model expects "
-            f"{model.config.seg_len}"
-        )
-    return T
-
-
-def _segment_rng(drop_seed, t: int):
-    """Per-segment dropout generator; a tuple seed scopes it further
-    (e.g. (master, epoch, sample)) while staying replay-stable."""
-    if drop_seed is None:
-        return None
-    if isinstance(drop_seed, tuple):
-        head, *rest = drop_seed
-        return spawn(head, STREAM_DROPOUT, *rest, t)
-    return spawn(drop_seed, STREAM_DROPOUT, t)
-
-
-def _segment(model: SegmentModel, batch: SegmentBatch, t: int, memory, step, drop_seed):
-    """Segment t's forward, with the step's R and the segment's dropout masks."""
-    return model.segment_forward(
-        batch.ids[t - 1], batch.mask[t - 1], memory, step.leaves, _segment_rng(drop_seed, t)
-    )
 
 
 class PositionalStep:
@@ -149,16 +119,12 @@ def bptt_rollout(
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep."""
-    T = _check_rollout_args(model, batch, schedule)
     own_step, step = step is None, step or PositionalStep(model)
-    seg_losses = [0.0] * T
+    seg_losses = [0.0] * batch.n_segments
     with ad.Tape() as tape:
-        mem = model.params["mem_init"]
         total = None
-        for t in range(1, T + 1):
-            out, mem_raw = _segment(model, batch, t, mem, step, drop_seed)
-            mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-            node = loss_fn(t, out, mem, batch.mask[t - 1])
+        for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed):
+            node = loss_fn(t, out, mem)
             if node is not None:
                 seg_losses[t - 1] = float(node.value[0, 0])
                 total = node if total is None else ad.add(total, node)
@@ -186,15 +152,14 @@ def amrb_rollout(
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Replay-based gradients: bounded storage, same result as BPTT."""
-    T = _check_rollout_args(model, batch, schedule)
+    T = batch.n_segments
     cfg = model.config
     own_step, step = step is None, step or PositionalStep(model)
+    walk_args = (batch, schedule, step.leaves, drop_seed)
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
-    for t in range(1, T):
-        _, mem_raw = _segment(model, batch, t, ad.constant(replay[-1]), step, drop_seed)
-        replay.append(mem_raw.value * schedule.factor(t))
+    replay += [mem.value for _, _, mem in islice(model.segments(*walk_args), T - 1)]
     replay_floats = T * cfg.mem_tokens * cfg.d_model
 
     # Backward, last segment first, one tape per segment.
@@ -205,9 +170,8 @@ def amrb_rollout(
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
             mem_in = ad.leaf(replay[t - 1])
-            out, mem_raw = _segment(model, batch, t, mem_in, step, drop_seed)
-            mem_scaled = ad.scalar_mul(mem_raw, schedule.factor(t))
-            loss_node = loss_fn(t, out, mem_scaled, batch.mask[t - 1])
+            _, out, mem_scaled = next(model.segments(*walk_args, start=t, memory=mem_in))
+            loss_node = loss_fn(t, out, mem_scaled)
         roots = []
         if loss_node is not None:
             saw_loss = True

@@ -204,10 +204,10 @@ def test_replay_real_peak_below_full_backprop():
     assert ratio >= n_segments / 2, f"real peak bytes {peaks}, ratio {ratio:.2f}"
 
 
-def _listops_rollout_inputs(n_segments: int):
-    """A ListOps model (16-token segments, 4 memory rows) and one sample,
-    under a uniform schedule."""
-    cfg = RunConfig(task="listops", seg_len=16, n_segments=n_segments, mem_tokens=4)
+def _listops_rollout_inputs(n_segments: int, seg_len: int = 16):
+    """A ListOps model (``seg_len``-token segments, 4 memory rows) and one
+    sample, under a uniform schedule."""
+    cfg = RunConfig(task="listops", seg_len=seg_len, n_segments=n_segments, mem_tokens=4)
     task = cfg.build_task()
     model = SegmentModel(cfg.model_config(task.spec.vocab_size, task.spec.n_classes), seed=0)
     batch = task.dataset(1, 0, split=0)[0]
@@ -242,6 +242,23 @@ def test_replay_real_peak_stays_flat_as_segments_grow():
         detail = f"{inputs.__name__}: real peak bytes at T=4/8/16 {peaks}"
         assert amrb[-1] / amrb[0] <= 1.25, detail
         assert bptt[-1] / bptt[0] >= 3.0, detail
+
+
+def test_replay_real_peak_stays_flat_at_paper_lengths():
+    """ListOps at the Long Range Arena's lengths, L in {1024, 2048, 4096}
+    tokens in 64-token segments: replay's tracemalloc peak grows by at most
+    1.25x while full backprop's grows at least 3x."""
+    lengths = (1024, 2048, 4096)
+    peaks = {
+        rollout.__name__: [
+            _real_peak(rollout, *_listops_rollout_inputs(L // 64, seg_len=64)) for L in lengths
+        ]
+        for rollout in (amrb_rollout, bptt_rollout)
+    }
+    amrb, bptt = peaks["amrb_rollout"], peaks["bptt_rollout"]
+    detail = f"real peak bytes at L={lengths}: {peaks}"
+    assert amrb[-1] / amrb[0] <= 1.25, detail
+    assert bptt[-1] / bptt[0] >= 3.0, detail
 
 
 # ---------------------------------------------------------------------------

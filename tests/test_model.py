@@ -16,6 +16,7 @@ from astroseq.model import (
     split_segments,
 )
 from astroseq.retention import RetentionSchedule, uniform_schedule
+from astroseq.trainer import bptt_rollout
 
 from conftest import rel_err
 
@@ -216,6 +217,59 @@ def test_retention_factor_changes_prediction_logits():
     )
     _, scaled = model.predict(batch, skewed, pos)
     assert np.abs(base - scaled).max() > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the segment walk
+
+
+def walk_setup():
+    """Two layers, two heads, dropout, and distinct factors over 4 segments."""
+    model = SegmentModel(tiny_config(n_heads=2, n_layers=2, n_segments=4, dropout=0.3), seed=2)
+    batch = split_segments([1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5], 3, 4, label=1)
+    schedule = RetentionSchedule(
+        n_segments=4, factors=(0.4, 0.3, 0.2, 0.1), source={"kind": "derived"}
+    )
+    return model, batch, schedule
+
+
+def test_segments_resumed_from_yielded_memory_repeat_the_full_walk():
+    """Resumed at each t from the memory it yielded at t-1, the walk gives
+    segment t's rows and memory bit for bit: the contract replay relies on."""
+    model, batch, schedule = walk_setup()
+    pos, drop_seed = model.positional(), (7, 1, 0)
+    full = list(model.segments(batch, schedule, pos, drop_seed))
+    assert [t for t, _, _ in full] == [1, 2, 3, 4]
+    memory = model.params["mem_init"]
+    for t, out, mem in full:
+        t_r, out_r, mem_r = next(
+            model.segments(batch, schedule, pos, drop_seed, start=t, memory=memory)
+        )
+        assert t_r == t
+        assert np.array_equal(out_r.value, out.value)
+        assert np.array_equal(mem_r.value, mem.value)
+        memory = mem
+    undropped = list(model.segments(batch, schedule, pos))
+    assert not np.array_equal(undropped[-1][1].value, full[-1][1].value)
+
+
+def test_predict_scores_the_logits_full_backprop_trains_on():
+    """Training and evaluation walk one path: the final-segment logits a
+    BPTT loss scores are ``predict``'s logits, bit for bit."""
+    model, batch, schedule = walk_setup()
+    scored = []
+
+    def loss_fn(t, out, mem):
+        if t < batch.n_segments:
+            return None
+        logits = model.classify(out, mem, batch.mask[t - 1])
+        scored.append(logits.value.copy())
+        return ad.cross_entropy(logits, [batch.label])
+
+    bptt_rollout(model, batch, schedule, loss_fn)
+    _, logits = model.predict(batch, schedule, model.positional())
+    assert len(scored) == 1
+    assert np.array_equal(logits, scored[0])
 
 
 # ---------------------------------------------------------------------------

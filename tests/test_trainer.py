@@ -5,12 +5,11 @@ import pytest
 
 from astroseq import autodiff as ad
 from astroseq.errors import InvalidArgumentError, TrainingAbortError
-from astroseq.model import ModelConfig, Parameter, SegmentModel, split_segments
+from astroseq.model import ModelConfig, Parameter, SegmentModel, _segment_rng, split_segments
 from astroseq.retention import RetentionSchedule, uniform_schedule
 from astroseq.trainer import (
     AdamW,
     PositionalStep,
-    _segment_rng,
     amrb_rollout,
     bptt_rollout,
     classification_loss,
@@ -152,7 +151,7 @@ def per_segment_build_grads(model, batches, schedule, mode, drop_seeds):
                     drop_rng=_segment_rng(drop_seed, t),
                 )
                 mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-                node = loss_fn(t, out, mem, batch.mask[t - 1])
+                node = loss_fn(t, out, mem)
                 if node is not None:
                     total = node if total is None else ad.add(total, node)
         ad.backward(total)
@@ -221,7 +220,7 @@ def rollout_loss_value(model, batch, schedule, mode="final"):
     for t in range(1, T + 1):
         out, mem_raw = model.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem, pos)
         mem = ad.scalar_mul(mem_raw, schedule.factor(t))
-        node = loss_fn(t, out, mem, batch.mask[t - 1])
+        node = loss_fn(t, out, mem)
         if node is not None:
             total += float(node.value[0, 0])
     return total
