@@ -29,7 +29,8 @@ Design points that the rest of the package relies on:
   gradients are transient per sweep.
 * ``Tape.stored_floats`` counts the float64 entries of recorded
   intermediate values.  Leaves are excluded: they are the model, not
-  activations.  The trainer uses this counter for its memory accounting.
+  activations.  So is ``leading_block``, whose value is a view.  The
+  trainer uses this counter for its memory accounting.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ class Tape:
             raise RuntimeError("tape stack corrupted")
         return False
 
-    def _record_op(self, node: "ValueNode") -> None:
+    def _record_op(self, node: "ValueNode", floats: int) -> None:
         self._ops.append(node)
-        self.stored_floats += node.value.size
+        self.stored_floats += floats
 
     def _release(self) -> None:
         # ``_tape`` stays set, so a released node is never taken for a leaf.
@@ -155,7 +156,10 @@ def constant(value) -> ValueNode:
     return ValueNode(value, requires_grad=False)
 
 
-def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp) -> ValueNode:
+def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp, view: bool = False) -> ValueNode:
+    """Wrap an op's value, recording it when a tape is active and an operand
+    needs a gradient.  A ``view`` shares its operand's memory, so it adds no
+    stored floats."""
     tape = active_tape()
     needs = False
     if tape is not None:
@@ -171,7 +175,7 @@ def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp) -> ValueNode:
         node._parents = parents
         node._vjp = vjp
         node._tape = tape
-        tape._record_op(node)
+        tape._record_op(node, 0 if view else value.size)
     return node
 
 
@@ -416,6 +420,26 @@ def slice_cols(a, start: int, stop: int) -> ValueNode:
         return (full,)
 
     return _emit(a.value[:, start:stop].copy(), (a,), vjp)
+
+
+def leading_block(a, n_rows: int, n_cols: int) -> ValueNode:
+    """The top-left (n_rows, n_cols) block of ``a``.
+
+    Its value is a view of ``a``'s, which no op writes into, so the tape
+    stores no floats for it.
+    """
+    r, c = a.value.shape
+    if not (0 <= n_rows <= r and 0 <= n_cols <= c):
+        raise InvalidArgumentError(
+            f"leading_block: ({n_rows}, {n_cols}) does not fit in ({r}, {c})"
+        )
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[:n_rows, :n_cols] = g
+        return (full,)
+
+    return _emit(a.value[:n_rows, :n_cols], (a,), vjp, view=True)
 
 
 def embedding_rows(table, ids) -> ValueNode:

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
 from .model import SegmentModel
-from .retention import RetentionSchedule, retention_schedule, uniform_schedule
+from .retention import RetentionSchedule, drive_patterns, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
 from .trainer import AdamW, PositionalStep, amrb_rollout, bptt_rollout, classification_loss
 
@@ -262,6 +262,26 @@ def _timed(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
+    """Time one schedule derivation per segment count on the config's
+    experiment: wall-clock and process CPU seconds, and how many cycles it
+    simulates (one per drive pattern)."""
+    params, extras = cfg.sim_params()
+    rows = []
+    for n_segments in segment_counts:
+        wall, cpu = time.perf_counter(), time.process_time()
+        retention_schedule(n_segments, params, extras)
+        rows.append(
+            {
+                "n_segments": n_segments,
+                "seconds": time.perf_counter() - wall,
+                "cpu_seconds": time.process_time() - cpu,
+                "simulated_cycles": len(drive_patterns(n_segments, params, extras)[0]),
+            }
+        )
+    return rows
 
 
 def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:

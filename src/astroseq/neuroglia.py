@@ -26,7 +26,6 @@ or threshold crossings) arrive at the synapses at step k + 1.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,14 +180,16 @@ class DriveSpec:
         if self.rate_hz < 0:
             raise InvalidArgumentError("drive rate must be non-negative")
 
-    def spike_vector(self, t: float, dt: float, n: int) -> np.ndarray:
-        """Spike indicators for the step covering (t, t + dt]."""
+    def fires(self, t, dt: float):
+        """Whether a forced spike falls in the step covering (t, t + dt].
+
+        ``t`` may be an array of step start times; the answer then has its
+        shape.
+        """
         eps = 1e-9
-        before = math.floor(t * self.rate_hz + eps)
-        after = math.floor((t + dt) * self.rate_hz + eps)
-        if after > before:
-            return np.ones(n)
-        return np.zeros(n)
+        before = np.floor(np.multiply(t, self.rate_hz) + eps)
+        after = np.floor(np.multiply(np.add(t, dt), self.rate_hz) + eps)
+        return after > before
 
 
 @dataclass
@@ -330,7 +331,9 @@ def run_stp_cycles(
 
     At each cycle boundary the fast variables (v, rate, spikes, fac, stp)
     are reset to their initial values; the slow ltp level and the clock
-    persist, which is what lets it accumulate across cycles.
+    persist, which is what lets it accumulate across cycles.  Step k of
+    the run starts at ``initial.t + k * dt``, computed from k rather than
+    accumulated, so the drive keeps its phase over any number of cycles.
     """
     if n_cycles < 1:
         raise InvalidArgumentError("n_cycles must be at least 1")
@@ -343,27 +346,27 @@ def run_stp_cycles(
     state = initial
 
     n_samples = n_cycles * spc + 1
-    times = np.empty(n_samples)
+    times = initial.t + np.arange(n_samples) * params.dt
+    fired = drive.fires(times[:-1], params.dt)
     fac = np.empty((n_samples, n, n))
     stp = np.empty((n_samples, n, n))
     ltp = np.empty((n_samples, n, n))
 
     def record(k: int, s: SimState) -> None:
-        times[k] = s.t
         fac[k] = s.fac
         stp[k] = s.stp
         ltp[k] = s.ltp
 
     record(0, state)
+    silent, driven = np.zeros(n), np.ones(n)
     k = 0
     for cycle in range(n_cycles):
         if cycle > 0:
             # ``step`` never writes into a state's arrays, so the fast
             # variables can restart from ``initial``'s own arrays.
-            state = replace(initial, ltp=state.ltp, t=state.t)
+            state = replace(initial, ltp=state.ltp, t=times[k])
         for _ in range(spc):
-            spikes_in = drive.spike_vector(state.t, params.dt, n)
-            state = step(state, params, coupling, spikes_in)
+            state = step(state, params, coupling, driven if fired[k] else silent)
             k += 1
             record(k, state)
 

@@ -3,9 +3,29 @@
 One stimulation cycle of the dynamical system stands in for one segment of
 the sequence model.  The mean slow-process level at consecutive cycle
 boundaries gives per-cycle increments; normalizing the increments to sum
-to one yields the per-segment retention factors.  Because the slow level
-saturates, the increments shrink with every cycle, so early segments
-receive the largest factors.
+to one yields the per-segment retention factors.
+
+The slow level ``ltp`` is linear in itself and never feeds back into the
+fast variables, which restart every cycle.  So the mean level at the end
+of cycle c is L_c = A L_{c-1} + B_c, where A = (1 - dt ltp_decay /
+tau_ltp) ** steps_per_cycle is the slow decay over one cycle and the gain
+B_c depends only on the cycle's drive pattern: the steps of the cycle in
+which the forced drive fires.  A schedule therefore simulates one cycle
+per distinct pattern, whatever the number of segments.
+
+When the drive repeats every cycle (``cycle_seconds * drive_hz`` whole,
+as in the default 10 Hz x 50 s experiment) there is one pattern, B
+cancels in the normalization, and the factors are geometric: f_t is
+proportional to A ** (t - 1), with A = 0.4345 on the default experiment,
+so early segments receive the largest factors.  The factors then move
+only with ``cycle_seconds`` and the ``SimParams`` ``dt``, ``ltp_decay``
+and ``tau_ltp``.  A drive that does not repeat every cycle gives several
+patterns, and the ratios of their gains, which the network settings and
+``drive_hz`` shape, move the factors too.
+
+The multi-cycle run (``simulate_cycles``, and ``ltp_increments`` on its
+trace) integrates every cycle; it serves ``simulate`` and is the reference
+the tests hold the schedule to.
 
 The simulated experiment has one description: the ``(params, extras)``
 pair of ``RunConfig.sim_params``, where ``params`` holds the ``SimParams``
@@ -24,19 +44,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateScheduleError, InvalidArgumentError
 from .neuroglia import (
+    CouplingTensor,
     DriveSpec,
     SimParams,
+    SimState,
     SimTrace,
     build_geometry,
     coupling_tensor,
     initial_state,
     run_stp_cycles,
+    steps_per_cycle,
 )
 
 SUM_TOLERANCE = 1e-12
@@ -109,33 +132,77 @@ def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
     return np.diff(np.asarray(boundary_means))
 
 
+def _experiment(params: SimParams, extras: dict) -> tuple[CouplingTensor, SimState, DriveSpec]:
+    """The coupling, initial state and drive of the experiment ``extras``
+    describes: neurons ``spacing`` apart, synapses coupled with
+    exp(-distance * ``scale``), every fast-plasticity level at ``init_stp``,
+    and every neuron driven at ``drive_hz``."""
+    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
+    coupling = coupling_tensor(geometry, extras["scale"])
+    initial = initial_state(extras["n_neurons"], params, stp=extras["init_stp"])
+    return coupling, initial, DriveSpec(rate_hz=extras["drive_hz"])
+
+
 def simulate_cycles(n_cycles: int, params: SimParams, extras: dict) -> SimTrace:
     """Integrate n_cycles stimulation cycles of the experiment ``extras``
     describes, as ``RunConfig.sim_params`` returns it with ``params``.
 
-    The neurons sit ``spacing`` apart, synapses couple with
-    exp(-distance * ``scale``), every neuron is driven at ``drive_hz``, and
-    each cycle lasts ``cycle_seconds``.  The system starts from rest with
-    every fast-plasticity level at ``init_stp``, and is reset there each cycle.
+    Each cycle lasts ``cycle_seconds``; the system starts from rest and its
+    fast variables are reset there each cycle.
     """
-    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
-    coupling = coupling_tensor(geometry, extras["scale"])
-    initial = initial_state(extras["n_neurons"], params, stp=extras["init_stp"])
-    drive = DriveSpec(rate_hz=extras["drive_hz"])
+    coupling, initial, drive = _experiment(params, extras)
     return run_stp_cycles(
         params, coupling, n_cycles, extras["cycle_seconds"], drive, initial=initial
     )
 
 
+def drive_patterns(
+    n_segments: int, params: SimParams, extras: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the first n_segments cycles by their drive pattern, the steps
+    of the cycle in which the drive fires.
+
+    Returns ``(first, which)``: ``first[p]`` is the first cycle with pattern
+    p and ``which[c]`` is the pattern of cycle c.  Step k of the experiment
+    starts at k * dt, as in ``run_stp_cycles``.
+    """
+    if n_segments < 1:
+        raise InvalidArgumentError("n_segments must be at least 1")
+    spc = steps_per_cycle(extras["cycle_seconds"], params.dt)
+    drive = DriveSpec(rate_hz=extras["drive_hz"])
+    fired = drive.fires(np.arange(n_segments * spc) * params.dt, params.dt)
+    _, first, which = np.unique(
+        fired.reshape(n_segments, spc), axis=0, return_index=True, return_inverse=True
+    )
+    return first, which.reshape(-1)
+
+
 def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> RetentionSchedule:
-    """Simulate n_segments cycles of the experiment and normalize the
-    slow-level increments.
+    """Normalize the slow-level increments of n_segments cycles of the
+    experiment.
+
+    Each drive pattern's gain B is the mean ``ltp`` at the end of one
+    cycle simulated from ``ltp = 0``, starting at the time of the first
+    cycle with that pattern; the levels then follow L_c = A L_{c-1} + B_c.
 
     ``source`` records the experiment keys as given, ``dt``, and the sha256
     of every input: ``n_segments``, all ``SimParams`` fields and ``extras``.
     """
-    trace = simulate_cycles(n_segments, params, extras)
-    increments = ltp_increments(trace, n_segments)
+    first, which = drive_patterns(n_segments, params, extras)
+    coupling, initial, drive = _experiment(params, extras)
+    spc = steps_per_cycle(extras["cycle_seconds"], params.dt)
+    gains = []
+    for cycle in first:
+        trace = run_stp_cycles(
+            params, coupling, 1, extras["cycle_seconds"], drive,
+            initial=replace(initial, t=int(cycle) * spc * params.dt),
+        )
+        gains.append(float(trace.ltp[-1].mean()))
+    decay = (1.0 - params.dt / params.tau_ltp * params.ltp_decay) ** spc
+    levels = [0.0]
+    for p in which:
+        levels.append(decay * levels[-1] + gains[p])
+    increments = np.diff(np.asarray(levels))
     total = float(increments.sum())
     if not np.isfinite(total) or total <= 0.0 or np.any(increments <= 0.0):
         raise DegenerateScheduleError(

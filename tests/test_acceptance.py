@@ -301,6 +301,25 @@ def test_c3_derived_retention_schedules():
     )
 
 
+def test_derived_schedules_stay_monotone_over_many_segments():
+    """At T in {16, 32} on the default config the derived factors never
+    grow, and the multi-cycle run's per-cycle increments strictly shrink:
+    the drive keeps its phase however many cycles are simulated."""
+    for n_segments in (16, 32):
+        cfg = RunConfig(n_segments=n_segments, retention_mode="derived")
+        factors = np.asarray(resolve_schedule(cfg).factors)
+        assert np.all(np.diff(factors) <= 0.0), (n_segments, factors)
+    params, extras = RunConfig().sim_params()
+    coupling = coupling_tensor(
+        build_geometry(extras["n_neurons"], extras["spacing"]), extras["scale"]
+    )
+    trace = run_stp_cycles(
+        params, coupling, 32, extras["cycle_seconds"], DriveSpec(extras["drive_hz"])
+    )
+    increments = ltp_increments(trace, 32)
+    assert np.all(np.diff(increments) < 0.0), increments
+
+
 # ---------------------------------------------------------------------------
 # C4: matrix attention equals the explicit per-token accumulation oracle
 

@@ -236,6 +236,17 @@ def test_taped_positional_matrix_records_one_square_node():
     assert tape.stored_floats == n * n + 3 * n * m
 
 
+def test_sliced_taped_positional_matrix_stores_what_the_full_one_does():
+    """Below capacity the build reads the leading blocks of ``pos_mix`` and
+    ``pos_read`` as views, so it stores the n^2 + 3nm floats of the
+    n == n_max build, not an (n, n_max) slice."""
+    n, n_max, m = 64, 256, 6
+    _, _, params = fresh(43, n=n, d=4, m=m, n_max=n_max)
+    with ad.Tape() as tape:
+        at.positional_matrix(n, params)
+    assert tape.stored_floats == n * n + 3 * n * m
+
+
 @pytest.mark.parametrize("op", [ad.matmul, ad.hadamard])
 def test_constant_operand_gets_no_gradient(op):
     """A product skips the gradient of its constant operand; the leaf's

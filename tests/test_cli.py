@@ -339,6 +339,12 @@ def test_bench_tiny_sizes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["n_tokens"] for r in payload["attention"]] == [8, 16]
     assert set(payload["rollouts"]) == {"amrb", "bptt"}
+    retention = payload["retention"]
+    assert [r["n_segments"] for r in retention] == [2, 4, 8, 16]
+    for row in retention:
+        assert set(row) == {"n_segments", "seconds", "cpu_seconds", "simulated_cycles"}
+        assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
+        assert row["simulated_cycles"] == 1  # the default drive repeats every cycle
     assert (tmp_path / "bench" / "bench.json").exists()
 
 

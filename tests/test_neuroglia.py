@@ -86,12 +86,12 @@ def test_params_validation():
 def test_drive_spec_regular_spiking():
     drive = ng.DriveSpec(rate_hz=10.0)
     dt = 0.04
-    hits = sum(
-        drive.spike_vector(k * dt, dt, 1)[0] > 0 for k in range(int(1.0 / dt))
-    )
+    hits = sum(bool(drive.fires(k * dt, dt)) for k in range(int(1.0 / dt)))
     assert hits == 10  # 10 Hz over one second
+    starts = np.arange(int(1.0 / dt)) * dt
+    assert [bool(drive.fires(t, dt)) for t in starts] == list(drive.fires(starts, dt))
     silent = ng.DriveSpec(rate_hz=0.0)
-    assert not silent.spike_vector(0.0, dt, 3).any()
+    assert not silent.fires(starts, dt).any()
     with pytest.raises(InvalidArgumentError):
         ng.DriveSpec(rate_hz=-1.0)
 

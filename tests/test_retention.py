@@ -8,7 +8,7 @@ import pytest
 from astroseq import neuroglia as ng
 from astroseq import retention as rt
 from astroseq.config import SIM_EXTRA_KEYS, RunConfig
-from astroseq.errors import DegenerateScheduleError, InvalidArgumentError
+from astroseq.errors import DegenerateScheduleError, InvalidArgumentError, NumericalOverflowError
 from astroseq.harness import resolve_schedule
 
 EXPERIMENT = dict(
@@ -138,3 +138,85 @@ def test_source_records_the_experiment_as_given(tmp_path):
     assert set(source) == keys
     assert (source["spacing"], source["dt"]) == (2.5, 0.02)
     assert (source["n_neurons"], source["cycle_seconds"]) == (2, 4.0)
+
+
+def oracle_increments(n_segments, params, extras):
+    """Per-cycle increments of the multi-cycle run, every cycle integrated."""
+    return rt.ltp_increments(rt.simulate_cycles(n_segments, params, extras), n_segments)
+
+
+def test_one_cycle_per_pattern_matches_multi_cycle_run():
+    """Over small random experiments, periodic drives and drives whose
+    phase moves from cycle to cycle alike, the factors equal the normalized
+    increments of the run that integrates every cycle to 1e-12, and a
+    schedule is refused exactly when that run has a non-positive increment."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(
+        n_segments=st.integers(1, 12),
+        n_neurons=st.integers(1, 3),
+        cycle_steps=st.integers(5, 60),
+        drive_hz=st.sampled_from([0.0, 1.0, 2.5, 3.3, 5.0, 7.3, 10.0, 13.7]),
+        spacing=st.floats(0.5, 3.0),
+        scale=st.floats(0.0, 3.0),
+        init_stp=st.sampled_from([0.0, 0.05, 0.3]),
+        ltp_decay=st.floats(0.0, 0.5),
+        tau_ltp=st.floats(2.0, 10.0),
+    )
+    def check(
+        n_segments, n_neurons, cycle_steps, drive_hz, spacing, scale, init_stp, ltp_decay,
+        tau_ltp,
+    ):
+        params = ng.SimParams(ltp_decay=ltp_decay, tau_ltp=tau_ltp)
+        extras = dict(
+            n_neurons=n_neurons, spacing=spacing, scale=scale,
+            cycle_seconds=cycle_steps * params.dt, drive_hz=drive_hz, init_stp=init_stp,
+        )
+        try:
+            increments = oracle_increments(n_segments, params, extras)
+        except NumericalOverflowError:
+            hypothesis.reject()
+        if np.all(increments > 0.0):
+            factors = rt.retention_schedule(n_segments, params, extras).factors
+            expected = increments / increments.sum()
+            assert np.max(np.abs(np.asarray(factors) - expected)) <= 1e-12
+        else:
+            with pytest.raises(DegenerateScheduleError):
+                rt.retention_schedule(n_segments, params, extras)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "drive_hz,cycle_seconds,cycles,steps",
+    [(10.0, 50.0, 1, 1250), (3.3, 12.0, 5, 1500)],
+    ids=["periodic", "aperiodic"],
+)
+def test_derivation_simulates_one_cycle_per_pattern(
+    monkeypatch, drive_hz, cycle_seconds, cycles, steps
+):
+    """At T = 8 the default 10 Hz x 50 s drive repeats every cycle, so one
+    simulated cycle of 1,250 Euler steps derives the schedule; a 3.3 Hz
+    drive in 12 s cycles shows 5 patterns, so 5 cycles."""
+    calls = {"cycles": 0, "steps": 0}
+    run_stp_cycles, step = rt.run_stp_cycles, ng.step
+
+    def counting_run(*args, **kwargs):
+        calls["cycles"] += 1
+        return run_stp_cycles(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        calls["steps"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(rt, "run_stp_cycles", counting_run)
+    monkeypatch.setattr(ng, "step", counting_step)
+    cfg = RunConfig(
+        n_segments=8, retention_mode="derived", drive_hz=drive_hz, cycle_seconds=cycle_seconds
+    )
+    resolve_schedule(cfg)
+    assert calls == {"cycles": cycles, "steps": steps}
+    first, which = rt.drive_patterns(8, *cfg.sim_params())
+    assert len(first) == cycles and which.shape == (8,)
