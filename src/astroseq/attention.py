@@ -106,24 +106,25 @@ class AttentionParams:
         return self.pos_mix.shape[0]
 
 
+def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan: int) -> np.ndarray:
+    """A (rows, cols) draw from uniform(+-1/sqrt(fan)), fan being the fan-in."""
+    bound = 1.0 / np.sqrt(fan)
+    return rng.uniform(-bound, bound, size=(rows, cols))
+
+
 def init_attention_arrays(
     d: int, m: int, n_max: int, rng: np.random.Generator, n_heads: int = 1
 ) -> dict[str, np.ndarray]:
     """Fresh projection matrices: uniform(+-1/sqrt(fan_in))."""
-
-    def uniform(rows, cols, fan):
-        bound = 1.0 / np.sqrt(fan)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
     arrays = {
-        "w_query": uniform(d, m, d),
-        "w_key": uniform(d, m, d),
-        "w_value": uniform(d, d, d),
-        "pos_mix": uniform(n_max, n_max, n_max),
-        "pos_read": uniform(n_max, m, n_max),
+        "w_query": uniform_init(rng, d, m, d),
+        "w_key": uniform_init(rng, d, m, d),
+        "w_value": uniform_init(rng, d, d, d),
+        "pos_mix": uniform_init(rng, n_max, n_max, n_max),
+        "pos_read": uniform_init(rng, n_max, m, n_max),
     }
     if n_heads > 1:
-        arrays["w_out"] = uniform(d, d, d)
+        arrays["w_out"] = uniform_init(rng, d, d, d)
     return arrays
 
 

@@ -40,7 +40,7 @@ from .harness import (
     resolve_schedule,
     train_run,
 )
-from .retention import simulate_cycles
+from .retention import ltp_levels, simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
 from .model import SegmentModel
 
@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
     boundaries = {
         "cycle_ends": [int(i) for i in trace.cycle_ends],
         "times": [float(trace.times[i]) for i in trace.cycle_ends],
-        "ltp_levels": [float(trace.ltp[i].mean()) for i in trace.cycle_ends],
+        "ltp_levels": ltp_levels(trace)[1:],
     }
     if out_dir is not None:
         lines = ["time,fac_mean,stp_mean,ltp_mean"]

@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidArgumentError
 from .model import ModelConfig
 from .neuroglia import SimParams
-from .tasks import make_task
+from .tasks import CopyTask, KVRetrievalTask, ListOpsTask
 
 _KINDS = {"int": int, "float": float, "str": str}
 
@@ -214,6 +214,10 @@ class RunConfig:
     sim_params_file: str | None = None
 
     def __post_init__(self):
+        if self.task not in ("copy", "kv_retrieval", "listops"):
+            raise ConfigError(
+                f"unknown task {self.task!r}; expected copy, kv_retrieval or listops"
+            )
         if self.algorithm not in ("amrb", "bptt"):
             raise ConfigError(f"algorithm must be amrb or bptt, got {self.algorithm!r}")
         if self.loss_mode not in ("final", "per_segment"):
@@ -239,14 +243,16 @@ class RunConfig:
     # -- derived objects ----------------------------------------------------
 
     def build_task(self):
-        knobs: dict = {}
-        if self.task in ("copy", "kv_retrieval"):
-            knobs["n_classes"] = self.n_classes
+        if self.task == "copy":
+            return CopyTask(self.seg_len, self.n_segments, n_classes=self.n_classes)
         if self.task == "kv_retrieval":
-            knobs.update(n_keys=self.n_keys, n_distractors=self.n_distractors)
-        if self.task == "listops":
-            knobs.update(max_depth=self.max_depth, max_args=self.max_args)
-        return make_task(self.task, self.seg_len, self.n_segments, **knobs)
+            return KVRetrievalTask(
+                self.seg_len, self.n_segments, n_classes=self.n_classes,
+                n_keys=self.n_keys, n_distractors=self.n_distractors,
+            )
+        return ListOpsTask(
+            self.seg_len, self.n_segments, max_depth=self.max_depth, max_args=self.max_args
+        )
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
         """The model fields of this config, for a task's vocabulary and classes."""

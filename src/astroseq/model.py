@@ -26,7 +26,7 @@ import numpy as np
 
 from . import attention
 from . import autodiff as ad
-from .attention import AttentionParams, astro_attention, init_attention_arrays
+from .attention import AttentionParams, astro_attention, init_attention_arrays, uniform_init
 from .autodiff import ValueNode
 from .errors import InvalidArgumentError, NumericalOverflowError, ShapeError
 from .retention import RetentionSchedule
@@ -180,13 +180,8 @@ class SegmentModel:
         self.params: dict[str, Parameter] = {}
         rng = spawn(seed, STREAM_INIT)
         d, cfg = config.d_model, config
-
-        def uniform(rows, cols, fan):
-            bound = 1.0 / np.sqrt(fan)
-            return rng.uniform(-bound, bound, size=(rows, cols))
-
-        self._add("embed", uniform(cfg.vocab_size, d, d), decay=False)
-        self._add("mem_init", uniform(cfg.mem_tokens, d, d), decay=False)
+        self._add("embed", uniform_init(rng, cfg.vocab_size, d, d), decay=False)
+        self._add("mem_init", uniform_init(rng, cfg.mem_tokens, d, d), decay=False)
         attn = []
         for i in range(cfg.n_layers):
             attn_arrays = init_attention_arrays(
@@ -200,13 +195,15 @@ class SegmentModel:
             ))
             self._add(f"block{i}.norm_attn.gain", np.ones((1, d)), decay=False)
             self._add(f"block{i}.norm_attn.bias", np.zeros((1, d)), decay=False)
-            self._add(f"block{i}.ffn.w_in", uniform(d, cfg.ffn_dim, d), decay=True)
+            self._add(f"block{i}.ffn.w_in", uniform_init(rng, d, cfg.ffn_dim, d), decay=True)
             self._add(f"block{i}.ffn.b_in", np.zeros((1, cfg.ffn_dim)), decay=False)
-            self._add(f"block{i}.ffn.w_out", uniform(cfg.ffn_dim, d, cfg.ffn_dim), decay=True)
+            self._add(
+                f"block{i}.ffn.w_out", uniform_init(rng, cfg.ffn_dim, d, cfg.ffn_dim), decay=True
+            )
             self._add(f"block{i}.ffn.b_out", np.zeros((1, d)), decay=False)
             self._add(f"block{i}.norm_ffn.gain", np.ones((1, d)), decay=False)
             self._add(f"block{i}.norm_ffn.bias", np.zeros((1, d)), decay=False)
-        self._add("head.w", uniform(d, cfg.n_classes, d), decay=True)
+        self._add("head.w", uniform_init(rng, d, cfg.n_classes, d), decay=True)
         self._add("head.b", np.zeros((1, cfg.n_classes)), decay=False)
         self.attn = tuple(attn)
 
@@ -253,6 +250,10 @@ class SegmentModel:
         keep = (rng.random(node.shape) >= rate).astype(np.float64) / (1.0 - rate)
         return ad.hadamard(node, ad.constant(keep))
 
+    def _with_memory(self, mask: np.ndarray) -> np.ndarray:
+        """A segment's token ``mask`` followed by 1 for each memory row."""
+        return np.concatenate([mask, np.ones(self.config.mem_tokens)])
+
     def positional(self) -> tuple[ValueNode, ...]:
         """Each block's positional summary R (taped when a tape is active)."""
         return tuple(attention.positional_matrix(self.config.n_tokens, a) for a in self.attn)
@@ -290,7 +291,7 @@ class SegmentModel:
         p = self.params
         x = ad.embedding_rows(p["embed"], ids)
         h = ad.concat_rows(x, memory)
-        full_mask = np.concatenate([mask, np.ones(cfg.mem_tokens)])
+        full_mask = self._with_memory(mask)
         for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
             a = astro_attention(h, attn_params, r, mask=full_mask)
             a = self._dropout(a, drop_rng)
@@ -317,7 +318,7 @@ class SegmentModel:
         mask = np.asarray(mask, dtype=np.float64).ravel()
         if mask.shape[0] != cfg.seg_len:
             raise ShapeError(f"mask needs {cfg.seg_len} entries, got {mask.shape[0]}")
-        weights = np.concatenate([mask, np.ones(cfg.mem_tokens)])
+        weights = self._with_memory(mask)
         total = weights.sum()
         if total <= 0:
             raise InvalidArgumentError("nothing to pool: empty mask and no memory rows")

@@ -17,6 +17,12 @@ State variables per step (n neurons, n x n synapses):
              distance-decay tensor
 * ``ltp``    slow astrocyte process, integrating a squashed copy of ``fac``
 
+The spatial coupling is a plain (n^2, n^2) matrix: ``build_geometry``
+gives the distances between synapse midpoints and ``coupling_tensor``
+their exp(-distance * scale) weights.  The state carries no clock: step k
+of an experiment starts at k * dt (``step_times``), so a run that starts
+mid-experiment names its first step.
+
 Spikes use delta-function semantics: an emitted spike contributes
 ``1 / dt`` to the synaptic current for one step, so the injected charge is
 independent of the step size.  Spikes emitted at step k (externally driven
@@ -26,6 +32,7 @@ or threshold crossings) arrive at the synapses at step k + 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,24 +132,9 @@ class SimParams:
             _activation(getattr(self, name))
 
 
-@dataclass(frozen=True)
-class SynapseGeometry:
-    """Neuron coordinates on a line plus derived synapse-midpoint distances.
-
-    ``distances`` is the (n^2, n^2) matrix of separations between all
-    synapse midpoints, indexed row-major: synapse (i, j) is entry i*n + j.
-    """
-
-    positions: np.ndarray
-    distances: np.ndarray
-
-    @property
-    def n_neurons(self) -> int:
-        return self.positions.shape[0]
-
-
-def build_geometry(n_neurons: int, spacing: float = 1.0) -> SynapseGeometry:
-    """Place neurons at 0, spacing, 2*spacing, ... and compute midpoint distances."""
+def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
+    """The (n^2, n^2) distances between synapse midpoints, with neurons at
+    0, spacing, 2*spacing, ...; synapse (i, j) is row-major entry i*n + j."""
     if n_neurons < 1:
         raise InvalidArgumentError("n_neurons must be at least 1")
     if spacing <= 0:
@@ -150,24 +142,15 @@ def build_geometry(n_neurons: int, spacing: float = 1.0) -> SynapseGeometry:
     positions = np.arange(n_neurons, dtype=np.float64) * spacing
     midpoints = 0.5 * (positions[:, None] + positions[None, :])
     flat = midpoints.ravel()
-    distances = np.abs(flat[:, None] - flat[None, :])
-    return SynapseGeometry(positions=positions, distances=distances)
+    return np.abs(flat[:, None] - flat[None, :])
 
 
-@dataclass(frozen=True)
-class CouplingTensor:
-    """exp(-distance * scale) influence weights between synapse pairs."""
-
-    matrix: np.ndarray
-    scale: float
-    n_neurons: int
-
-
-def coupling_tensor(geometry: SynapseGeometry, scale: float) -> CouplingTensor:
+def coupling_tensor(distances: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-distance * scale) influence weights between the synapse pairs of
+    a ``build_geometry`` distance matrix."""
     if scale < 0:
         raise InvalidArgumentError("coupling scale must be non-negative")
-    matrix = np.exp(-geometry.distances * scale)
-    return CouplingTensor(matrix=matrix, scale=scale, n_neurons=geometry.n_neurons)
+    return np.exp(-distances * scale)
 
 
 @dataclass(frozen=True)
@@ -200,7 +183,6 @@ class SimState:
     ltp: np.ndarray
     rate: np.ndarray
     spikes: np.ndarray
-    t: float = 0.0
 
 
 def initial_state(n_neurons: int, params: SimParams, stp: float = 0.0) -> SimState:
@@ -213,7 +195,6 @@ def initial_state(n_neurons: int, params: SimParams, stp: float = 0.0) -> SimSta
         ltp=np.zeros((n_neurons, n_neurons)),
         rate=np.zeros(n_neurons),
         spikes=np.zeros(n_neurons),
-        t=0.0,
     )
 
 
@@ -225,14 +206,15 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 def step(
     state: SimState,
     params: SimParams,
-    coupling: CouplingTensor,
+    coupling: np.ndarray,
     spikes_in: np.ndarray,
 ) -> SimState:
     """One forward-Euler update; all right-hand sides use the old state."""
     n = state.v.shape[0]
-    if coupling.n_neurons != n:
+    if coupling.shape != (n * n, n * n):
         raise InvalidArgumentError(
-            f"coupling built for {coupling.n_neurons} neurons, state has {n}"
+            f"coupling has shape {coupling.shape}, a state of {n} neurons needs "
+            f"({n * n}, {n * n})"
         )
     spikes_in = np.asarray(spikes_in, dtype=np.float64)
     if spikes_in.shape != (n,):
@@ -269,7 +251,7 @@ def step(
         + params.fac_input
     )
 
-    influence = (coupling.matrix @ astro(state.stp).ravel()).reshape(n, n)
+    influence = (coupling @ astro(state.stp).ravel()).reshape(n, n)
     stp_new = state.stp + (dt / params.tau_stp) * (
         -params.stp_decay * state.stp + influence + params.stp_input
     )
@@ -290,7 +272,6 @@ def step(
         ltp=ltp_new,
         rate=rate_new,
         spikes=emitted,
-        t=state.t + dt,
     )
 
 
@@ -319,34 +300,40 @@ def steps_per_cycle(cycle_duration: float, dt: float) -> int:
     return n
 
 
+def step_times(first_step: int, n_steps: int, dt: float) -> np.ndarray:
+    """Start times of steps ``first_step`` .. ``first_step + n_steps - 1``:
+    step k starts at k * dt, computed from k rather than accumulated, so a
+    drive keeps its phase over any number of steps."""
+    return (first_step + np.arange(n_steps)) * dt
+
+
 def run_stp_cycles(
     params: SimParams,
-    coupling: CouplingTensor,
+    coupling: np.ndarray,
     n_cycles: int,
     cycle_duration: float,
     drive: DriveSpec,
     initial: SimState | None = None,
+    first_step: int = 0,
 ) -> SimTrace:
-    """Integrate repeated stimulation cycles.
+    """Integrate repeated stimulation cycles from step ``first_step`` of
+    the experiment; step k of the run starts at ``(first_step + k) * dt``.
 
     At each cycle boundary the fast variables (v, rate, spikes, fac, stp)
-    are reset to their initial values; the slow ltp level and the clock
-    persist, which is what lets it accumulate across cycles.  Step k of
-    the run starts at ``initial.t + k * dt``, computed from k rather than
-    accumulated, so the drive keeps its phase over any number of cycles.
+    are reset to their initial values; the slow ltp level persists, which
+    is what lets it accumulate across cycles.  The default initial state
+    is the rest state of the ``coupling``'s (n^2, n^2) network.
     """
     if n_cycles < 1:
         raise InvalidArgumentError("n_cycles must be at least 1")
-    n = coupling.n_neurons
     spc = steps_per_cycle(cycle_duration, params.dt)
     if initial is None:
-        initial = initial_state(n, params)
-    if initial.v.shape[0] != n:
-        raise InvalidArgumentError("initial state size does not match coupling")
+        initial = initial_state(math.isqrt(coupling.shape[0]), params)
+    n = initial.v.shape[0]
     state = initial
 
     n_samples = n_cycles * spc + 1
-    times = initial.t + np.arange(n_samples) * params.dt
+    times = step_times(first_step, n_samples, params.dt)
     fired = drive.fires(times[:-1], params.dt)
     fac = np.empty((n_samples, n, n))
     stp = np.empty((n_samples, n, n))
@@ -364,7 +351,7 @@ def run_stp_cycles(
         if cycle > 0:
             # ``step`` never writes into a state's arrays, so the fast
             # variables can restart from ``initial``'s own arrays.
-            state = replace(initial, ltp=state.ltp, t=times[k])
+            state = replace(initial, ltp=state.ltp)
         for _ in range(spc):
             state = step(state, params, coupling, driven if fired[k] else silent)
             k += 1

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateScheduleError, InvalidArgumentError
 from .neuroglia import (
-    CouplingTensor,
     DriveSpec,
     SimParams,
     SimState,
@@ -59,6 +58,7 @@ from .neuroglia import (
     coupling_tensor,
     initial_state,
     run_stp_cycles,
+    step_times,
     steps_per_cycle,
 )
 
@@ -114,11 +114,16 @@ def uniform_schedule(n_segments: int) -> RetentionSchedule:
     )
 
 
-def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
-    """Mean slow-level gain of each of the first n_segments cycles.
+def ltp_levels(trace: SimTrace) -> list[float]:
+    """Synapse-mean slow level at the trace's first sample and at each of
+    its cycle ends."""
+    return [float(trace.ltp[i].mean()) for i in (0, *trace.cycle_ends)]
 
-    Uses the synapse-averaged level at cycle boundaries; the trace must
-    cover at least n_segments full cycles.
+
+def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
+    """Mean slow-level gain of each of the first n_segments cycles: the
+    differences of ``ltp_levels``.  The trace must cover at least
+    n_segments full cycles.
     """
     if n_segments < 1:
         raise InvalidArgumentError("n_segments must be at least 1")
@@ -126,19 +131,16 @@ def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"trace has {len(trace.cycle_ends)} cycles, need {n_segments}"
         )
-    boundary_means = [float(trace.ltp[0].mean())]
-    for k in range(n_segments):
-        boundary_means.append(float(trace.ltp[trace.cycle_ends[k]].mean()))
-    return np.diff(np.asarray(boundary_means))
+    return np.diff(ltp_levels(trace)[: n_segments + 1])
 
 
-def _experiment(params: SimParams, extras: dict) -> tuple[CouplingTensor, SimState, DriveSpec]:
-    """The coupling, initial state and drive of the experiment ``extras``
-    describes: neurons ``spacing`` apart, synapses coupled with
+def _experiment(params: SimParams, extras: dict) -> tuple[np.ndarray, SimState, DriveSpec]:
+    """The coupling matrix, initial state and drive of the experiment
+    ``extras`` describes: neurons ``spacing`` apart, synapses coupled with
     exp(-distance * ``scale``), every fast-plasticity level at ``init_stp``,
     and every neuron driven at ``drive_hz``."""
-    geometry = build_geometry(extras["n_neurons"], extras["spacing"])
-    coupling = coupling_tensor(geometry, extras["scale"])
+    distances = build_geometry(extras["n_neurons"], extras["spacing"])
+    coupling = coupling_tensor(distances, extras["scale"])
     initial = initial_state(extras["n_neurons"], params, stp=extras["init_stp"])
     return coupling, initial, DriveSpec(rate_hz=extras["drive_hz"])
 
@@ -163,14 +165,14 @@ def drive_patterns(
     of the cycle in which the drive fires.
 
     Returns ``(first, which)``: ``first[p]`` is the first cycle with pattern
-    p and ``which[c]`` is the pattern of cycle c.  Step k of the experiment
-    starts at k * dt, as in ``run_stp_cycles``.
+    p and ``which[c]`` is the pattern of cycle c.  The steps are timed by
+    ``step_times``, as in ``run_stp_cycles``.
     """
     if n_segments < 1:
         raise InvalidArgumentError("n_segments must be at least 1")
     spc = steps_per_cycle(extras["cycle_seconds"], params.dt)
     drive = DriveSpec(rate_hz=extras["drive_hz"])
-    fired = drive.fires(np.arange(n_segments * spc) * params.dt, params.dt)
+    fired = drive.fires(step_times(0, n_segments * spc, params.dt), params.dt)
     _, first, which = np.unique(
         fired.reshape(n_segments, spc), axis=0, return_index=True, return_inverse=True
     )
@@ -182,8 +184,9 @@ def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> Rete
     experiment.
 
     Each drive pattern's gain B is the mean ``ltp`` at the end of one
-    cycle simulated from ``ltp = 0``, starting at the time of the first
-    cycle with that pattern; the levels then follow L_c = A L_{c-1} + B_c.
+    cycle simulated from ``ltp = 0``, starting at the first step of the
+    first cycle with that pattern; the levels then follow
+    L_c = A L_{c-1} + B_c.
 
     ``source`` records the experiment keys as given, ``dt``, and the sha256
     of every input: ``n_segments``, all ``SimParams`` fields and ``extras``.
@@ -195,7 +198,7 @@ def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> Rete
     for cycle in first:
         trace = run_stp_cycles(
             params, coupling, 1, extras["cycle_seconds"], drive,
-            initial=replace(initial, t=int(cycle) * spc * params.dt),
+            initial=initial, first_step=int(cycle) * spc,
         )
         gains.append(float(trace.ltp[-1].mean()))
     decay = (1.0 - params.dt / params.tau_ltp * params.ltp_decay) ** spc

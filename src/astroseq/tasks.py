@@ -278,19 +278,3 @@ class ListOpsTask(_TaskBase):
                     )
         return out
 
-
-def make_task(name: str, seg_len: int, n_segments: int, **knobs) -> _TaskBase:
-    """Build a task generator by name; unknown knobs are rejected."""
-    builders = {
-        "copy": CopyTask,
-        "kv_retrieval": KVRetrievalTask,
-        "listops": ListOpsTask,
-    }
-    if name not in builders:
-        raise InvalidArgumentError(
-            f"unknown task {name!r}; expected one of {sorted(builders)}"
-        )
-    try:
-        return builders[name](seg_len, n_segments, **knobs)
-    except TypeError as exc:
-        raise InvalidArgumentError(f"bad task options for {name!r}: {exc}") from exc

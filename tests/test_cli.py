@@ -67,6 +67,20 @@ def test_retention_degenerate_system_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["retention", "simulate"])
+def test_unknown_task_exits_2(tmp_path, capsys, command):
+    """Commands that never build the task still refuse a task name the
+    config does not know, with one error line naming it."""
+    cfg = write_tiny_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("name = copy", "name = sorting"))
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'sorting'" in lines[0]
+
+
 def test_simulate_writes_trace_and_boundaries(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, "\n[retention]\nn_neurons = 2\n")
     out = tmp_path / "sim"

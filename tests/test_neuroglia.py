@@ -18,19 +18,19 @@ def default_setup(n=3, scale=2.0, **overrides):
 
 
 def test_geometry_positions_and_midpoints():
-    geo = ng.build_geometry(4, 0.5)
-    assert np.allclose(geo.positions, [0.0, 0.5, 1.0, 1.5])
+    d = ng.build_geometry(4, 0.5)
+    # neurons sit at 0, 0.5, 1.0, 1.5: synapse (i, i) sits at neuron i
+    assert np.allclose(d[0, [0, 5, 10, 15]], [0.0, 0.5, 1.0, 1.5])
     # synapse (0, 0) sits at 0 and synapse (1, 3) at the midpoint 1.0
-    assert geo.distances[0, 1 * 4 + 3] == pytest.approx(1.0)
+    assert d[0, 1 * 4 + 3] == pytest.approx(1.0)
     # synapses (i, j) and (j, i) share a midpoint
     for i in range(4):
         for j in range(4):
-            assert geo.distances[i * 4 + j, j * 4 + i] == 0.0
+            assert d[i * 4 + j, j * 4 + i] == 0.0
 
 
 def test_geometry_distance_matrix_properties():
-    geo = ng.build_geometry(3, 1.0)
-    d = geo.distances
+    d = ng.build_geometry(3, 1.0)
     assert d.shape == (9, 9)
     assert np.allclose(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
@@ -40,19 +40,17 @@ def test_geometry_distance_matrix_properties():
 
 
 def test_coupling_tensor_range_and_symmetry():
-    geo = ng.build_geometry(4, 1.0)
-    coup = ng.coupling_tensor(geo, 2.0)
-    m = coup.matrix
+    m = ng.coupling_tensor(ng.build_geometry(4, 1.0), 2.0)
     assert np.all(m > 0) and np.all(m <= 1.0)
     assert np.allclose(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
 
 
 def test_coupling_decays_with_scale():
-    geo = ng.build_geometry(3, 1.0)
-    near = ng.coupling_tensor(geo, 0.5).matrix
-    far = ng.coupling_tensor(geo, 3.0).matrix
-    separated = geo.distances > 0  # distinct-midpoint pairs only
+    d = ng.build_geometry(3, 1.0)
+    near = ng.coupling_tensor(d, 0.5)
+    far = ng.coupling_tensor(d, 3.0)
+    separated = d > 0  # distinct-midpoint pairs only
     assert np.all(far[separated] < near[separated])
     assert np.allclose(far[~separated], 1.0)
 
@@ -147,7 +145,6 @@ def test_step_matches_hand_rolled_euler_update():
         ltp=rng.uniform(0, 1, (n, n)),
         rate=rng.uniform(0, 5, n),
         spikes=(rng.uniform(0, 1, n) > 0.5).astype(float),
-        t=1.0,
     )
     spikes_in = np.zeros(n)
     new = ng.step(state, params, coupling, spikes_in)
@@ -171,7 +168,7 @@ def test_step_matches_hand_rolled_euler_update():
             )
             assert new.fac[i, j] == pytest.approx(fac_exp, rel=1e-12)
             influence = sum(
-                coupling.matrix[i * n + j, k * n + l] * np.tanh(state.stp[k, l])
+                coupling[i * n + j, k * n + l] * np.tanh(state.stp[k, l])
                 for k in range(n)
                 for l in range(n)
             )
@@ -204,6 +201,10 @@ def test_step_rejects_mismatched_sizes():
     state3 = ng.initial_state(3, params)
     with pytest.raises(InvalidArgumentError):
         ng.step(state3, params, coupling, np.zeros(2))
+    with pytest.raises(InvalidArgumentError):
+        ng.step(state3, params, coupling[:8, :8], np.zeros(3))
+    with pytest.raises(InvalidArgumentError):
+        ng.run_stp_cycles(params, coupling, 1, 1.0, ng.DriveSpec(10.0), initial=state)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +297,7 @@ def test_spatial_modulation_centre_exceeds_corner():
     """With proximity coupling, the central synapse's fast process outgrows
     the corner synapse's when both start from the same uniform level."""
     params = ng.SimParams(bias=0.1)
-    geo = ng.build_geometry(5, 1.0)
-    coupling = ng.coupling_tensor(geo, 2.0)
+    coupling = ng.coupling_tensor(ng.build_geometry(5, 1.0), 2.0)
     init = ng.initial_state(5, params, stp=0.05)
     trace = ng.run_stp_cycles(params, coupling, 1, 50.0, ng.DriveSpec(10.0), initial=init)
     centre_peak = trace.stp[:, 2, 2].max()

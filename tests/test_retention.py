@@ -190,6 +190,31 @@ def test_one_cycle_per_pattern_matches_multi_cycle_run():
 
 
 @pytest.mark.parametrize(
+    "drive_hz,cycle_seconds", [(10.0, 50.0), (3.3, 12.0)], ids=["periodic", "aperiodic"]
+)
+def test_cycle_simulated_alone_repeats_the_multi_cycle_run(drive_hz, cycle_seconds):
+    """The fast variables restart every cycle and ``ltp`` never feeds back,
+    so cycle c run alone from step c * spc repeats samples c * spc + 1 ..
+    (c + 1) * spc of a 3-cycle run bit for bit, on the same clock."""
+    params, extras = RunConfig(drive_hz=drive_hz, cycle_seconds=cycle_seconds).sim_params()
+    coupling = ng.coupling_tensor(
+        ng.build_geometry(extras["n_neurons"], extras["spacing"]), extras["scale"]
+    )
+    initial = ng.initial_state(extras["n_neurons"], params, stp=extras["init_stp"])
+    drive = ng.DriveSpec(drive_hz)
+    full = ng.run_stp_cycles(params, coupling, 3, cycle_seconds, drive, initial=initial)
+    spc = ng.steps_per_cycle(cycle_seconds, params.dt)
+    for c in (1, 2):
+        alone = ng.run_stp_cycles(
+            params, coupling, 1, cycle_seconds, drive, initial=initial, first_step=c * spc
+        )
+        window = slice(c * spc + 1, (c + 1) * spc + 1)
+        assert np.array_equal(alone.fac[1:], full.fac[window])
+        assert np.array_equal(alone.stp[1:], full.stp[window])
+        assert np.array_equal(alone.times, full.times[c * spc : (c + 1) * spc + 1])
+
+
+@pytest.mark.parametrize(
     "drive_hz,cycle_seconds,cycles,steps",
     [(10.0, 50.0, 1, 1250), (3.3, 12.0, 5, 1500)],
     ids=["periodic", "aperiodic"],

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from astroseq.errors import InvalidArgumentError
+from astroseq.config import RunConfig
+from astroseq.errors import ConfigError, InvalidArgumentError
 from astroseq.tasks import (
     CopyTask,
     KVRetrievalTask,
     ListOpsTask,
     PAD_ID,
-    make_task,
 )
 
 
@@ -178,13 +178,17 @@ def test_listops_segments_carry_expression():
 
 
 # ---------------------------------------------------------------------------
-# factory
+# choosing a task by name
 
 
-def test_make_task_dispatch_and_errors():
-    task = make_task("copy", seg_len=4, n_segments=2, n_classes=6)
-    assert task.spec.n_classes == 6
-    with pytest.raises(InvalidArgumentError):
-        make_task("sorting", seg_len=4, n_segments=2)
-    with pytest.raises(InvalidArgumentError):
-        make_task("copy", seg_len=4, n_segments=2, bogus=1)
+def test_run_config_task_dispatch_and_unknown_name():
+    """``RunConfig`` builds each named task with its own settings and
+    refuses a name it does not know when it is made."""
+    copy = RunConfig(task="copy", seg_len=4, n_segments=2, n_classes=6).build_task()
+    assert isinstance(copy, CopyTask) and copy.spec.n_classes == 6
+    kv = RunConfig(task="kv_retrieval", seg_len=6, n_segments=8, n_keys=5).build_task()
+    assert isinstance(kv, KVRetrievalTask) and kv.n_keys == 5
+    listops = RunConfig(task="listops", seg_len=8, n_segments=2, max_depth=1).build_task()
+    assert isinstance(listops, ListOpsTask) and listops.max_depth == 1
+    with pytest.raises(ConfigError, match="'sorting'"):
+        RunConfig(task="sorting")
