@@ -162,8 +162,8 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     if n_tokens == params.n_max:
         mix, read = params.pos_mix, params.pos_read
     else:
-        mix = ad.leading_block(params.pos_mix, n_tokens, n_tokens)
-        read = ad.leading_block(params.pos_read, n_tokens, params.m_hidden)
+        mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
+        read = ad.slice_rows(params.pos_read, 0, n_tokens)
     # Right to left, so every product is (n, n) x (n, m).
     return ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
 

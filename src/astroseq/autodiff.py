@@ -29,8 +29,11 @@ Design points that the rest of the package relies on:
   gradients are transient per sweep.
 * ``Tape.stored_floats`` counts the float64 entries of recorded
   intermediate values.  Leaves are excluded: they are the model, not
-  activations.  So is ``leading_block``, whose value is a view.  The
-  trainer uses this counter for its memory accounting.
+  activations.  So are views: ``slice_rows``, ``slice_cols`` and
+  ``transpose`` re-index their operand's value without copying it, which
+  is safe because no op writes into a ``value`` (parameter updates
+  replace the array).  The trainer uses this counter for its memory
+  accounting.
 """
 
 from __future__ import annotations
@@ -226,59 +229,135 @@ def matmul(a, b) -> ValueNode:
     )
 
 
+# ---------------------------------------------------------------------------
+# shape primitives
+#
+# Each kind has one implementation, told by ``axis``: -2 acts on rows, -1
+# on columns.
+
+_AXIS_NAME = {-2: "row", -1: "column"}
+
+
+def _span(axis: int, start: int, stop: int | None) -> tuple:
+    """The index selecting [start, stop) along ``axis``."""
+    return (slice(start, stop),) if axis == -2 else (slice(None), slice(start, stop))
+
+
+def _concat(op: str, a, b, axis: int) -> ValueNode:
+    other = -3 - axis
+    if a.value.shape[other] != b.value.shape[other]:
+        raise ShapeError(
+            f"{op}: {_AXIS_NAME[other]} counts of {a.value.shape} and {b.value.shape} differ"
+        )
+    split = a.value.shape[axis]
+    return _emit(
+        np.concatenate([a.value, b.value], axis=axis),
+        (a, b),
+        lambda g: (g[_span(axis, 0, split)], g[_span(axis, split, None)]),
+    )
+
+
+def _slice(op: str, a, start: int, stop: int, axis: int) -> ValueNode:
+    """A view of [start, stop) along ``axis``; start == stop yields an empty
+    slice, which callers use for optional blocks."""
+    size = a.value.shape[axis]
+    if not (0 <= start <= stop <= size):
+        raise InvalidArgumentError(
+            f"{op}: bad range [{start}, {stop}) for {size} {_AXIS_NAME[axis]}s"
+        )
+    span = _span(axis, start, stop)
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[span] = g
+        return (full,)
+
+    return _emit(a.value[span], (a,), vjp, view=True)
+
+
+def _sum(a, axis: int) -> ValueNode:
+    n = a.value.shape[axis]
+    return _emit(
+        a.value.sum(axis=axis, keepdims=True),
+        (a,),
+        lambda g: (np.repeat(g, n, axis=axis),),
+    )
+
+
+def _tile(op: str, a, n: int, axis: int) -> ValueNode:
+    if a.value.shape[axis] != 1:
+        raise ShapeError(f"{op} expects a single {_AXIS_NAME[axis]}, got {a.value.shape}")
+    if n < 1:
+        raise InvalidArgumentError(f"{op}: the count must be positive")
+    return _emit(
+        np.repeat(a.value, n, axis=axis),
+        (a,),
+        lambda g: (g.sum(axis=axis, keepdims=True),),
+    )
+
+
+def concat_rows(a, b) -> ValueNode:
+    return _concat("concat_rows", a, b, -2)
+
+
+def concat_cols(a, b) -> ValueNode:
+    return _concat("concat_cols", a, b, -1)
+
+
+def slice_rows(a, start: int, stop: int) -> ValueNode:
+    return _slice("slice_rows", a, start, stop, -2)
+
+
+def slice_cols(a, start: int, stop: int) -> ValueNode:
+    return _slice("slice_cols", a, start, stop, -1)
+
+
 def transpose(a) -> ValueNode:
-    return _emit(a.value.T.copy(), (a,), lambda g: (g.T,))
+    return _emit(a.value.T, (a,), lambda g: (g.T,), view=True)
 
 
 def row_sum(a) -> ValueNode:
     """Sum each row: (r, c) -> (r, 1)."""
-    r, c = a.value.shape
-    return _emit(
-        a.value.sum(axis=1, keepdims=True),
-        (a,),
-        lambda g: (np.repeat(g, c, axis=1),),
-    )
+    return _sum(a, -1)
 
 
 def col_sum(a) -> ValueNode:
     """Sum each column: (r, c) -> (1, c)."""
-    r, c = a.value.shape
-    return _emit(
-        a.value.sum(axis=0, keepdims=True),
-        (a,),
-        lambda g: (np.repeat(g, r, axis=0),),
-    )
+    return _sum(a, -2)
 
 
 def broadcast_col(a, n_cols: int) -> ValueNode:
     """Tile a column vector (r, 1) across n_cols columns."""
-    if a.value.shape[1] != 1:
-        raise ShapeError(f"broadcast_col expects a column vector, got {a.value.shape}")
-    if n_cols < 1:
-        raise InvalidArgumentError("broadcast_col: n_cols must be positive")
-    return _emit(
-        np.repeat(a.value, n_cols, axis=1),
-        (a,),
-        lambda g: (g.sum(axis=1, keepdims=True),),
-    )
+    return _tile("broadcast_col", a, n_cols, -1)
 
 
 def broadcast_row(a, n_rows: int) -> ValueNode:
     """Tile a row vector (1, c) across n_rows rows (bias addition helper)."""
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"broadcast_row expects a row vector, got {a.value.shape}")
-    if n_rows < 1:
-        raise InvalidArgumentError("broadcast_row: n_rows must be positive")
-    return _emit(
-        np.repeat(a.value, n_rows, axis=0),
-        (a,),
-        lambda g: (g.sum(axis=0, keepdims=True),),
-    )
+    return _tile("broadcast_row", a, n_rows, -2)
 
 
 def add_bias(x, bias) -> ValueNode:
     """Add a (1, c) bias row to every row of x."""
     return add(x, broadcast_row(bias, x.value.shape[0]))
+
+
+def embedding_rows(table, ids) -> ValueNode:
+    """Gather rows of a (vocab, d) table by integer id; backward scatter-adds."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    vocab = table.value.shape[0]
+    if ids.size == 0:
+        raise InvalidArgumentError("embedding_rows: empty id list")
+    if ids.min() < 0 or ids.max() >= vocab:
+        raise InvalidArgumentError(
+            f"embedding_rows: ids outside [0, {vocab}) (got {ids.min()}..{ids.max()})"
+        )
+
+    def vjp(g):
+        full = np.zeros_like(table.value)
+        np.add.at(full, ids, g)
+        return (full,)
+
+    return _emit(table.value[ids], (table,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -363,102 +442,6 @@ def softmax_rows(a) -> ValueNode:
         return (y * (g - inner),)
 
     return _emit(y, (a,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# structural primitives
-
-
-def concat_rows(a, b) -> ValueNode:
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(
-            f"concat_rows: column counts {a.value.shape} vs {b.value.shape} differ"
-        )
-    ra = a.value.shape[0]
-    return _emit(
-        np.concatenate([a.value, b.value], axis=0),
-        (a, b),
-        lambda g: (g[:ra], g[ra:]),
-    )
-
-
-def concat_cols(a, b) -> ValueNode:
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(
-            f"concat_cols: row counts {a.value.shape} vs {b.value.shape} differ"
-        )
-    ca = a.value.shape[1]
-    return _emit(
-        np.concatenate([a.value, b.value], axis=1),
-        (a, b),
-        lambda g: (g[:, :ca], g[:, ca:]),
-    )
-
-
-def slice_rows(a, start: int, stop: int) -> ValueNode:
-    r = a.value.shape[0]
-    # start == stop yields an empty slice; callers use it for optional blocks.
-    if not (0 <= start <= stop <= r):
-        raise InvalidArgumentError(f"slice_rows: bad range [{start}, {stop}) for {r} rows")
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit(a.value[start:stop].copy(), (a,), vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> ValueNode:
-    c = a.value.shape[1]
-    if not (0 <= start <= stop <= c):
-        raise InvalidArgumentError(f"slice_cols: bad range [{start}, {stop}) for {c} columns")
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _emit(a.value[:, start:stop].copy(), (a,), vjp)
-
-
-def leading_block(a, n_rows: int, n_cols: int) -> ValueNode:
-    """The top-left (n_rows, n_cols) block of ``a``.
-
-    Its value is a view of ``a``'s, which no op writes into, so the tape
-    stores no floats for it.
-    """
-    r, c = a.value.shape
-    if not (0 <= n_rows <= r and 0 <= n_cols <= c):
-        raise InvalidArgumentError(
-            f"leading_block: ({n_rows}, {n_cols}) does not fit in ({r}, {c})"
-        )
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[:n_rows, :n_cols] = g
-        return (full,)
-
-    return _emit(a.value[:n_rows, :n_cols], (a,), vjp, view=True)
-
-
-def embedding_rows(table, ids) -> ValueNode:
-    """Gather rows of a (vocab, d) table by integer id; backward scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    vocab = table.value.shape[0]
-    if ids.size == 0:
-        raise InvalidArgumentError("embedding_rows: empty id list")
-    if ids.min() < 0 or ids.max() >= vocab:
-        raise InvalidArgumentError(
-            f"embedding_rows: ids outside [0, {vocab}) (got {ids.min()}..{ids.max()})"
-        )
-
-    def vjp(g):
-        full = np.zeros_like(table.value)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return _emit(table.value[ids].copy(), (table,), vjp)
 
 
 # ---------------------------------------------------------------------------

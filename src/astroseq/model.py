@@ -40,7 +40,8 @@ class ModelConfig:
     ``seg_len`` counts sequence tokens per segment; ``mem_tokens`` rows are
     appended after them, so each attention block must hold
     ``seg_len + mem_tokens`` tokens.  ``mem_tokens`` may be zero, which
-    disables recurrence entirely (every segment then runs independently).
+    disables recurrence entirely (every segment then runs independently,
+    so each must hold a real token).
     """
 
     vocab_size: int
@@ -119,7 +120,6 @@ class SegmentBatch:
     ids: np.ndarray          # (n_segments, seg_len) int64
     mask: np.ndarray         # (n_segments, seg_len) float64, 1 = real token
     label: int | None = None
-    length: int = 0          # original token count before padding
 
     @property
     def n_segments(self) -> int:
@@ -158,7 +158,7 @@ def split_segments(
     flat_mask = mask.reshape(-1)
     flat_ids[: tokens.size] = tokens
     flat_mask[: tokens.size] = 1.0
-    return SegmentBatch(ids=ids, mask=mask, label=label, length=int(tokens.size))
+    return SegmentBatch(ids=ids, mask=mask, label=label)
 
 
 def _segment_rng(drop_seed, t: int):
@@ -351,6 +351,11 @@ class SegmentModel:
             )
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
+            if not self.config.mem_tokens and not batch.mask[t - 1].any():
+                raise InvalidArgumentError(
+                    f"segment {t} holds only padding and mem_tokens = 0 leaves it "
+                    "no row to attend over; set mem_tokens > 0 or fewer segments"
+                )
             out, mem_raw = self.segment_forward(
                 batch.ids[t - 1], batch.mask[t - 1], mem, pos, _segment_rng(drop_seed, t)
             )

@@ -222,8 +222,8 @@ def test_taped_positional_matrix_matches_left_to_right_product(n, n_max):
 
 
 def test_taped_positional_matrix_records_one_square_node():
-    """At the model's token count (n == n_max) the only (n, n) node is mix^T;
-    everything else the build records is (n, m)."""
+    """At the model's token count (n == n_max) the only (n, n) node is mix^T,
+    a view that stores nothing; everything else the build records is (n, m)."""
     n, m = 20, 6
     _, _, params = fresh(37, n=n, d=4, m=m)
     with ad.Tape() as tape:
@@ -231,20 +231,21 @@ def test_taped_positional_matrix_records_one_square_node():
     square = [node for node in tape._ops if node.shape == (n, n)]
     assert len(square) == 1
     assert square[0]._parents == (params.pos_mix,)
+    assert np.shares_memory(square[0].value, params.pos_mix.value)
     assert np.array_equal(square[0].value, params.pos_mix.value.T)
     assert all(node.shape == (n, m) for node in tape._ops if node is not square[0])
-    assert tape.stored_floats == n * n + 3 * n * m
+    assert tape.stored_floats == 3 * n * m
 
 
 def test_sliced_taped_positional_matrix_stores_what_the_full_one_does():
     """Below capacity the build reads the leading blocks of ``pos_mix`` and
-    ``pos_read`` as views, so it stores the n^2 + 3nm floats of the
-    n == n_max build, not an (n, n_max) slice."""
+    ``pos_read`` as views, so it stores the 3nm floats of the n == n_max
+    build, not an (n, n_max) slice."""
     n, n_max, m = 64, 256, 6
     _, _, params = fresh(43, n=n, d=4, m=m, n_max=n_max)
     with ad.Tape() as tape:
         at.positional_matrix(n, params)
-    assert tape.stored_floats == n * n + 3 * n * m
+    assert tape.stored_floats == 3 * n * m
 
 
 @pytest.mark.parametrize("op", [ad.matmul, ad.hadamard])

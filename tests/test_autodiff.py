@@ -109,7 +109,6 @@ def test_structural_gradients(seed):
     _check_op(lambda n: ad.concat_cols(n[0], n[1]), [a, c], seed)
     _check_op(lambda n: ad.slice_rows(n[0], 1, 3), [a], seed)
     _check_op(lambda n: ad.slice_cols(n[0], 0, 2), [a], seed)
-    _check_op(lambda n: ad.leading_block(n[0], 2, 3), [a], seed)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -348,21 +347,6 @@ def test_slice_range_errors():
         ad.slice_rows(a, 2, 1)
     with pytest.raises(InvalidArgumentError):
         ad.slice_cols(a, 0, 5)
-
-
-def test_leading_block_is_a_view_that_stores_nothing():
-    with ad.Tape() as tape:
-        x = ad.leaf(np.arange(12.0).reshape(3, 4))
-        block = ad.leading_block(x, 2, 3)
-        assert np.shares_memory(block.value, x.value)
-        assert np.array_equal(block.value, x.value[:2, :3])
-        assert tape.stored_floats == 0
-        ad.matmul(block, ad.transpose(block))
-        assert tape.stored_floats == 6 + 4
-    with pytest.raises(InvalidArgumentError):
-        ad.leading_block(x, 4, 1)
-    with pytest.raises(InvalidArgumentError):
-        ad.leading_block(x, 1, -1)
 
 
 def test_slice_empty_range_allowed():

@@ -140,6 +140,22 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     assert 0.0 <= payload["val_acc"] <= 1.0
 
 
+def test_listops_without_memory_names_the_padding_segment(tmp_path, capsys):
+    """Short ListOps expressions leave the last segments all padding; with
+    no memory rows such a segment has nothing to attend over."""
+    path = tmp_path / "listops.ini"
+    path.write_text(
+        "[task]\nname = listops\nseg_len = 8\nn_segments = 4\n"
+        "[model]\nd_model = 8\nm_hidden = 4\nffn_dim = 8\nmem_tokens = 0\n"
+        "[training]\nepochs = 1\nbatch_size = 8\ntrain_samples = 8\nval_samples = 8\n"
+    )
+    code = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: segment ") and "mem_tokens = 0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     code = main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt")])

@@ -49,7 +49,7 @@ def test_split_segments_pads_and_masks():
     assert batch.ids.tolist() == [[3, 4, 5], [6, 1, 0]]
     assert batch.mask.tolist() == [[1, 1, 1], [1, 1, 0]]
     assert batch.label == 1
-    assert batch.length == 5
+    assert int(batch.mask.sum()) == 5
     assert batch.n_segments == 2
 
 

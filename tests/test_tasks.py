@@ -173,7 +173,7 @@ def test_listops_segments_carry_expression():
     task = ListOpsTask(seg_len=4, n_segments=4)
     batch = task.dataset(1, seed=3)[0]
     assert batch.mask[0].all()
-    flat = batch.ids.reshape(-1)[: batch.length]
+    flat = batch.ids.reshape(-1)[: int(batch.mask.sum())]
     assert eval_listops_tokens(flat) == batch.label
 
 
