@@ -169,19 +169,20 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
 
 
 def _mask_tile(mask, n_rows: int, n_cols: int) -> ValueNode:
-    mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-    if mask.shape[0] != n_rows:
-        raise ShapeError(f"mask has {mask.shape[0]} entries for {n_rows} rows")
-    if not mask.any():
+    """A (n_rows,) mask, or a (B, n_rows) stack of them, tiled to n_cols."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim not in (1, 2) or mask.shape[-1] != n_rows:
+        raise ShapeError(f"mask of shape {mask.shape} does not cover {n_rows} rows")
+    if not mask.any(axis=-1).all():
         raise InvalidArgumentError("mask excludes every row; nothing to write")
-    return ad.constant(np.repeat(mask[:, None], n_cols, axis=1))
+    return ad.constant(np.repeat(mask[..., None], n_cols, axis=-1))
 
 
 def _head_cols(a: ValueNode, h: int, n_heads: int) -> ValueNode:
     """Head ``h``'s block of columns; with one head, ``a`` itself (no copy)."""
     if n_heads == 1:
         return a
-    width = a.shape[1] // n_heads
+    width = a.shape[-1] // n_heads
     return ad.slice_cols(a, h * width, (h + 1) * width)
 
 
@@ -197,9 +198,10 @@ def astro_attention(
     ``positional_matrix`` builds it; without it the block builds its own.
     ``mask`` marks valid rows with 1; masked rows contribute nothing to any
     summary.  Several heads split the m and d axes evenly and ``w_out``
-    recombines them.
+    recombines them.  A (B, n, d) stack ``x`` takes a (B, n) stack of masks
+    and attends within each of its B matrices.
     """
-    n, d = x.shape
+    n, d = x.shape[-2:]
     if d != params.d_model:
         raise ShapeError(f"x has width {d}, parameters expect {params.d_model}")
     heads = params.n_heads
@@ -228,7 +230,7 @@ def astro_attention(
         feedback = ad.reciprocal(ad.matmul(phi_q, ad.transpose(key_norm)))
         hebb = ad.add(hebb_keys, hebb_pos)
         y = ad.matmul(phi_q, hebb)
-        y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[1]))
+        y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[-1]))
         out = y if h == 0 else ad.concat_cols(out, y)
     if heads > 1:
         out = ad.matmul(out, params.w_out)

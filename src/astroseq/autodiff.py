@@ -1,10 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-Everything is a 2-D numpy array wrapped in a :class:`ValueNode`; every
-primitive takes nodes, so wrap arrays with :func:`leaf` or :func:`constant`.
-Operations executed inside a ``with Tape():`` block record their inputs and
-a vector-Jacobian closure; outside a tape they compute values only, which
-is what the replay-based trainer uses for its gradient-free forward pass.
+Everything is a numpy array of at least two dimensions wrapped in a
+:class:`ValueNode`; every primitive takes nodes, so wrap arrays with
+:func:`leaf` or :func:`constant`.  Operations executed inside a
+``with Tape():`` block record their inputs and a vector-Jacobian closure;
+outside a tape they compute values only, which is what the replay-based
+trainer uses for its gradient-free forward pass.
+
+Every primitive acts on the last two axes and carries any leading axes
+along, so a (B, r, c) stack runs B matrices through one op; a plain
+(r, c) matrix is the case with no leading axes.  ``add``, ``subtract``,
+``hadamard``, ``matmul`` and the concatenations also take a 2-D operand
+beside a stacked one: every matrix of the stack uses it, and its
+gradient is summed over the leading axes.  That is how one parameter,
+memory seed or positional summary serves a whole stack.
 
 Design points that the rest of the package relies on:
 
@@ -102,7 +111,8 @@ class Tape:
 
 
 class ValueNode:
-    """A float64 matrix plus the bookkeeping needed for reverse mode.
+    """A float64 matrix, or a stack of them, plus the bookkeeping needed for
+    reverse mode.
 
     ``grad`` is a zero-initialized accumulator of the same shape.  It is
     only ever populated for leaves; read it after backward.
@@ -112,8 +122,8 @@ class ValueNode:
 
     def __init__(self, value, requires_grad: bool = False):
         arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"ValueNode requires a 2-D matrix, got shape {arr.shape}")
+        if arr.ndim < 2:
+            raise ShapeError(f"ValueNode requires a matrix or a stack of them, got {arr.shape}")
         self.value = arr
         self.requires_grad = requires_grad
         self._grad: np.ndarray | None = None
@@ -122,7 +132,7 @@ class ValueNode:
         self._tape: Tape | None = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     @property
@@ -182,9 +192,28 @@ def _emit(value: np.ndarray, parents: tuple[ValueNode, ...], vjp, view: bool = F
     return node
 
 
-def _require_same_shape(a: ValueNode, b: ValueNode, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+def _lead(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    """The leading axes of a result from operands of shapes ``sa`` and
+    ``sb``: theirs where they agree, or the stacked one's beside a 2-D one."""
+    if len(sa) > 2 and len(sb) > 2 and sa[:-2] != sb[:-2]:
+        raise ShapeError(f"{op}: leading axes of {sa} and {sb} differ")
+    return sa[:-2] or sb[:-2]
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` summed over the leading axes an operand of ``shape`` lacks."""
+    extra = g.ndim - len(shape)
+    if not extra:
+        return g
+    return g.sum(axis=tuple(range(extra)))
+
+
+def _require_same_matrix(a, b, op: str) -> None:
+    sa, sb = a.value.shape, b.value.shape
+    if sa != sb:
+        _lead(op, sa, sb)
+        if sa[-2:] != sb[-2:]:
+            raise ShapeError(f"{op}: shapes {sa} and {sb} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +221,29 @@ def _require_same_shape(a: ValueNode, b: ValueNode, op: str) -> None:
 
 
 def add(a, b) -> ValueNode:
-    _require_same_shape(a, b, "add")
-    return _emit(a.value + b.value, (a, b), lambda g: (g, g))
+    _require_same_matrix(a, b, "add")
+    sa, sb = a.value.shape, b.value.shape
+    return _emit(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def subtract(a, b) -> ValueNode:
-    _require_same_shape(a, b, "subtract")
-    return _emit(a.value - b.value, (a, b), lambda g: (g, -g))
+    _require_same_matrix(a, b, "subtract")
+    sa, sb = a.value.shape, b.value.shape
+    return _emit(
+        a.value - b.value, (a, b), lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb))
+    )
 
 
 def hadamard(a, b) -> ValueNode:
-    _require_same_shape(a, b, "hadamard")
+    _require_same_matrix(a, b, "hadamard")
     av, bv = a.value, b.value
     return _emit(
         av * bv,
         (a, b),
-        lambda g: (g * bv if a.requires_grad else None, g * av if b.requires_grad else None),
+        lambda g: (
+            _unbroadcast(g * bv, av.shape) if a.requires_grad else None,
+            _unbroadcast(g * av, bv.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -217,16 +253,17 @@ def scalar_mul(a, c: float) -> ValueNode:
 
 
 def matmul(a, b) -> ValueNode:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not align"
-        )
     av, bv = a.value, b.value
-    return _emit(
-        av @ bv,
-        (a, b),
-        lambda g: (g @ bv.T if a.requires_grad else None, av.T @ g if b.requires_grad else None),
-    )
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions {av.shape} x {bv.shape} do not align")
+    _lead("matmul", av.shape, bv.shape)
+
+    def vjp(g):
+        ga = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape) if a.requires_grad else None
+        gb = _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _emit(av @ bv, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +277,29 @@ _AXIS_NAME = {-2: "row", -1: "column"}
 
 def _span(axis: int, start: int, stop: int | None) -> tuple:
     """The index selecting [start, stop) along ``axis``."""
-    return (slice(start, stop),) if axis == -2 else (slice(None), slice(start, stop))
+    if axis == -2:
+        return (..., slice(start, stop), slice(None))
+    return (..., slice(start, stop))
 
 
 def _concat(op: str, a, b, axis: int) -> ValueNode:
     other = -3 - axis
-    if a.value.shape[other] != b.value.shape[other]:
-        raise ShapeError(
-            f"{op}: {_AXIS_NAME[other]} counts of {a.value.shape} and {b.value.shape} differ"
-        )
-    split = a.value.shape[axis]
+    sa, sb = a.value.shape, b.value.shape
+    lead = _lead(op, sa, sb)
+    if sa[other] != sb[other]:
+        raise ShapeError(f"{op}: {_AXIS_NAME[other]} counts of {sa} and {sb} differ")
+    split = sa[axis]
+    value = np.concatenate(
+        [np.broadcast_to(a.value, lead + sa[-2:]), np.broadcast_to(b.value, lead + sb[-2:])],
+        axis=axis,
+    )
     return _emit(
-        np.concatenate([a.value, b.value], axis=axis),
+        value,
         (a, b),
-        lambda g: (g[_span(axis, 0, split)], g[_span(axis, split, None)]),
+        lambda g: (
+            _unbroadcast(g[_span(axis, 0, split)], sa),
+            _unbroadcast(g[_span(axis, split, None)], sb),
+        ),
     )
 
 
@@ -313,7 +359,7 @@ def slice_cols(a, start: int, stop: int) -> ValueNode:
 
 
 def transpose(a) -> ValueNode:
-    return _emit(a.value.T, (a,), lambda g: (g.T,), view=True)
+    return _emit(a.value.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),), view=True)
 
 
 def row_sum(a) -> ValueNode:
@@ -338,13 +384,16 @@ def broadcast_row(a, n_rows: int) -> ValueNode:
 
 def add_bias(x, bias) -> ValueNode:
     """Add a (1, c) bias row to every row of x."""
-    return add(x, broadcast_row(bias, x.value.shape[0]))
+    return add(x, broadcast_row(bias, x.value.shape[-2]))
 
 
 def embedding_rows(table, ids) -> ValueNode:
-    """Gather rows of a (vocab, d) table by integer id; backward scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    vocab = table.value.shape[0]
+    """Gather rows of a (vocab, d) table by integer id; backward scatter-adds.
+
+    (n,) ids give an (n, d) matrix and (B, n) ids a (B, n, d) stack.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    vocab, d = table.value.shape
     if ids.size == 0:
         raise InvalidArgumentError("embedding_rows: empty id list")
     if ids.min() < 0 or ids.max() >= vocab:
@@ -354,7 +403,7 @@ def embedding_rows(table, ids) -> ValueNode:
 
     def vjp(g):
         full = np.zeros_like(table.value)
-        np.add.at(full, ids, g)
+        np.add.at(full, ids.ravel(), g.reshape(-1, d))
         return (full,)
 
     return _emit(table.value[ids], (table,), vjp)
@@ -407,24 +456,24 @@ def reciprocal(a) -> ValueNode:
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
     """Row-wise layer normalization with learnable (1, c) gain and bias."""
-    n, c = x.value.shape
+    c = x.value.shape[-1]
     if gain.value.shape != (1, c) or bias.value.shape != (1, c):
         raise ShapeError(
             f"layer_norm: gain/bias must be (1, {c}), got {gain.value.shape} and {bias.value.shape}"
         )
-    mu = x.value.mean(axis=1, keepdims=True)
+    mu = x.value.mean(axis=-1, keepdims=True)
     centered = x.value - mu
-    var = (centered**2).mean(axis=1, keepdims=True)
+    var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = xhat * gain.value + bias.value
 
     def vjp(g):
-        d_gain = (g * xhat).sum(axis=0, keepdims=True)
-        d_bias = g.sum(axis=0, keepdims=True)
+        d_gain = _unbroadcast((g * xhat).sum(axis=-2, keepdims=True), (1, c))
+        d_bias = _unbroadcast(g.sum(axis=-2, keepdims=True), (1, c))
         d_xhat = g * gain.value
-        mean_d = d_xhat.mean(axis=1, keepdims=True)
-        mean_dx = (d_xhat * xhat).mean(axis=1, keepdims=True)
+        mean_d = d_xhat.mean(axis=-1, keepdims=True)
+        mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
         d_x = inv_std * (d_xhat - mean_d - xhat * mean_dx)
         return (d_x, d_gain, d_bias)
 
@@ -433,12 +482,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
 
 def softmax_rows(a) -> ValueNode:
     x = a.value
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
     return _emit(y, (a,), vjp)
@@ -449,38 +498,37 @@ def softmax_rows(a) -> ValueNode:
 
 
 def mse(pred, target) -> ValueNode:
-    """Mean squared error against a constant target, as a (1, 1) node."""
+    """Mean squared error against a constant target: (1, 1) for a matrix,
+    (B, 1, 1) for a stack, one mean each."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.value.shape:
         raise ShapeError(f"mse: target shape {target.shape} vs pred {pred.value.shape}")
     diff = pred.value - target
-    size = diff.size
-    out = np.array([[float((diff**2).mean())]])
-    return _emit(out, (pred,), lambda g: (g[0, 0] * 2.0 * diff / size,))
+    size = diff.shape[-2] * diff.shape[-1]
+    out = (diff**2).mean(axis=(-2, -1), keepdims=True)
+    return _emit(out, (pred,), lambda g: (g * 2.0 * diff / size,))
 
 
 def cross_entropy(logits, labels) -> ValueNode:
-    """Mean cross-entropy of (n, c) logits against integer labels, as (1, 1)."""
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    n, c = logits.value.shape
-    if labels.shape[0] != n:
-        raise ShapeError(f"cross_entropy: {labels.shape[0]} labels for {n} rows")
+    """Mean cross-entropy of (..., n, c) logits against integer labels, one
+    per row: (1, 1) for a matrix, (B, 1, 1) for a stack, one mean each."""
+    x = logits.value
+    *lead, n, c = x.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size != x.size // c:
+        raise ShapeError(f"cross_entropy: {labels.size} labels for {x.size // c} rows")
+    labels = labels.reshape(*lead, n, 1)
     if labels.min() < 0 or labels.max() >= c:
         raise InvalidArgumentError(f"cross_entropy: labels outside [0, {c})")
-    x = logits.value
-    shifted = x - x.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_z
-    picked = log_probs[np.arange(n), labels]
-    out = np.array([[float(-picked.mean())]])
+    picked = np.take_along_axis(log_probs, labels, axis=-1)
+    out = -picked.mean(axis=-2, keepdims=True)
     probs = np.exp(log_probs)
+    one_hot = labels == np.arange(c)
 
-    def vjp(g):
-        grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
-        return (g[0, 0] * grad / n,)
-
-    return _emit(out, (logits,), vjp)
+    return _emit(out, (logits,), lambda g: (g * (probs - one_hot) / n,))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Commands:
 * ``retention``  derive a memory-retention schedule from the system
 * ``gradcheck``  compare replay gradients against full backprop
 * ``train``      train a segment model per the run config
-* ``bench``      time the attention block, both gradient algorithms and
+* ``bench``      time the attention block, both gradient algorithms (one
+                 sample and one stacked optimizer step), evaluation and
                  the retention schedule's derivation
 * ``eval``       score a checkpoint, under the run it stores, on fresh
                  validation data; a ``--config`` must describe that run
@@ -34,6 +35,7 @@ from .config import RunConfig, load_run_config
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, InvalidArgumentError
 from .harness import (
     bench_attention,
+    bench_evaluation,
     bench_retention,
     bench_rollouts,
     eval_run,
@@ -84,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common(train)
     train.set_defaults(handler=cmd_train)
 
-    bench = commands.add_parser("bench", help="attention, rollout and retention timings")
+    bench = commands.add_parser(
+        "bench", help="attention, rollout, evaluation and retention timings"
+    )
     _common(bench)
     bench.add_argument(
         "--sizes", default="128,256,512,1024",
@@ -239,6 +243,7 @@ def cmd_bench(args) -> int:
     payload = {
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
         "rollouts": bench_rollouts(cfg, seed=args.seed),
+        "evaluation": bench_evaluation(cfg, seed=args.seed),
         "retention": bench_retention(cfg),
     }
     _emit(payload, out_dir, "bench.json")

@@ -6,6 +6,14 @@ schema 1) with per-epoch metrics, the retention schedule used, storage
 accounting from the gradient rollouts, and a digest of the final
 parameters.  Everything in the record except wall-clock timings is
 deterministic for a given config and seed.
+
+Training and evaluation run samples in stacks (``model.stack_batches``):
+each stack is one graph whose primitives carry the sample axis along, so
+the interpreter's cost per tape op is paid once per stack, not once per
+sample.  A stack holds ``max(1, STACK_ROWS // n_tokens)`` samples, where
+``n_tokens`` is the rows of one attention call, so a stack's working set
+stays near that of one sample with ``STACK_ROWS`` rows whatever the
+segment length.  A training stack never crosses an optimizer step.
 """
 
 from __future__ import annotations
@@ -20,12 +28,29 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
-from .model import SegmentModel
+from .model import ModelConfig, SegmentModel, stack_batches
 from .retention import RetentionSchedule, drive_patterns, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
-from .trainer import AdamW, PositionalStep, amrb_rollout, bptt_rollout, classification_loss
+from .trainer import (
+    AdamW,
+    GradReport,
+    PositionalStep,
+    amrb_rollout,
+    bptt_rollout,
+    classification_loss,
+)
 
 RECORD_SCHEMA = 1
+
+# Attention rows per stack.  At 256, the README key-value config (10 rows
+# a call) stacks 25 samples and a 256-row segment one.
+STACK_ROWS = 256
+
+
+def stack_samples(config: ModelConfig) -> int:
+    """Samples per stack: as many as fill ``STACK_ROWS`` attention rows, at
+    least one."""
+    return max(1, STACK_ROWS // config.n_tokens)
 
 
 def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
@@ -41,15 +66,34 @@ def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
 
 
 def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:
+    """Share of ``data`` predicted right, walked in stacks of
+    ``stack_samples`` with R built once for all of them."""
     if not data:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     correct = 0
     pos = model.positional()
-    for batch in data:
-        label, _ = model.predict(batch, schedule, pos)
-        if label == batch.label:
-            correct += 1
+    per_stack = stack_samples(model.config)
+    for start in range(0, len(data), per_stack):
+        batch = stack_batches(data[start : start + per_stack])
+        labels, _ = model.predict(batch, schedule, pos)
+        correct += int(np.sum(labels == batch.label))
     return correct / len(data)
+
+
+def _train_step(model, rollout, samples, schedule, loss_mode, drop_seeds) -> list[GradReport]:
+    """Gradients of one optimizer step's ``samples``, summed into the
+    parameters: one rollout per stack, sharing one R build.  ``drop_seeds``
+    holds one dropout seed per sample, or is None."""
+    per_stack = stack_samples(model.config)
+    step = PositionalStep(model)
+    reports = []
+    for start in range(0, len(samples), per_stack):
+        batch = stack_batches(samples[start : start + per_stack])
+        seeds = None if drop_seeds is None else drop_seeds[start : start + per_stack]
+        loss_fn = classification_loss(model, batch, mode=loss_mode)
+        reports.append(rollout(model, batch, schedule, loss_fn, seeds, step))
+    step.backward()
+    return reports
 
 
 def params_digest(model: SegmentModel) -> str:
@@ -106,17 +150,15 @@ def train_run(
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             optimizer.zero_grad()
-            step = PositionalStep(model)
-            for idx in chunk:
-                batch = train_data[idx]
-                drop_seed = (seed, epoch, int(idx)) if dropout_active else None
-                loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
-                report = rollout(model, batch, schedule, loss_fn, drop_seed, step)
+            drop_seeds = [(seed, epoch, int(idx)) for idx in chunk] if dropout_active else None
+            samples = [train_data[idx] for idx in chunk]
+            for report in _train_step(
+                model, rollout, samples, schedule, cfg.loss_mode, drop_seeds
+            ):
                 loss_sum += report.total_loss
                 mem = report.memory_report()
                 for key in peak_report:
                     peak_report[key] = max(peak_report[key], mem[key])
-            step.backward()
             inv = 1.0 / len(chunk)
             for p in model.parameters():
                 p.grad[...] *= inv
@@ -147,7 +189,8 @@ def train_run(
             "best_val_acc": best_val,
             "epochs_run": len(epochs),
         },
-        "memory": peak_report,
+        # The peaks are of one stacked rollout of up to stack_samples samples.
+        "memory": {**peak_report, "stack_samples": stack_samples(model.config)},
         "param_digest": params_digest(model),
         "wall_seconds": time.perf_counter() - started,
     }
@@ -221,11 +264,13 @@ def bench_attention(
     repeats: int = 5,
     seed: int = 0,
 ) -> list[dict]:
-    """Wall-clock of the linear-cost block against quadratic softmax.
+    """Wall-clock and CPU time of the linear-cost block against quadratic
+    softmax.
 
     Each row times a tape-free forward at one token count (best of
-    ``repeats``), given R built before timing.  The softmax reference is
-    timed on precomputed Q, K, V so it measures only the quadratic mixing.
+    ``repeats``, CPU time their mean), given R built before timing.  The
+    softmax reference is timed on precomputed Q, K, V so it measures only
+    the quadratic mixing.
     """
     from . import attention as at, autodiff as ad
 
@@ -242,17 +287,15 @@ def bench_attention(
         v = x_val @ arrays["w_value"]
         pos = at.positional_matrix(n, params)
         at.astro_attention(x, params, pos)  # warm-up
-        best_astro = min(
-            _timed(lambda: at.astro_attention(x, params, pos)) for _ in range(repeats)
-        )
-        best_softmax = min(
-            _timed(lambda: _softmax_attention_reference(q, k, v)) for _ in range(repeats)
-        )
+        astro = _best(lambda: at.astro_attention(x, params, pos), repeats)
+        softmax = _best(lambda: _softmax_attention_reference(q, k, v), repeats)
         rows.append(
             {
                 "n_tokens": n,
-                "astro_seconds": best_astro,
-                "softmax_seconds": best_softmax,
+                "astro_seconds": astro[0],
+                "astro_cpu_seconds": astro[1],
+                "softmax_seconds": softmax[0],
+                "softmax_cpu_seconds": softmax[1],
             }
         )
     return rows
@@ -264,6 +307,16 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def _best(fn, repeats: int) -> tuple[float, float]:
+    """The least wall-clock seconds of ``repeats`` calls, and their mean
+    process CPU seconds.  The CPU clock is read only around all the calls:
+    read around each, it slowed a 128-token attention call by half on a
+    shared 2-core Linux machine."""
+    cpu = time.process_time()
+    wall = min(_timed(fn) for _ in range(repeats))
+    return wall, (time.process_time() - cpu) / repeats
+
+
 def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     """Time one schedule derivation per segment count on the config's
     experiment: wall-clock and process CPU seconds, and how many cycles it
@@ -271,37 +324,75 @@ def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     params, extras = cfg.sim_params()
     rows = []
     for n_segments in segment_counts:
-        wall, cpu = time.perf_counter(), time.process_time()
-        retention_schedule(n_segments, params, extras)
+        wall, cpu = _best(lambda: retention_schedule(n_segments, params, extras), 1)
         rows.append(
             {
                 "n_segments": n_segments,
-                "seconds": time.perf_counter() - wall,
-                "cpu_seconds": time.process_time() - cpu,
+                "seconds": wall,
+                "cpu_seconds": cpu,
                 "simulated_cycles": len(drive_patterns(n_segments, params, extras)[0]),
             }
         )
     return rows
 
 
-def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
-    """Compare the two gradient algorithms on one sample: time and storage."""
+def _bench_setup(cfg: RunConfig, seed: int):
     task = cfg.build_task()
     spec = task.spec
     model = SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
-    schedule = resolve_schedule(cfg)
-    batch = task.dataset(1, seed)[0]
+    return task, model, resolve_schedule(cfg)
+
+
+def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
+    """Compare the two gradient algorithms: time and storage.
+
+    Per algorithm, best of ``repeats`` after a warm-up (CPU time their
+    mean): ``seconds`` for one sample's rollout, whose counted storage the
+    row reports, and ``step_seconds`` for the gradients of one optimizer
+    step of ``batch_size`` samples, stacked as ``train_run`` stacks them.
+    No update is made, so every repeat sees the same parameters.
+    """
+    task, model, schedule = _bench_setup(cfg, seed)
+    samples = task.dataset(cfg.batch_size, seed)
+    batch = samples[0]
     out = {}
     for name, rollout in (("amrb", amrb_rollout), ("bptt", bptt_rollout)):
         loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
-        model.zero_grads()
-        rollout(model, batch, schedule, loss_fn)  # warm-up
-        times = []
-        report = None
-        for _ in range(repeats):
-            model.zero_grads()
-            start = time.perf_counter()
-            report = rollout(model, batch, schedule, loss_fn)
-            times.append(time.perf_counter() - start)
-        out[name] = {"seconds": min(times), **report.memory_report()}
+        reports = []
+
+        def one():
+            reports.append(rollout(model, batch, schedule, loss_fn))
+
+        def step():
+            _train_step(model, rollout, samples, schedule, cfg.loss_mode, None)
+
+        one()  # warm-up
+        step()
+        seconds, cpu = _best(one, repeats)
+        step_seconds, step_cpu = _best(step, repeats)
+        out[name] = {
+            "seconds": seconds,
+            "cpu_seconds": cpu,
+            "step_samples": len(samples),
+            "step_seconds": step_seconds,
+            "step_cpu_seconds": step_cpu,
+            **reports[-1].memory_report(),
+        }
     return out
+
+
+def bench_evaluation(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
+    """Evaluation throughput: ``evaluate_accuracy`` over ``val_samples``
+    validation samples, best of ``repeats`` after a warm-up (CPU time
+    their mean)."""
+    task, model, schedule = _bench_setup(cfg, seed)
+    data = task.dataset(cfg.val_samples, seed, split=1)
+    evaluate_accuracy(model, data, schedule)  # warm-up
+    seconds, cpu = _best(lambda: evaluate_accuracy(model, data, schedule), repeats)
+    return {
+        "samples": len(data),
+        "stack_samples": stack_samples(model.config),
+        "seconds": seconds,
+        "cpu_seconds": cpu,
+        "samples_per_s": len(data) / seconds,
+    }

@@ -9,6 +9,13 @@ segment's valid rows together with the final memory.  ``segments`` is
 the one walk: prediction, full backprop and both passes of replay take
 it, so the retention factor is applied in one place.
 
+A :class:`SegmentBatch` holds one sequence or a stack of B of them
+(``stack_batches``).  Every autodiff primitive acts on the last two axes
+and carries leading ones along, so a stack walks the segments as one
+(B, rows, d) graph: each sample attends, pools and is scored within its
+own matrix, while the parameters, the memory seed and the positional
+summaries are 2-D and shared by the whole stack.
+
 Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
 belongs to no tape, so one parameter set serves every tape the trainer
 records, and each reverse sweep adds straight into the parameters'
@@ -20,7 +27,7 @@ parameter version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,15 +122,31 @@ class Parameter(ValueNode):
 
 @dataclass(frozen=True)
 class SegmentBatch:
-    """One sequence split into per-segment id and validity-mask rows."""
+    """One sequence split into per-segment id and validity-mask rows, or a
+    stack of B such sequences with one label each."""
 
-    ids: np.ndarray          # (n_segments, seg_len) int64
-    mask: np.ndarray         # (n_segments, seg_len) float64, 1 = real token
-    label: int | None = None
+    ids: np.ndarray          # ([B,] n_segments, seg_len) int64
+    mask: np.ndarray         # ([B,] n_segments, seg_len) float64, 1 = real token
+    label: int | np.ndarray | None = None  # an int, or (B,) int64 for a stack
 
     @property
     def n_segments(self) -> int:
-        return self.ids.shape[0]
+        return self.ids.shape[-2]
+
+    @property
+    def stacked(self) -> bool:
+        return self.ids.ndim == 3
+
+
+def stack_batches(batches: Sequence[SegmentBatch]) -> SegmentBatch:
+    """Stack labeled single sequences: ids and masks (B, T, s), labels (B,)."""
+    if not batches:
+        raise InvalidArgumentError("cannot stack zero sequences")
+    return SegmentBatch(
+        ids=np.stack([b.ids for b in batches]),
+        mask=np.stack([b.mask for b in batches]),
+        label=np.array([b.label for b in batches], dtype=np.int64),
+    )
 
 
 def split_segments(
@@ -163,9 +186,12 @@ def split_segments(
 
 def _segment_rng(drop_seed, t: int):
     """Per-segment dropout generator; a tuple seed scopes it further
-    (e.g. (master, epoch, sample)) while staying replay-stable."""
+    (e.g. (master, epoch, sample)) while staying replay-stable.  A list
+    holds one seed per stacked sample and gives one generator each."""
     if drop_seed is None:
         return None
+    if isinstance(drop_seed, list):
+        return [_segment_rng(seed, t) for seed in drop_seed]
     if isinstance(drop_seed, tuple):
         head, *rest = drop_seed
         return spawn(head, STREAM_DROPOUT, *rest, t)
@@ -247,12 +273,17 @@ class SegmentModel:
         rate = self.config.dropout
         if rng is None or rate == 0.0:
             return node
-        keep = (rng.random(node.shape) >= rate).astype(np.float64) / (1.0 - rate)
+        if node.value.ndim == 2:
+            draw = rng.random(node.shape)
+        else:  # each stacked sample draws its mask from its own generator
+            draw = np.stack([r.random(node.shape[1:]) for r in rng])
+        keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
         return ad.hadamard(node, ad.constant(keep))
 
     def _with_memory(self, mask: np.ndarray) -> np.ndarray:
         """A segment's token ``mask`` followed by 1 for each memory row."""
-        return np.concatenate([mask, np.ones(self.config.mem_tokens)])
+        ones = np.ones(mask.shape[:-1] + (self.config.mem_tokens,))
+        return np.concatenate([mask, ones], axis=-1)
 
     def positional(self) -> tuple[ValueNode, ...]:
         """Each block's positional summary R (taped when a tape is active)."""
@@ -268,8 +299,11 @@ class SegmentModel:
     ) -> tuple[ValueNode, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
-        ``memory`` is the carried state entering this segment; the returned
-        memory is unscaled (``segments`` applies the retention factor).
+        ``ids`` and ``mask`` hold ``seg_len`` entries, or (B, seg_len) for a
+        stack; then the rows come back stacked and ``drop_rng`` is a list
+        of B generators.  ``memory`` is the carried state entering this
+        segment, (mem_tokens, d) or stacked; the returned memory is
+        unscaled (``segments`` applies the retention factor).
         ``pos`` holds each block's R, as ``positional`` builds it.
         Memory rows are always valid in the attention mask.  Dropout is
         applied only when ``drop_rng`` is given (training); it must be a
@@ -277,16 +311,17 @@ class SegmentModel:
         same masks.
         """
         cfg = self.config
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        mask = np.asarray(mask, dtype=np.float64).ravel()
-        if ids.shape[0] != cfg.seg_len or mask.shape[0] != cfg.seg_len:
+        ids = np.asarray(ids, dtype=np.int64)
+        mask = np.asarray(mask, dtype=np.float64)
+        if ids.ndim not in (1, 2) or ids.shape[-1] != cfg.seg_len or mask.shape != ids.shape:
             raise ShapeError(
-                f"segment needs {cfg.seg_len} ids and mask entries, "
-                f"got {ids.shape[0]} and {mask.shape[0]}"
+                f"segment needs {cfg.seg_len} ids and mask entries per sample, "
+                f"got shapes {ids.shape} and {mask.shape}"
             )
-        if memory.shape != (cfg.mem_tokens, cfg.d_model):
+        lead = memory.shape[:-2]
+        if memory.shape[-2:] != (cfg.mem_tokens, cfg.d_model) or lead not in ((), ids.shape[:-1]):
             raise ShapeError(
-                f"memory must be {(cfg.mem_tokens, cfg.d_model)}, got {memory.shape}"
+                f"memory must be {(cfg.mem_tokens, cfg.d_model)} per sample, got {memory.shape}"
             )
         p = self.params
         x = ad.embedding_rows(p["embed"], ids)
@@ -313,16 +348,17 @@ class SegmentModel:
         return out, mem_out
 
     def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
-        """Logits from mean-pooling valid final-segment rows and memory rows."""
+        """Logits from mean-pooling valid final-segment rows and memory rows:
+        (1, n_classes), or (B, 1, n_classes) for a stack."""
         cfg = self.config
-        mask = np.asarray(mask, dtype=np.float64).ravel()
-        if mask.shape[0] != cfg.seg_len:
-            raise ShapeError(f"mask needs {cfg.seg_len} entries, got {mask.shape[0]}")
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.ndim not in (1, 2) or mask.shape[-1] != cfg.seg_len:
+            raise ShapeError(f"mask needs {cfg.seg_len} entries per sample, got {mask.shape}")
         weights = self._with_memory(mask)
-        total = weights.sum()
-        if total <= 0:
+        total = weights.sum(axis=-1, keepdims=True)
+        if (total <= 0).any():
             raise InvalidArgumentError("nothing to pool: empty mask and no memory rows")
-        pool = ad.constant((weights / total)[None, :])
+        pool = ad.constant((weights / total)[..., None, :])
         pooled = ad.matmul(pool, ad.concat_rows(out_rows, memory))
         return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
@@ -341,35 +377,43 @@ class SegmentModel:
         ``memory`` enters segment ``start`` (default: ``mem_init``) and
         ``pos`` holds each block's R.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
-        the memory yielded at t-1 repeats the full walk's segment t.  Ops
-        record on the active tape, if any.
+        the memory yielded at t-1 repeats the full walk's segment t.  A
+        stacked batch takes a list of one seed per sample.  Ops record on
+        the active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
+        if drop_seed is not None:
+            seeds = len(drop_seed) if isinstance(drop_seed, list) else None
+            if seeds != (len(batch.ids) if batch.stacked else None):
+                raise InvalidArgumentError(
+                    "a stack of B samples takes a list of B dropout seeds, one sample one seed"
+                )
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
-            if not self.config.mem_tokens and not batch.mask[t - 1].any():
+            ids, mask = batch.ids[..., t - 1, :], batch.mask[..., t - 1, :]
+            if not self.config.mem_tokens and not mask.any(axis=-1).all():
                 raise InvalidArgumentError(
                     f"segment {t} holds only padding and mem_tokens = 0 leaves it "
                     "no row to attend over; set mem_tokens > 0 or fewer segments"
                 )
-            out, mem_raw = self.segment_forward(
-                batch.ids[t - 1], batch.mask[t - 1], mem, pos, _segment_rng(drop_seed, t)
-            )
+            out, mem_raw = self.segment_forward(ids, mask, mem, pos, _segment_rng(drop_seed, t))
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem
 
     def predict(
         self, batch: SegmentBatch, schedule: RetentionSchedule, pos
-    ) -> tuple[int, np.ndarray]:
+    ) -> tuple[int | np.ndarray, np.ndarray]:
         """Tape-free rollout over all segments under ``schedule``, with R
-        from ``positional``; returns (label, logits row)."""
+        from ``positional``; returns (label, logits row), or for a stack
+        ((B,) labels, (B, 1, n_classes) logits)."""
         for _, out, mem in self.segments(batch, schedule, pos):
             pass
-        logits = self.classify(out, mem, batch.mask[-1]).value
+        logits = self.classify(out, mem, batch.mask[..., -1, :]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")
-        return int(np.argmax(logits)), logits.copy()
+        labels = logits.argmax(axis=-1)[..., 0]
+        return (labels if batch.stacked else int(labels)), logits.copy()

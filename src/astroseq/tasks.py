@@ -199,6 +199,18 @@ class ListOpsTask(_TaskBase):
 
     MIN, MAX, MED, SUMMOD, OPEN, CLOSE = 11, 12, 13, 14, 15, 16
     OPS = ("MIN", "MAX", "MED", "SUMMOD")
+    # Tokens drawn per sample before giving up.  A draw that does not fit
+    # stops at capacity + 1 or + 2 tokens, so this bounds the work of one
+    # sample whatever the settings: a capacity of 2048 gets 64 draws, one of
+    # 5 about 21,800.  The share of draws that fit falls steeply with
+    # max_depth and max_args: at L = 2048 it is about 43% at 6/8, 14% at
+    # 7/8, 5.5% at 8/8 and 3% at 10/10, and the few that fit at 10/10 are
+    # mostly the 5-token expressions that stop at once.  With 64 draws a
+    # setting whose share is under about 1/8 fails within a dataset's first
+    # few hundred samples, while 6/8 fails a sample with odds of 0.57^64,
+    # about 2e-16.  The defaults fit 5% of draws at capacity 5, which
+    # thousands of draws cannot miss.
+    DRAW_TOKENS = 64 * 2048
 
     def __init__(self, seg_len: int, n_segments: int, max_depth: int = 2, max_args: int = 4):
         if max_depth < 1 or max_args < 2:
@@ -231,30 +243,43 @@ class ListOpsTask(_TaskBase):
             return sum(args) % 10
         raise InvalidArgumentError(f"unknown operator {op!r}")
 
-    def _gen_expr(self, rng, depth: int) -> tuple[list[int], int]:
-        """Returns (token ids, value).  Leaves are digits."""
+    def _gen_expr(self, rng, depth: int, tokens: list[int], capacity: int) -> int | None:
+        """Append one expression's token ids to ``tokens`` and return its
+        value, or None as soon as ``tokens`` exceeds ``capacity``.  Leaves
+        are digits."""
         if depth >= self.max_depth or (depth > 0 and rng.random() < 0.4):
             d = int(rng.integers(10))
-            return [self.digit_id(d)], d
+            tokens.append(self.digit_id(d))
+            return d if len(tokens) <= capacity else None
         op_index = int(rng.integers(4))
-        op_name = self.OPS[op_index]
         n_args = int(rng.integers(2, self.max_args + 1))
-        tokens = [self.OPEN, 11 + op_index]
+        tokens += [self.OPEN, 11 + op_index]
+        if len(tokens) > capacity:
+            return None
         values = []
         for _ in range(n_args):
-            sub, val = self._gen_expr(rng, depth + 1)
-            tokens.extend(sub)
-            values.append(val)
+            value = self._gen_expr(rng, depth + 1, tokens, capacity)
+            if value is None:
+                return None
+            values.append(value)
         tokens.append(self.CLOSE)
-        return tokens, self.apply_op(op_name, values)
+        return self.apply_op(self.OPS[op_index], values) if len(tokens) <= capacity else None
 
     def sample(self, rng):
-        # Redraw until the expression fits; segmentation masks the tail.
+        # Redraw until an expression fits; segmentation masks the tail.
         capacity = self.spec.capacity
-        while True:
-            tokens, value = self._gen_expr(rng, 0)
-            if len(tokens) <= capacity:
+        drawn = 0
+        while drawn < self.DRAW_TOKENS:
+            tokens: list[int] = []
+            value = self._gen_expr(rng, 0, tokens, capacity)
+            if value is not None:
                 return np.asarray(tokens, dtype=np.int64), value
+            drawn += len(tokens)
+        raise InvalidArgumentError(
+            f"listops: no expression drawn at max_depth {self.max_depth} and max_args "
+            f"{self.max_args} fit in {capacity} tokens in {drawn} drawn tokens; lower "
+            "max_depth or max_args, or raise seg_len * n_segments"
+        )
 
     def dataset(self, n: int, seed: int, split: int = 0) -> list[SegmentBatch]:
         """Quota-balanced: each label appears floor/ceil(n / 10) times."""

@@ -13,6 +13,11 @@ and the replayed memory output seeded with the gradient flowing in from
 the *later* segment.  The gradient reaching the memory leaf becomes the
 injection for the segment before it.
 
+Both take one sequence or a stack of them (``SegmentBatch``).  A stack's
+loss is the sum of its samples' losses, so its gradients are the sum of
+its samples' single-sequence gradients, and a step of B samples can run
+as one stacked rollout instead of B.
+
 Both take each block's positional summary R as a leaf from a
 :class:`PositionalStep`, built once per optimizer step (a rollout called
 without one is a step of one sample), so no segment tape rebuilds it.
@@ -53,8 +58,9 @@ LossFn = Callable[[int, ad.ValueNode, ad.ValueNode], "ad.ValueNode | None"]
 class GradReport:
     """What one rollout computed and what it cost.
 
-    ``seg_losses[t-1]`` is segment t's loss value (0.0 where the loss
-    function returned None).
+    ``seg_losses[t-1]`` is segment t's loss value, summed over a stack
+    (0.0 where the loss function returned None).  The float counts are
+    those of the whole rollout, stack included.
     """
 
     seg_losses: tuple[float, ...]
@@ -72,23 +78,24 @@ class GradReport:
 
 
 def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "final") -> LossFn:
-    """Cross-entropy against the batch label.
+    """Cross-entropy against the batch label, or each stacked sample's.
 
     ``final`` scores only the last segment; ``per_segment`` scores every
     segment against the same label (deep supervision), summed without
-    rescaling.
+    rescaling.  A stack's loss node holds one loss per sample.
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
     if batch.label is None:
         raise InvalidArgumentError("batch has no label to train against")
     T = batch.n_segments
+    labels = np.asarray(batch.label)[..., None]  # one logits row per sample
 
     def loss_fn(t, out, mem):
         if mode == "final" and t < T:
             return None
-        logits = model.classify(out, mem, batch.mask[t - 1])
-        return ad.cross_entropy(logits, [batch.label])
+        logits = model.classify(out, mem, batch.mask[..., t - 1, :])
+        return ad.cross_entropy(logits, labels)
 
     return loss_fn
 
@@ -126,7 +133,7 @@ def bptt_rollout(
         for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed):
             node = loss_fn(t, out, mem)
             if node is not None:
-                seg_losses[t - 1] = float(node.value[0, 0])
+                seg_losses[t - 1] = float(node.value.sum())
                 total = node if total is None else ad.add(total, node)
         if total is None:
             raise InvalidArgumentError("loss function produced no loss for any segment")
@@ -153,14 +160,13 @@ def amrb_rollout(
 ) -> GradReport:
     """Replay-based gradients: bounded storage, same result as BPTT."""
     T = batch.n_segments
-    cfg = model.config
     own_step, step = step is None, step or PositionalStep(model)
     walk_args = (batch, schedule, step.leaves, drop_seed)
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
     replay += [mem.value for _, _, mem in islice(model.segments(*walk_args), T - 1)]
-    replay_floats = T * cfg.mem_tokens * cfg.d_model
+    replay_floats = sum(mem.size for mem in replay)
 
     # Backward, last segment first, one tape per segment.
     seg_losses = [0.0] * T
@@ -175,7 +181,7 @@ def amrb_rollout(
         roots = []
         if loss_node is not None:
             saw_loss = True
-            seg_losses[t - 1] = float(loss_node.value[0, 0])
+            seg_losses[t - 1] = float(loss_node.value.sum())
             roots.append((loss_node, None))
         if grad_mem_next is not None and grad_mem_next.size > 0:
             roots.append((mem_scaled, grad_mem_next))

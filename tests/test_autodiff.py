@@ -312,6 +312,19 @@ def test_shape_errors():
         ad.layer_norm(a, ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))))
 
 
+def test_stacks_whose_leading_axes_differ_are_refused():
+    """A stack pairs with a stack of the same leading axes or with a 2-D
+    operand, never with another stack."""
+    two, three = ad.constant(np.ones((2, 3, 3))), ad.constant(np.ones((3, 3, 3)))
+    for op in (ad.add, ad.subtract, ad.hadamard, ad.matmul, ad.concat_rows, ad.concat_cols):
+        with pytest.raises(ShapeError, match="leading axes"):
+            op(two, three)
+    with pytest.raises(ShapeError):
+        ad.add(two, ad.constant(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        ad.ValueNode(np.ones(3))
+
+
 def test_backward_seed_shape_checked():
     with ad.Tape():
         x = ad.leaf(np.ones((2, 2)))

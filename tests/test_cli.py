@@ -1,11 +1,16 @@
 """Command-line interface: outputs, artifacts, and exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import astroseq
 from astroseq import cli, retention
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
@@ -154,6 +159,26 @@ def test_listops_without_memory_names_the_padding_segment(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: segment ") and "mem_tokens = 0" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_listops_at_long_range_arena_settings_exits_2(tmp_path):
+    """Depth 10, 10 arguments, 2048 tokens: a draw fits about 3% of the
+    time, so training exits 2 naming the settings instead of redrawing
+    multi-million-token expressions without end."""
+    path = tmp_path / "lra.ini"
+    path.write_text(
+        "[task]\nname = listops\nseg_len = 64\nn_segments = 32\nmax_depth = 10\nmax_args = 10\n"
+    )
+    src = str(Path(astroseq.__file__).resolve().parents[1])
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", "train", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: listops:") and proc.stderr.count("\n") == 1
+    assert "max_depth 10" in proc.stderr and "max_args 10" in proc.stderr
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
@@ -369,6 +394,7 @@ def test_bench_tiny_sizes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["n_tokens"] for r in payload["attention"]] == [8, 16]
     assert set(payload["rollouts"]) == {"amrb", "bptt"}
+    assert payload["evaluation"]["samples"] == 12
     retention = payload["retention"]
     assert [r["n_segments"] for r in retention] == [2, 4, 8, 16]
     for row in retention:

@@ -6,18 +6,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from astroseq import harness
 from astroseq.config import RunConfig
 from astroseq.errors import InvalidArgumentError
 from astroseq.harness import (
     bench_attention,
+    bench_evaluation,
     bench_rollouts,
     eval_run,
     evaluate_accuracy,
     resolve_schedule,
+    stack_samples,
     train_run,
 )
-from astroseq.model import SegmentModel
+from astroseq.model import SegmentModel, stack_batches
 from astroseq.retention import RetentionSchedule, uniform_schedule
+
+from conftest import rel_err
 
 
 def tiny_run_config(**overrides):
@@ -69,6 +74,7 @@ def test_train_run_record_and_artifacts(tmp_path):
     assert record["final"]["epochs_run"] == 2
     assert 0.0 <= record["final"]["val_acc"] <= 1.0
     assert record["memory"]["replay_buffer_bytes"] > 0
+    assert record["memory"]["stack_samples"] == 256 // 6  # 4 tokens + 2 memory rows a call
     assert len(record["param_digest"]) == 64
     assert record["retention"]["factors"] == [1.0, 1.0]
 
@@ -192,6 +198,7 @@ def test_bench_attention_rows():
     for row in rows:
         assert row["astro_seconds"] > 0
         assert row["softmax_seconds"] > 0
+        assert row["astro_cpu_seconds"] >= 0 and row["softmax_cpu_seconds"] >= 0
 
 
 def test_bench_rollouts_reports_both_algorithms():
@@ -201,3 +208,74 @@ def test_bench_rollouts_reports_both_algorithms():
     assert out["amrb"]["replay_buffer_bytes"] > 0
     assert out["bptt"]["replay_buffer_bytes"] == 0
     assert out["bptt"]["backward_peak_floats"] > out["amrb"]["backward_peak_floats"] / 2
+    for row in out.values():
+        assert row["step_samples"] == 8
+        assert row["step_seconds"] > 0
+        assert row["cpu_seconds"] >= 0 and row["step_cpu_seconds"] >= 0
+
+
+def test_bench_evaluation_reports_throughput():
+    row = bench_evaluation(tiny_run_config(), seed=0, repeats=1)
+    assert row["samples"] == 12 and row["stack_samples"] == 256 // 6
+    assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
+    assert row["samples_per_s"] == pytest.approx(12 / row["seconds"])
+
+
+# ---------------------------------------------------------------------------
+# stacking
+
+
+def test_stack_samples_fill_stack_rows():
+    """The README key-value config (6 tokens + 4 memory rows) stacks 25
+    samples; a 252-token segment with 4 memory rows stacks one."""
+    kv = RunConfig(task="kv_retrieval", seg_len=6, n_segments=8, mem_tokens=4)
+    assert stack_samples(kv.model_config(13, 4)) == 25
+    long = RunConfig(task="kv_retrieval", seg_len=252, n_segments=4, mem_tokens=4)
+    assert stack_samples(long.model_config(13, 4)) == 1
+
+
+def test_stacked_prediction_matches_per_sample_predictions():
+    """Two heads, two layers, sequences of several lengths: a stack's labels
+    are the per-sample labels and its logits theirs within 1e-12, and
+    evaluate_accuracy counts what per-sample predictions get right."""
+    cfg = tiny_run_config(task="kv_retrieval", seg_len=4, n_segments=3, n_heads=2, n_layers=2)
+    task = cfg.build_task()
+    model = SegmentModel(cfg.model_config(task.spec.vocab_size, task.spec.n_classes), seed=1)
+    schedule = RetentionSchedule(n_segments=3, factors=(0.5, 0.3, 0.2), source={"kind": "drawn"})
+    data = task.dataset(7, 0, split=1)
+    rng = np.random.default_rng(0)
+    for sample in data[::2]:  # shorten some sequences, so masks differ within the stack
+        sample.mask[-1, rng.integers(1, 4):] = 0.0
+    pos = model.positional()
+    singles = [model.predict(sample, schedule, pos) for sample in data]
+    labels, logits = model.predict(stack_batches(data), schedule, pos)
+    assert labels.tolist() == [label for label, _ in singles]
+    for stacked, (_, single) in zip(logits, singles):
+        assert rel_err(stacked, single) <= 1e-12
+    right = sum(label == sample.label for (label, _), sample in zip(singles, data))
+    assert evaluate_accuracy(model, data, schedule) == right / len(data)
+
+
+def test_train_run_stacks_within_each_optimizer_step(monkeypatch):
+    """Stacks hold stack_samples samples and never cross an optimizer step;
+    a run stacked that way trains like one with a sample per stack, to
+    within rounding."""
+    cfg = tiny_run_config(dropout=0.1, epochs=1, train_samples=20, batch_size=8)
+    sizes = []
+    original = harness.amrb_rollout
+
+    def recording(model, batch, *args):
+        sizes.append(len(batch.ids))
+        return original(model, batch, *args)
+
+    monkeypatch.setattr(harness, "amrb_rollout", recording)
+    monkeypatch.setattr(harness, "STACK_ROWS", 3 * 6)  # 3 samples of 6 rows
+    stacked = train_run(cfg, seed=2)
+    assert sizes == [3, 3, 2, 3, 3, 2, 3, 1]
+    assert stacked["memory"]["stack_samples"] == 3
+    monkeypatch.setattr(harness, "STACK_ROWS", 1)
+    single = train_run(cfg, seed=2)
+    assert single["memory"]["stack_samples"] == 1
+    for a, b in zip(stacked["epochs"], single["epochs"]):
+        assert a["train_loss"] == pytest.approx(b["train_loss"], rel=1e-12)
+        assert a["val_acc"] == b["val_acc"]

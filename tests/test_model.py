@@ -14,6 +14,7 @@ from astroseq.model import (
     Parameter,
     SegmentModel,
     split_segments,
+    stack_batches,
 )
 from astroseq.retention import RetentionSchedule, uniform_schedule
 from astroseq.trainer import bptt_rollout
@@ -251,6 +252,19 @@ def test_segments_resumed_from_yielded_memory_repeat_the_full_walk():
         memory = mem
     undropped = list(model.segments(batch, schedule, pos))
     assert not np.array_equal(undropped[-1][1].value, full[-1][1].value)
+
+
+def test_stacked_walk_takes_one_dropout_seed_per_sample():
+    """A stack takes a list of one seed per sample, a single sequence one
+    seed; anything else is refused before a segment runs."""
+    model, batch, schedule = walk_setup()
+    stack = stack_batches([batch, batch])
+    pos = model.positional()
+    for walked, seed in ((stack, (7, 1, 0)), (stack, [(7, 1, 0)]), (batch, [(7, 1, 0)])):
+        with pytest.raises(InvalidArgumentError, match="dropout seeds"):
+            next(model.segments(walked, schedule, pos, seed))
+    with pytest.raises(InvalidArgumentError):
+        stack_batches([])
 
 
 def test_predict_scores_the_logits_full_backprop_trains_on():

@@ -1,5 +1,7 @@
 """Task generators: structure, label correctness, balance, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,61 @@ def test_listops_segments_carry_expression():
     assert batch.mask[0].all()
     flat = batch.ids.reshape(-1)[: int(batch.mask.sum())]
     assert eval_listops_tokens(flat) == batch.label
+
+
+def test_listops_datasets_that_always_fit_are_unchanged():
+    """At the default depth and arguments no draw exceeds 28 tokens, so at a
+    capacity of 31 or more no draw is cut short or redrawn: both splits are
+    those the unbounded redraw made (digests pinned from it)."""
+    pinned = {
+        (8, 4): "f18d4e5469ffabd2774e3c592dbc26a5ce16e2f1450aeeed67fab6ecbe0d8637",
+        (31, 1): "b8d150ac55c48326546df4fbb43a5f12adda8e01d9f24982c08bf3fbf595e98d",
+        (64, 32): "c0e4a7b5e9bc234a5ffe208c2cc709f3e24c7b043c30c52a5daf61dca6be85a6",
+    }
+    for (seg_len, n_segments), digest in pinned.items():
+        task = ListOpsTask(seg_len, n_segments)
+        h = hashlib.sha256()
+        for split in (0, 1):
+            for b in task.dataset(40, 0, split=split):
+                h.update(b.ids.tobytes())
+                h.update(b.mask.tobytes())
+                h.update(str(b.label).encode())
+        assert h.hexdigest() == digest, (seg_len, n_segments)
+
+
+def test_listops_draw_stops_once_past_capacity():
+    """A draw gives up as soon as its tokens exceed the capacity, instead of
+    building the whole expression first."""
+    task = ListOpsTask(seg_len=8, n_segments=1, max_depth=10, max_args=10)
+    rng = np.random.default_rng(0)
+    gave_up = 0
+    for _ in range(200):
+        tokens = []
+        if task._gen_expr(rng, 0, tokens, 8) is None:
+            gave_up += 1
+            assert len(tokens) <= 8 + 2  # an operator opens with two tokens
+    assert gave_up > 100
+
+
+def test_listops_small_capacities_still_build():
+    """A short capacity fits few default draws (about 5% at 5 tokens), but an
+    abandoned draw there costs only a few tokens, so the per-sample budget
+    allows thousands of draws and the dataset builds."""
+    for seg_len, n_segments in ((4, 2), (5, 1)):
+        task = ListOpsTask(seg_len, n_segments)
+        for seed in range(3):
+            data = task.dataset(200, seed)
+            assert len(data) == 200
+            for b in data:
+                assert eval_listops_tokens(b.ids[b.mask.astype(bool)]) == b.label
+
+
+def test_listops_that_rarely_fits_names_its_settings():
+    task = ListOpsTask(seg_len=64, n_segments=32, max_depth=10, max_args=10)
+    with pytest.raises(InvalidArgumentError) as info:
+        task.dataset(64, seed=0)
+    message = str(info.value)
+    assert "max_depth 10" in message and "max_args 10" in message and "2048 tokens" in message
 
 
 # ---------------------------------------------------------------------------
