@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", default="128,256,512,1024",
         help="comma-separated token counts for the attention timing",
     )
-    bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions")
+    bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions of the "
+                       "attention, rollout and evaluation rows (retention: one derivation each)")
     bench.set_defaults(handler=cmd_bench)
 
     ev = commands.add_parser("eval", help="score a checkpoint under the run it stores")
@@ -242,8 +243,8 @@ def cmd_bench(args) -> int:
         raise InvalidArgumentError(f"--repeats must be positive, got {args.repeats}")
     payload = {
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
-        "rollouts": bench_rollouts(cfg, seed=args.seed),
-        "evaluation": bench_evaluation(cfg, seed=args.seed),
+        "rollouts": bench_rollouts(cfg, seed=args.seed, repeats=args.repeats),
+        "evaluation": bench_evaluation(cfg, seed=args.seed, repeats=args.repeats),
         "retention": bench_retention(cfg),
     }
     _emit(payload, out_dir, "bench.json")

@@ -7,13 +7,14 @@ accounting from the gradient rollouts, and a digest of the final
 parameters.  Everything in the record except wall-clock timings is
 deterministic for a given config and seed.
 
-Training and evaluation run samples in stacks (``model.stack_batches``):
-each stack is one graph whose primitives carry the sample axis along, so
-the interpreter's cost per tape op is paid once per stack, not once per
-sample.  A stack holds ``max(1, STACK_ROWS // n_tokens)`` samples, where
-``n_tokens`` is the rows of one attention call, so a stack's working set
-stays near that of one sample with ``STACK_ROWS`` rows whatever the
-segment length.  A training stack never crosses an optimizer step.
+Training and evaluation join a task's samples, each a stack of one, into
+larger stacks (``model.stack_batches``): each stack is one graph whose
+primitives carry the sample axis along, so the interpreter's cost per
+tape op is paid once per stack, not once per sample.  A stack holds
+``max(1, STACK_ROWS // n_tokens)`` samples, where ``n_tokens`` is the
+rows of one attention call, so a stack's working set stays near that of
+one sample with ``STACK_ROWS`` rows whatever the segment length.  A
+training stack never crosses an optimizer step.
 """
 
 from __future__ import annotations
@@ -347,9 +348,10 @@ def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     """Compare the two gradient algorithms: time and storage.
 
     Per algorithm, best of ``repeats`` after a warm-up (CPU time their
-    mean): ``seconds`` for one sample's rollout, whose counted storage the
-    row reports, and ``step_seconds`` for the gradients of one optimizer
-    step of ``batch_size`` samples, stacked as ``train_run`` stacks them.
+    mean): ``seconds`` for the rollout of one sample, a one-sample stack,
+    whose counted storage the row reports, and ``step_seconds`` for the
+    gradients of one optimizer step of ``batch_size`` samples, stacked as
+    ``train_run`` stacks them.
     No update is made, so every repeat sees the same parameters.
     """
     task, model, schedule = _bench_setup(cfg, seed)

@@ -9,12 +9,13 @@ segment's valid rows together with the final memory.  ``segments`` is
 the one walk: prediction, full backprop and both passes of replay take
 it, so the retention factor is applied in one place.
 
-A :class:`SegmentBatch` holds one sequence or a stack of B of them
-(``stack_batches``).  Every autodiff primitive acts on the last two axes
-and carries leading ones along, so a stack walks the segments as one
-(B, rows, d) graph: each sample attends, pools and is scored within its
-own matrix, while the parameters, the memory seed and the positional
-summaries are 2-D and shared by the whole stack.
+A :class:`SegmentBatch` is always a stack of B sequences; one sample is a
+stack of one (``split_segments``), and ``stack_batches`` joins stacks.
+Every autodiff primitive acts on the last two axes and carries leading
+ones along, so a stack walks the segments as one (B, rows, d) graph: each
+sample attends, pools and is scored within its own matrix, while the
+parameters, the memory seed and the positional summaries are 2-D and
+shared by the whole stack.
 
 Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
 belongs to no tape, so one parameter set serves every tape the trainer
@@ -122,30 +123,33 @@ class Parameter(ValueNode):
 
 @dataclass(frozen=True)
 class SegmentBatch:
-    """One sequence split into per-segment id and validity-mask rows, or a
-    stack of B such sequences with one label each."""
+    """A stack of B sequences, each split into per-segment id and
+    validity-mask rows, with one label per sample or none."""
 
-    ids: np.ndarray          # ([B,] n_segments, seg_len) int64
-    mask: np.ndarray         # ([B,] n_segments, seg_len) float64, 1 = real token
-    label: int | np.ndarray | None = None  # an int, or (B,) int64 for a stack
+    ids: np.ndarray          # (B, n_segments, seg_len) int64
+    mask: np.ndarray         # (B, n_segments, seg_len) float64, 1 = real token
+    label: np.ndarray | None = None  # (B,) int64
 
     @property
     def n_segments(self) -> int:
-        return self.ids.shape[-2]
-
-    @property
-    def stacked(self) -> bool:
-        return self.ids.ndim == 3
+        return self.ids.shape[1]
 
 
 def stack_batches(batches: Sequence[SegmentBatch]) -> SegmentBatch:
-    """Stack labeled single sequences: ids and masks (B, T, s), labels (B,)."""
+    """Join stacks along the sample axis.  They must share (n_segments,
+    seg_len), and be all labeled or all unlabeled."""
     if not batches:
         raise InvalidArgumentError("cannot stack zero sequences")
+    shapes = sorted({b.ids.shape[1:] for b in batches})
+    if len(shapes) > 1:
+        raise InvalidArgumentError(f"cannot stack samples of (n_segments, seg_len) {shapes}")
+    labeled = {b.label is not None for b in batches}
+    if len(labeled) > 1:
+        raise InvalidArgumentError("cannot stack labeled samples with unlabeled ones")
     return SegmentBatch(
-        ids=np.stack([b.ids for b in batches]),
-        mask=np.stack([b.mask for b in batches]),
-        label=np.array([b.label for b in batches], dtype=np.int64),
+        ids=np.concatenate([b.ids for b in batches]),
+        mask=np.concatenate([b.mask for b in batches]),
+        label=np.concatenate([b.label for b in batches]) if labeled == {True} else None,
     )
 
 
@@ -156,7 +160,8 @@ def split_segments(
     pad_id: int = 0,
     label: int | None = None,
 ) -> SegmentBatch:
-    """Right-pad a token sequence and cut it into ``n_segments`` rows.
+    """Right-pad a token sequence and cut it into ``n_segments`` rows: a
+    stack of one, ids and mask (1, n_segments, seg_len), label (1,) or None.
 
     The validity mask is positional (derived from the original length), so
     the pad id never needs to appear in the data alphabet.  Sequences
@@ -175,27 +180,23 @@ def split_segments(
         )
     if np.any(tokens == pad_id):
         raise InvalidArgumentError(f"sequence contains the pad id {pad_id}")
-    ids = np.full((n_segments, seg_len), pad_id, dtype=np.int64)
-    mask = np.zeros((n_segments, seg_len), dtype=np.float64)
-    flat_ids = ids.reshape(-1)
-    flat_mask = mask.reshape(-1)
-    flat_ids[: tokens.size] = tokens
-    flat_mask[: tokens.size] = 1.0
-    return SegmentBatch(ids=ids, mask=mask, label=label)
+    ids = np.full(capacity, pad_id, dtype=np.int64)
+    mask = np.zeros(capacity, dtype=np.float64)
+    ids[: tokens.size] = tokens
+    mask[: tokens.size] = 1.0
+    shape = (1, n_segments, seg_len)
+    label = None if label is None else np.array([label], dtype=np.int64)
+    return SegmentBatch(ids=ids.reshape(shape), mask=mask.reshape(shape), label=label)
 
 
 def _segment_rng(drop_seed, t: int):
-    """Per-segment dropout generator; a tuple seed scopes it further
-    (e.g. (master, epoch, sample)) while staying replay-stable.  A list
-    holds one seed per stacked sample and gives one generator each."""
+    """Segment t's dropout generators, one per stacked sample, from a list
+    of one seed each (or None).  A tuple seed scopes its generator further
+    (e.g. (master, epoch, sample)) while staying replay-stable."""
     if drop_seed is None:
         return None
-    if isinstance(drop_seed, list):
-        return [_segment_rng(seed, t) for seed in drop_seed]
-    if isinstance(drop_seed, tuple):
-        head, *rest = drop_seed
-        return spawn(head, STREAM_DROPOUT, *rest, t)
-    return spawn(drop_seed, STREAM_DROPOUT, t)
+    seeds = [seed if isinstance(seed, tuple) else (seed,) for seed in drop_seed]
+    return [spawn(head, STREAM_DROPOUT, *rest, t) for head, *rest in seeds]
 
 
 class SegmentModel:
@@ -273,10 +274,8 @@ class SegmentModel:
         rate = self.config.dropout
         if rng is None or rate == 0.0:
             return node
-        if node.value.ndim == 2:
-            draw = rng.random(node.shape)
-        else:  # each stacked sample draws its mask from its own generator
-            draw = np.stack([r.random(node.shape[1:]) for r in rng])
+        # Each stacked sample draws its mask from its own generator.
+        draw = np.stack([r.random(node.shape[1:]) for r in rng])
         keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
         return ad.hadamard(node, ad.constant(keep))
 
@@ -299,23 +298,23 @@ class SegmentModel:
     ) -> tuple[ValueNode, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
-        ``ids`` and ``mask`` hold ``seg_len`` entries, or (B, seg_len) for a
-        stack; then the rows come back stacked and ``drop_rng`` is a list
-        of B generators.  ``memory`` is the carried state entering this
-        segment, (mem_tokens, d) or stacked; the returned memory is
-        unscaled (``segments`` applies the retention factor).
+        ``ids`` and ``mask`` are (B, seg_len), one row per stacked sample,
+        and the rows come back (B, ·, d).  ``memory`` is the carried state
+        entering this segment, (mem_tokens, d) shared by the stack or
+        (B, mem_tokens, d); the returned memory is unscaled (``segments``
+        applies the retention factor).
         ``pos`` holds each block's R, as ``positional`` builds it.
         Memory rows are always valid in the attention mask.  Dropout is
-        applied only when ``drop_rng`` is given (training); it must be a
-        generator seeded per segment so a replayed forward reproduces the
-        same masks.
+        applied only when ``drop_rng`` is given (training): a list of B
+        generators, one per sample, seeded per segment so a replayed
+        forward reproduces the same masks.
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
-        if ids.ndim not in (1, 2) or ids.shape[-1] != cfg.seg_len or mask.shape != ids.shape:
+        if ids.ndim != 2 or ids.shape[1] != cfg.seg_len or mask.shape != ids.shape:
             raise ShapeError(
-                f"segment needs {cfg.seg_len} ids and mask entries per sample, "
+                f"segment needs (B, {cfg.seg_len}) ids and mask, "
                 f"got shapes {ids.shape} and {mask.shape}"
             )
         lead = memory.shape[:-2]
@@ -348,12 +347,12 @@ class SegmentModel:
         return out, mem_out
 
     def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
-        """Logits from mean-pooling valid final-segment rows and memory rows:
-        (1, n_classes), or (B, 1, n_classes) for a stack."""
+        """Logits (B, 1, n_classes) from mean-pooling each sample's valid
+        final-segment rows and memory rows; ``mask`` is (B, seg_len)."""
         cfg = self.config
         mask = np.asarray(mask, dtype=np.float64)
-        if mask.ndim not in (1, 2) or mask.shape[-1] != cfg.seg_len:
-            raise ShapeError(f"mask needs {cfg.seg_len} entries per sample, got {mask.shape}")
+        if mask.ndim != 2 or mask.shape[1] != cfg.seg_len:
+            raise ShapeError(f"mask must be (B, {cfg.seg_len}), got {mask.shape}")
         weights = self._with_memory(mask)
         total = weights.sum(axis=-1, keepdims=True)
         if (total <= 0).any():
@@ -377,24 +376,21 @@ class SegmentModel:
         ``memory`` enters segment ``start`` (default: ``mem_init``) and
         ``pos`` holds each block's R.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
-        the memory yielded at t-1 repeats the full walk's segment t.  A
-        stacked batch takes a list of one seed per sample.  Ops record on
-        the active tape, if any.
+        the memory yielded at t-1 repeats the full walk's segment t.
+        ``drop_seed`` is a list of one seed per stacked sample.  Ops record
+        on the active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
             raise InvalidArgumentError(
                 f"schedule covers {schedule.n_segments} segments, batch has {T}"
             )
-        if drop_seed is not None:
-            seeds = len(drop_seed) if isinstance(drop_seed, list) else None
-            if seeds != (len(batch.ids) if batch.stacked else None):
-                raise InvalidArgumentError(
-                    "a stack of B samples takes a list of B dropout seeds, one sample one seed"
-                )
+        B = len(batch.ids)
+        if drop_seed is not None and (not isinstance(drop_seed, list) or len(drop_seed) != B):
+            raise InvalidArgumentError(f"a stack of {B} samples takes a list of {B} dropout seeds")
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
-            ids, mask = batch.ids[..., t - 1, :], batch.mask[..., t - 1, :]
+            ids, mask = batch.ids[:, t - 1], batch.mask[:, t - 1]
             if not self.config.mem_tokens and not mask.any(axis=-1).all():
                 raise InvalidArgumentError(
                     f"segment {t} holds only padding and mem_tokens = 0 leaves it "
@@ -406,14 +402,13 @@ class SegmentModel:
 
     def predict(
         self, batch: SegmentBatch, schedule: RetentionSchedule, pos
-    ) -> tuple[int | np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free rollout over all segments under ``schedule``, with R
-        from ``positional``; returns (label, logits row), or for a stack
-        ((B,) labels, (B, 1, n_classes) logits)."""
+        from ``positional``; returns (B,) labels and (B, 1, n_classes)
+        logits."""
         for _, out, mem in self.segments(batch, schedule, pos):
             pass
-        logits = self.classify(out, mem, batch.mask[..., -1, :]).value
+        logits = self.classify(out, mem, batch.mask[:, -1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")
-        labels = logits.argmax(axis=-1)[..., 0]
-        return (labels if batch.stacked else int(labels)), logits.copy()
+        return logits.argmax(axis=-1)[:, 0], logits.copy()

@@ -52,7 +52,7 @@ class _TaskBase:
         raise NotImplementedError
 
     def dataset(self, n: int, seed: int, split: int = 0) -> list[SegmentBatch]:
-        """``n`` segmented, labeled sequences; ``split`` selects the stream
+        """``n`` labeled one-sample stacks; ``split`` selects the stream
         (0 train, 1 validation, ...) so splits never share samples."""
         if n < 1:
             raise InvalidArgumentError("dataset size must be positive")

@@ -13,10 +13,10 @@ and the replayed memory output seeded with the gradient flowing in from
 the *later* segment.  The gradient reaching the memory leaf becomes the
 injection for the segment before it.
 
-Both take one sequence or a stack of them (``SegmentBatch``).  A stack's
-loss is the sum of its samples' losses, so its gradients are the sum of
-its samples' single-sequence gradients, and a step of B samples can run
-as one stacked rollout instead of B.
+Both take a stack of B sequences (``SegmentBatch``; one sample is a
+stack of one).  A stack's loss is the sum of its samples' losses, so its
+gradients are the sum of its samples' one-sample gradients, and a step
+of B samples can run as one stacked rollout instead of B.
 
 Both take each block's positional summary R as a leaf from a
 :class:`PositionalStep`, built once per optimizer step (a rollout called
@@ -58,9 +58,8 @@ LossFn = Callable[[int, ad.ValueNode, ad.ValueNode], "ad.ValueNode | None"]
 class GradReport:
     """What one rollout computed and what it cost.
 
-    ``seg_losses[t-1]`` is segment t's loss value, summed over a stack
-    (0.0 where the loss function returned None).  The float counts are
-    those of the whole rollout, stack included.
+    ``seg_losses[t-1]`` is segment t's loss summed over the stack (0.0
+    where the loss function returned None); the float counts are the stack's.
     """
 
     seg_losses: tuple[float, ...]
@@ -78,24 +77,23 @@ class GradReport:
 
 
 def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "final") -> LossFn:
-    """Cross-entropy against the batch label, or each stacked sample's.
+    """Cross-entropy of each stacked sample against its label.
 
     ``final`` scores only the last segment; ``per_segment`` scores every
     segment against the same label (deep supervision), summed without
-    rescaling.  A stack's loss node holds one loss per sample.
+    rescaling.  The loss node holds one loss per sample, (B, 1, 1).
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
     if batch.label is None:
         raise InvalidArgumentError("batch has no label to train against")
     T = batch.n_segments
-    labels = np.asarray(batch.label)[..., None]  # one logits row per sample
 
     def loss_fn(t, out, mem):
         if mode == "final" and t < T:
             return None
-        logits = model.classify(out, mem, batch.mask[..., t - 1, :])
-        return ad.cross_entropy(logits, labels)
+        logits = model.classify(out, mem, batch.mask[:, t - 1])
+        return ad.cross_entropy(logits, batch.label)
 
     return loss_fn
 

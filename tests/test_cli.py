@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import astroseq
-from astroseq import cli, retention
+from astroseq import cli, harness, retention
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
 from astroseq.config import load_run_config
@@ -402,6 +402,24 @@ def test_bench_tiny_sizes(tmp_path, capsys):
         assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
         assert row["simulated_cycles"] == 1  # the default drive repeats every cycle
     assert (tmp_path / "bench" / "bench.json").exists()
+
+
+def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
+    """--repeats sets the attention, rollout and evaluation timings; each
+    retention row times one derivation."""
+    seen = []
+    best = harness._best
+
+    def recording(fn, repeats):
+        seen.append(repeats)
+        return best(fn, repeats)
+
+    monkeypatch.setattr(harness, "_best", recording)
+    cfg = write_tiny_config(tmp_path)
+    assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "2"]) == 0
+    # attention: linear block and softmax; rollouts: one sample and one step,
+    # per algorithm; evaluation; then four retention rows.
+    assert seen == [2, 2] + [2, 2] * 2 + [2] + [1] * 4
 
 
 def test_bench_bad_sizes_exits_2(tmp_path, capsys):

@@ -245,14 +245,15 @@ def test_stacked_prediction_matches_per_sample_predictions():
     data = task.dataset(7, 0, split=1)
     rng = np.random.default_rng(0)
     for sample in data[::2]:  # shorten some sequences, so masks differ within the stack
-        sample.mask[-1, rng.integers(1, 4):] = 0.0
+        sample.mask[0, -1, rng.integers(1, 4):] = 0.0
     pos = model.positional()
-    singles = [model.predict(sample, schedule, pos) for sample in data]
+    singles = [model.predict(sample, schedule, pos) for sample in data]  # one-sample stacks
+    single_labels = np.concatenate([label for label, _ in singles])
     labels, logits = model.predict(stack_batches(data), schedule, pos)
-    assert labels.tolist() == [label for label, _ in singles]
+    assert labels.tolist() == single_labels.tolist()
     for stacked, (_, single) in zip(logits, singles):
-        assert rel_err(stacked, single) <= 1e-12
-    right = sum(label == sample.label for (label, _), sample in zip(singles, data))
+        assert rel_err(stacked, single[0]) <= 1e-12
+    right = np.sum(single_labels == stack_batches(data).label)
     assert evaluate_accuracy(model, data, schedule) == right / len(data)
 
 

@@ -45,11 +45,12 @@ def tiny_config(**overrides):
 
 
 def test_split_segments_pads_and_masks():
+    """A sample is a stack of one."""
     batch = split_segments([3, 4, 5, 6, 1], seg_len=3, n_segments=2, pad_id=0, label=1)
-    assert batch.ids.shape == (2, 3)
-    assert batch.ids.tolist() == [[3, 4, 5], [6, 1, 0]]
-    assert batch.mask.tolist() == [[1, 1, 1], [1, 1, 0]]
-    assert batch.label == 1
+    assert batch.ids.shape == (1, 2, 3)
+    assert batch.ids.tolist() == [[[3, 4, 5], [6, 1, 0]]]
+    assert batch.mask.tolist() == [[[1, 1, 1], [1, 1, 0]]]
+    assert batch.label.tolist() == [1] and batch.label.dtype == np.int64
     assert int(batch.mask.sum()) == 5
     assert batch.n_segments == 2
 
@@ -66,6 +67,30 @@ def test_split_segments_rejects_overflow_empty_and_pad_collision():
         split_segments([], seg_len=3, n_segments=2)
     with pytest.raises(InvalidArgumentError):
         split_segments([1, 0, 2], seg_len=3, n_segments=1, pad_id=0)
+
+
+def test_stack_batches_joins_stacks_labeled_or_not():
+    a = split_segments([1, 2, 3], 3, 1, label=2)
+    b = stack_batches([split_segments([4], 3, 1, label=0), split_segments([5, 6], 3, 1, label=1)])
+    joined = stack_batches([a, b])
+    assert joined.ids.tolist() == [[[1, 2, 3]], [[4, 0, 0]], [[5, 6, 0]]]
+    assert joined.mask.sum(axis=(1, 2)).tolist() == [3, 1, 2]
+    assert joined.label.tolist() == [2, 0, 1]
+    unlabeled = stack_batches([split_segments([1, 2, 3], 3, 1), split_segments([1, 2], 3, 1)])
+    assert unlabeled.ids.shape == (2, 1, 3) and unlabeled.label is None
+
+
+def test_stack_batches_rejects_mixed_labels_and_segment_shapes():
+    labeled, unlabeled = split_segments([1, 2], 2, 2, label=1), split_segments([1, 2], 2, 2)
+    with pytest.raises(InvalidArgumentError, match="unlabeled"):
+        stack_batches([labeled, unlabeled])
+    for seg_len, n_segments in ((4, 1), (2, 3)):
+        other = split_segments([1, 2], seg_len, n_segments, label=1)
+        with pytest.raises(InvalidArgumentError) as info:
+            stack_batches([labeled, other])
+        assert "(2, 2)" in str(info.value) and f"({n_segments}, {seg_len})" in str(info.value)
+    with pytest.raises(InvalidArgumentError):
+        stack_batches([])
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +160,13 @@ def test_segment_forward_shapes_and_determinism():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
-    ids = np.array([1, 2, 3])
-    mask = np.ones(3)
+    ids = np.array([[1, 2, 3]])
+    mask = np.ones((1, 3))
     pos = model.positional()
     out1, mem1 = model.segment_forward(ids, mask, mem, pos)
     out2, mem2 = model.segment_forward(ids, mask, mem, pos)
-    assert out1.shape == (cfg.seg_len, cfg.d_model)
-    assert mem1.shape == (cfg.mem_tokens, cfg.d_model)
+    assert out1.shape == (1, cfg.seg_len, cfg.d_model)
+    assert mem1.shape == (1, cfg.mem_tokens, cfg.d_model)
     assert np.array_equal(out1.value, out2.value)
     assert np.array_equal(mem1.value, mem2.value)
 
@@ -150,17 +175,34 @@ def test_segment_forward_rejects_bad_shapes():
     model = SegmentModel(tiny_config(), seed=0)
     mem, pos = model.params["mem_init"], model.positional()
     with pytest.raises(ShapeError):
-        model.segment_forward([1, 2], np.ones(3), mem, pos)
+        model.segment_forward([[1, 2]], np.ones((1, 3)), mem, pos)
     with pytest.raises(ShapeError):
-        model.segment_forward([1, 2, 3], np.ones(3), ad.constant(np.zeros((1, 4))), pos)
+        model.segment_forward([[1, 2, 3]], np.ones((1, 3)), ad.constant(np.zeros((1, 4))), pos)
+    with pytest.raises(ShapeError):  # memory stacked for 2 samples, ids for 1
+        model.segment_forward([[1, 2, 3]], np.ones((1, 3)), ad.constant(np.zeros((2, 2, 4))), pos)
+
+
+def test_single_sequence_inputs_are_rejected():
+    """Only stacks are taken: 1-D ids or a 1-D pooling mask raise ShapeError,
+    and a bare seed where a list of one per sample belongs raises
+    InvalidArgumentError before a segment runs."""
+    model, batch, schedule = walk_setup()
+    mem, pos = model.params["mem_init"], model.positional()
+    with pytest.raises(ShapeError):
+        model.segment_forward(np.array([1, 2, 3]), np.ones(3), mem, pos)
+    out, mem_out = model.segment_forward(batch.ids[:, 0], batch.mask[:, 0], mem, pos)
+    with pytest.raises(ShapeError):
+        model.classify(out, mem_out, np.ones(3))
+    with pytest.raises(InvalidArgumentError, match="dropout seeds"):
+        next(model.segments(batch, schedule, pos, (7, 1, 0)))
 
 
 def test_memory_carries_information_between_segments():
     """Perturbing the memory seed must change the next segment's output."""
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=0)
-    ids = np.array([1, 2, 3])
-    mask = np.ones(3)
+    ids = np.array([[1, 2, 3]])
+    mask = np.ones((1, 3))
     pos = model.positional()
     out_a, _ = model.segment_forward(ids, mask, model.params["mem_init"], pos)
     shifted = ad.constant(model.params["mem_init"].value + 0.37)
@@ -172,9 +214,9 @@ def test_zero_memory_tokens_runs_end_to_end():
     cfg = tiny_config(mem_tokens=0)
     model = SegmentModel(cfg, seed=0)
     batch = split_segments([1, 2, 3, 4, 5, 6], seg_len=3, n_segments=2, label=0)
-    label, logits = model.predict(batch, uniform_schedule(2), model.positional())
-    assert logits.shape == (1, cfg.n_classes)
-    assert 0 <= label < cfg.n_classes
+    labels, logits = model.predict(batch, uniform_schedule(2), model.positional())
+    assert logits.shape == (1, 1, cfg.n_classes)
+    assert labels.shape == (1,) and 0 <= labels[0] < cfg.n_classes
     assert model.params["mem_init"].value.shape == (0, cfg.d_model)
 
 
@@ -182,11 +224,11 @@ def test_classify_matches_manual_pooling():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=3)
     rng = np.random.default_rng(0)
-    out = ad.constant(rng.normal(size=(cfg.seg_len, cfg.d_model)))
-    mem = ad.constant(rng.normal(size=(cfg.mem_tokens, cfg.d_model)))
-    mask = np.array([1.0, 1.0, 0.0])
+    out = ad.constant(rng.normal(size=(1, cfg.seg_len, cfg.d_model)))
+    mem = ad.constant(rng.normal(size=(1, cfg.mem_tokens, cfg.d_model)))
+    mask = np.array([[1.0, 1.0, 0.0]])
     logits = model.classify(out, mem, mask)
-    rows = np.concatenate([out.value[:2], mem.value])
+    rows = np.concatenate([out.value[0, :2], mem.value[0]])
     pooled = rows.mean(axis=0, keepdims=True)
     expected = pooled @ model.params["head.w"].value + model.params["head.b"].value
     assert rel_err(logits.value, expected) < 1e-12
@@ -195,10 +237,10 @@ def test_classify_matches_manual_pooling():
 def test_classify_rejects_all_empty_pool():
     cfg = tiny_config(mem_tokens=0)
     model = SegmentModel(cfg, seed=0)
-    out = ad.constant(np.zeros((cfg.seg_len, cfg.d_model)))
-    mem = ad.constant(np.zeros((0, cfg.d_model)))
+    out = ad.constant(np.zeros((1, cfg.seg_len, cfg.d_model)))
+    mem = ad.constant(np.zeros((1, 0, cfg.d_model)))
     with pytest.raises(InvalidArgumentError):
-        model.classify(out, mem, np.zeros(cfg.seg_len))
+        model.classify(out, mem, np.zeros((1, cfg.seg_len)))
 
 
 def test_predict_respects_schedule_length():
@@ -238,7 +280,7 @@ def test_segments_resumed_from_yielded_memory_repeat_the_full_walk():
     """Resumed at each t from the memory it yielded at t-1, the walk gives
     segment t's rows and memory bit for bit: the contract replay relies on."""
     model, batch, schedule = walk_setup()
-    pos, drop_seed = model.positional(), (7, 1, 0)
+    pos, drop_seed = model.positional(), [(7, 1, 0)]
     full = list(model.segments(batch, schedule, pos, drop_seed))
     assert [t for t, _, _ in full] == [1, 2, 3, 4]
     memory = model.params["mem_init"]
@@ -255,16 +297,15 @@ def test_segments_resumed_from_yielded_memory_repeat_the_full_walk():
 
 
 def test_stacked_walk_takes_one_dropout_seed_per_sample():
-    """A stack takes a list of one seed per sample, a single sequence one
-    seed; anything else is refused before a segment runs."""
+    """A stack takes a list of one seed per sample; anything else is
+    refused before a segment runs."""
     model, batch, schedule = walk_setup()
     stack = stack_batches([batch, batch])
     pos = model.positional()
-    for walked, seed in ((stack, (7, 1, 0)), (stack, [(7, 1, 0)]), (batch, [(7, 1, 0)])):
+    for walked, seed in ((stack, [(7, 1, 0)]), (batch, [(7, 1, 0), 8]), (stack, ((7,), (8,)))):
         with pytest.raises(InvalidArgumentError, match="dropout seeds"):
             next(model.segments(walked, schedule, pos, seed))
-    with pytest.raises(InvalidArgumentError):
-        stack_batches([])
+    next(model.segments(stack, schedule, pos, [(7, 1, 0), 8]))
 
 
 def test_predict_scores_the_logits_full_backprop_trains_on():
@@ -276,9 +317,9 @@ def test_predict_scores_the_logits_full_backprop_trains_on():
     def loss_fn(t, out, mem):
         if t < batch.n_segments:
             return None
-        logits = model.classify(out, mem, batch.mask[t - 1])
+        logits = model.classify(out, mem, batch.mask[:, t - 1])
         scored.append(logits.value.copy())
-        return ad.cross_entropy(logits, [batch.label])
+        return ad.cross_entropy(logits, batch.label)
 
     bptt_rollout(model, batch, schedule, loss_fn)
     _, logits = model.predict(batch, schedule, model.positional())
@@ -296,11 +337,11 @@ def test_dropout_replays_identically_with_same_generator_seed():
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
-    ids, mask = np.array([1, 2, 3]), np.ones(3)
+    ids, mask = np.array([[1, 2, 3]]), np.ones((1, 3))
     pos = model.positional()
-    out_a, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 1))
-    out_b, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 1))
-    out_c, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=spawn(9, 2, 2))
+    out_a, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 1)])
+    out_b, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 1)])
+    out_c, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 2)])
     assert np.array_equal(out_a.value, out_b.value)
     assert np.abs(out_a.value - out_c.value).max() > 1e-9
 
@@ -309,7 +350,7 @@ def test_dropout_inactive_outside_training():
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
-    ids, mask = np.array([1, 2, 3]), np.ones(3)
+    ids, mask = np.array([[1, 2, 3]]), np.ones((1, 3))
     pos = model.positional()
     out_a, _ = model.segment_forward(ids, mask, mem, pos)
     out_b, _ = model.segment_forward(ids, mask, mem, pos)

@@ -108,7 +108,7 @@ def test_replay_matches_full_backprop_uniform_schedule():
 def test_replay_matches_full_backprop_with_dropout():
     """Replayed segments must regenerate the same dropout masks."""
     model, batch = build_setup(1, dropout=0.3)
-    _, g_bptt, _, g_amrb = run_both(model, batch, skewed_schedule(3), drop_seed=77)
+    _, g_bptt, _, g_amrb = run_both(model, batch, skewed_schedule(3), drop_seed=[77])
     assert_grad_maps_match(g_bptt, g_amrb)
 
 
@@ -147,8 +147,8 @@ def per_segment_build_grads(model, batches, schedule, mode, drop_seeds):
             mem, total = model.params["mem_init"], None
             for t in range(1, batch.n_segments + 1):
                 out, mem_raw = model.segment_forward(
-                    batch.ids[t - 1], batch.mask[t - 1], mem, model.positional(),
-                    drop_rng=_segment_rng(drop_seed, t),
+                    batch.ids[:, t - 1], batch.mask[:, t - 1], mem, model.positional(),
+                    drop_rng=_segment_rng([drop_seed], t),
                 )
                 mem = ad.scalar_mul(mem_raw, schedule.factor(t))
                 node = loss_fn(t, out, mem)
@@ -174,7 +174,7 @@ def test_shared_positional_step_matches_per_segment_builds(rollout):
     step = PositionalStep(model)
     for batch, drop_seed in zip(batches, drop_seeds):
         loss_fn = classification_loss(model, batch, mode="per_segment")
-        rollout(model, batch, schedule, loss_fn, drop_seed=drop_seed, step=step)
+        rollout(model, batch, schedule, loss_fn, drop_seed=[drop_seed], step=step)
     step.backward()
     assert_grad_maps_match(expected, grads_by_name(model), tol=1e-12)
 
@@ -196,7 +196,7 @@ def test_step_builds_positional_summary_once_per_layer(monkeypatch):
     loss_fn = classification_loss(model, batch, mode="per_segment")
     step = PositionalStep(model)
     for rollout in (amrb_rollout, bptt_rollout, amrb_rollout):
-        rollout(model, batch, skewed_schedule(3), loss_fn, drop_seed=1, step=step)
+        rollout(model, batch, skewed_schedule(3), loss_fn, drop_seed=[1], step=step)
     step.backward()
     assert taped == [True, True]
 
@@ -218,11 +218,11 @@ def rollout_loss_value(model, batch, schedule, mode="final"):
     mem, pos = model.params["mem_init"], model.positional()
     total = 0.0
     for t in range(1, T + 1):
-        out, mem_raw = model.segment_forward(batch.ids[t - 1], batch.mask[t - 1], mem, pos)
+        out, mem_raw = model.segment_forward(batch.ids[:, t - 1], batch.mask[:, t - 1], mem, pos)
         mem = ad.scalar_mul(mem_raw, schedule.factor(t))
         node = loss_fn(t, out, mem)
         if node is not None:
-            total += float(node.value[0, 0])
+            total += float(node.value[0, 0, 0])
     return total
 
 

@@ -1,6 +1,6 @@
 """Properties of the rollouts over random small runs: replay and full
-backprop agree bit for bit, on one sequence and on stacks, and a stacked
-rollout's gradients are the sum of its samples' single rollouts."""
+backprop agree bit for bit on stacks of 1 to 3, and a stack's gradients
+are the sum of its samples' one-sample rollouts."""
 
 import numpy as np
 import pytest
@@ -53,21 +53,18 @@ CONFIGS = dict(
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
-@hypothesis.given(stack=st.integers(0, 3), data=st.data(), **CONFIGS)
+@hypothesis.given(stack=st.integers(1, 3), data=st.data(), **CONFIGS)
 def test_replay_equals_full_backprop_over_random_configs(
     n_heads, n_layers, mem_tokens, T, seg_len, dropout, mode, stack, data
 ):
     """Replay and full backprop give identical gradients and losses, bit for
-    bit, over random small models, lengths and positive factors, on one
-    sequence (``stack`` 0) or on a stack of 1 to 3."""
+    bit, over random small models, lengths and positive factors, on a
+    stack of 1 to 3."""
     model, samples, schedule, drop_seeds = _draw_run(
-        data, n_heads, n_layers, mem_tokens, T, seg_len, dropout, max(stack, 1)
+        data, n_heads, n_layers, mem_tokens, T, seg_len, dropout, stack
     )
-    if stack:
-        batch, drop_seed = stack_batches(samples), drop_seeds
-    else:
-        batch, drop_seed = samples[0], drop_seeds and drop_seeds[0]
-    rep_b, g_bptt, rep_a, g_amrb = run_both(model, batch, schedule, mode, drop_seed)
+    batch = stack_batches(samples)
+    rep_b, g_bptt, rep_a, g_amrb = run_both(model, batch, schedule, mode, drop_seeds)
     assert rep_a.seg_losses == rep_b.seg_losses
     for name in g_bptt:
         assert np.array_equal(g_amrb[name], g_bptt[name]), name
@@ -82,7 +79,8 @@ def test_stacked_rollout_equals_the_sum_of_single_rollouts(
     n_heads, n_layers, mem_tokens, T, seg_len, dropout, mode, B, rollout, data
 ):
     """A stack's parameter gradients and per-segment losses are the sums of
-    its samples' single-sequence rollouts, dropout included, within 1e-12."""
+    its samples' one-sample rollouts, dropout included, within 1e-12, and
+    equal them bit for bit at B = 1."""
     model, samples, schedule, drop_seeds = _draw_run(
         data, n_heads, n_layers, mem_tokens, T, seg_len, dropout, B
     )
@@ -90,7 +88,8 @@ def test_stacked_rollout_equals_the_sum_of_single_rollouts(
     singles = []
     for i, sample in enumerate(samples):
         loss_fn = classification_loss(model, sample, mode=mode)
-        singles.append(rollout(model, sample, schedule, loss_fn, drop_seeds and drop_seeds[i]))
+        seed = None if drop_seeds is None else drop_seeds[i : i + 1]
+        singles.append(rollout(model, sample, schedule, loss_fn, seed))
     expected = grads_by_name(model)
 
     model.zero_grads()
@@ -98,5 +97,7 @@ def test_stacked_rollout_equals_the_sum_of_single_rollouts(
     report = rollout(model, batch, schedule, classification_loss(model, batch, mode), drop_seeds)
     for name, grad in grads_by_name(model).items():
         assert rel_err(grad, expected[name]) <= 1e-12, name
+        assert B > 1 or np.array_equal(grad, expected[name]), name
     summed = np.sum([r.seg_losses for r in singles], axis=0)
     assert rel_err(report.seg_losses, summed) <= 1e-12
+    assert B > 1 or report.seg_losses == singles[0].seg_losses
