@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -40,11 +41,11 @@ from .harness import (
     bench_rollouts,
     eval_run,
     resolve_schedule,
+    setup_run,
     train_run,
 )
 from .retention import ltp_levels, simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
-from .model import SegmentModel
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,11 +124,23 @@ def _out_dir(args) -> Path | None:
     return path
 
 
+def _say(text: str) -> None:
+    """Print ``text`` to stdout.  If the reader has gone, stdout becomes the
+    null device, so the command still ends with its own exit code and
+    nothing is reported at interpreter exit."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(payload: dict, out_dir: Path | None, filename: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
+    _say(text)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +169,11 @@ def cmd_simulate(args) -> int:
         (out_dir / "boundaries.json").write_text(
             json.dumps(boundaries, indent=2) + "\n"
         )
-    print(
+    _say(
         f"simulated {n_cycles} cycles of {extras['cycle_seconds']}s "
         f"({len(trace.times)} samples, {extras['n_neurons']} neurons)"
     )
-    print(f"slow-level means at cycle ends: {boundaries['ltp_levels']}")
+    _say(f"slow-level means at cycle ends: {boundaries['ltp_levels']}")
     return EXIT_OK
 
 
@@ -176,9 +189,7 @@ def cmd_gradcheck(args) -> int:
         raise InvalidArgumentError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = _load_config(args)
     out_dir = _out_dir(args)
-    task = cfg.build_task()
-    spec = task.spec
-    model = SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=args.seed)
+    task, model = setup_run(cfg, args.seed)
     batch = task.dataset(1, args.seed)[0]
     schedule = resolve_schedule(cfg)
 
@@ -198,7 +209,7 @@ def cmd_gradcheck(args) -> int:
     payload = {
         "max_rel_discrepancy": worst,
         "tolerance": args.tolerance,
-        "n_segments": spec.n_segments,
+        "n_segments": task.spec.n_segments,
         "memory": {
             "amrb": rep_amrb.memory_report(),
             "bptt": rep_bptt.memory_report(),
@@ -211,7 +222,7 @@ def cmd_gradcheck(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    print(f"gradient check passed: {worst:.3e} <= {args.tolerance:.3e}")
+    _say(f"gradient check passed: {worst:.3e} <= {args.tolerance:.3e}")
     return EXIT_OK
 
 
@@ -219,12 +230,12 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     record = train_run(cfg, seed=args.seed, out_dir=_out_dir(args))
     final = record["final"]
-    print(
+    _say(
         f"trained {final['epochs_run']} epochs on {record['task']['name']}: "
         f"val_acc={final['val_acc']:.4f} (best {final['best_val_acc']:.4f})"
     )
     if args.out_dir is not None:
-        print(f"artifacts in {args.out_dir}: run.json curve.csv model.ckpt")
+        _say(f"artifacts in {args.out_dir}: run.json curve.csv model.ckpt")
     return EXIT_OK
 
 

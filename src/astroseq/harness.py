@@ -66,6 +66,14 @@ def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
     return retention_schedule(cfg.n_segments, *cfg.sim_params())
 
 
+def setup_run(cfg: RunConfig, seed: int):
+    """The task a run config names and a model for it, initialised from
+    ``seed``."""
+    task = cfg.build_task()
+    spec = task.spec
+    return task, SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
+
+
 def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:
     """Share of ``data`` predicted right, walked in stacks of
     ``stack_samples`` with R built once for all of them."""
@@ -124,9 +132,7 @@ def train_run(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    task = cfg.build_task()
-    spec = task.spec
-    model = SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
+    task, model = setup_run(cfg, seed)
     if schedule is None:
         schedule = resolve_schedule(cfg)
 
@@ -182,7 +188,7 @@ def train_run(
         "kind": "train",
         "seed": seed,
         "config": asdict(cfg),
-        "task": asdict(spec),
+        "task": asdict(task.spec),
         "retention": {"factors": list(schedule.factors), "source": schedule.source},
         "epochs": epochs,
         "final": {
@@ -227,9 +233,7 @@ def eval_run(checkpoint_path: str | Path, cfg: RunConfig | None = None, seed: in
     if cfg is not None:
         check_same_run(cfg, run)
         run = replace(run, val_samples=cfg.val_samples)
-    task = run.build_task()
-    spec = task.spec
-    model = SegmentModel(run.model_config(spec.vocab_size, spec.n_classes), seed=seed)
+    task, model = setup_run(run, seed)
     model.load_arrays(arrays)
     schedule = resolve_schedule(run)
     data = task.dataset(run.val_samples, seed, split=1)
@@ -337,13 +341,6 @@ def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     return rows
 
 
-def _bench_setup(cfg: RunConfig, seed: int):
-    task = cfg.build_task()
-    spec = task.spec
-    model = SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
-    return task, model, resolve_schedule(cfg)
-
-
 def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     """Compare the two gradient algorithms: time and storage.
 
@@ -354,7 +351,8 @@ def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     ``train_run`` stacks them.
     No update is made, so every repeat sees the same parameters.
     """
-    task, model, schedule = _bench_setup(cfg, seed)
+    task, model = setup_run(cfg, seed)
+    schedule = resolve_schedule(cfg)
     samples = task.dataset(cfg.batch_size, seed)
     batch = samples[0]
     out = {}
@@ -387,7 +385,8 @@ def bench_evaluation(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     """Evaluation throughput: ``evaluate_accuracy`` over ``val_samples``
     validation samples, best of ``repeats`` after a warm-up (CPU time
     their mean)."""
-    task, model, schedule = _bench_setup(cfg, seed)
+    task, model = setup_run(cfg, seed)
+    schedule = resolve_schedule(cfg)
     data = task.dataset(cfg.val_samples, seed, split=1)
     evaluate_accuracy(model, data, schedule)  # warm-up
     seconds, cpu = _best(lambda: evaluate_accuracy(model, data, schedule), repeats)

@@ -190,7 +190,8 @@ class KVRetrievalTask(_TaskBase):
 
 
 class ListOpsTask(_TaskBase):
-    """Evaluate short bracketed prefix expressions over digits.
+    """Evaluate bracketed prefix expressions over digits, each drawn within
+    the capacity.
 
     Ids: digits 0..9 are 1..10, then MIN, MAX, MED, SUMMOD, OPEN, CLOSE.
     ``dataset`` balances labels by quota so each digit appears equally
@@ -199,18 +200,6 @@ class ListOpsTask(_TaskBase):
 
     MIN, MAX, MED, SUMMOD, OPEN, CLOSE = 11, 12, 13, 14, 15, 16
     OPS = ("MIN", "MAX", "MED", "SUMMOD")
-    # Tokens drawn per sample before giving up.  A draw that does not fit
-    # stops at capacity + 1 or + 2 tokens, so this bounds the work of one
-    # sample whatever the settings: a capacity of 2048 gets 64 draws, one of
-    # 5 about 21,800.  The share of draws that fit falls steeply with
-    # max_depth and max_args: at L = 2048 it is about 43% at 6/8, 14% at
-    # 7/8, 5.5% at 8/8 and 3% at 10/10, and the few that fit at 10/10 are
-    # mostly the 5-token expressions that stop at once.  With 64 draws a
-    # setting whose share is under about 1/8 fails within a dataset's first
-    # few hundred samples, while 6/8 fails a sample with odds of 0.57^64,
-    # about 2e-16.  The defaults fit 5% of draws at capacity 5, which
-    # thousands of draws cannot miss.
-    DRAW_TOKENS = 64 * 2048
 
     def __init__(self, seg_len: int, n_segments: int, max_depth: int = 2, max_args: int = 4):
         if max_depth < 1 or max_args < 2:
@@ -243,43 +232,32 @@ class ListOpsTask(_TaskBase):
             return sum(args) % 10
         raise InvalidArgumentError(f"unknown operator {op!r}")
 
-    def _gen_expr(self, rng, depth: int, tokens: list[int], capacity: int) -> int | None:
-        """Append one expression's token ids to ``tokens`` and return its
-        value, or None as soon as ``tokens`` exceeds ``capacity``.  Leaves
-        are digits."""
-        if depth >= self.max_depth or (depth > 0 and rng.random() < 0.4):
+    def _gen_expr(self, rng, depth: int, tokens: list[int], room: int) -> int:
+        """Append one expression of at most ``room`` tokens to ``tokens`` and
+        return its value.  Leaves are digits.  The budget binds only where
+        an unbounded draw would overrun it: an operator (at least ``OPEN op
+        d d CLOSE``) needs 5 tokens, ``n`` arguments need ``n + 3``, and each
+        argument leaves one token for every later argument and the CLOSE."""
+        if depth >= self.max_depth or (depth > 0 and rng.random() < 0.4) or room < 5:
             d = int(rng.integers(10))
             tokens.append(self.digit_id(d))
-            return d if len(tokens) <= capacity else None
+            return d
         op_index = int(rng.integers(4))
-        n_args = int(rng.integers(2, self.max_args + 1))
+        n_args = min(int(rng.integers(2, self.max_args + 1)), room - 3)
+        end = len(tokens) + room
         tokens += [self.OPEN, 11 + op_index]
-        if len(tokens) > capacity:
-            return None
-        values = []
-        for _ in range(n_args):
-            value = self._gen_expr(rng, depth + 1, tokens, capacity)
-            if value is None:
-                return None
-            values.append(value)
+        values = [
+            self._gen_expr(rng, depth + 1, tokens, end - len(tokens) - (n_args - i))
+            for i in range(n_args)
+        ]
         tokens.append(self.CLOSE)
-        return self.apply_op(self.OPS[op_index], values) if len(tokens) <= capacity else None
+        return self.apply_op(self.OPS[op_index], values)
 
     def sample(self, rng):
-        # Redraw until an expression fits; segmentation masks the tail.
-        capacity = self.spec.capacity
-        drawn = 0
-        while drawn < self.DRAW_TOKENS:
-            tokens: list[int] = []
-            value = self._gen_expr(rng, 0, tokens, capacity)
-            if value is not None:
-                return np.asarray(tokens, dtype=np.int64), value
-            drawn += len(tokens)
-        raise InvalidArgumentError(
-            f"listops: no expression drawn at max_depth {self.max_depth} and max_args "
-            f"{self.max_args} fit in {capacity} tokens in {drawn} drawn tokens; lower "
-            "max_depth or max_args, or raise seg_len * n_segments"
-        )
+        # One draw within the capacity; segmentation masks the tail.
+        tokens: list[int] = []
+        value = self._gen_expr(rng, 0, tokens, self.spec.capacity)
+        return np.asarray(tokens, dtype=np.int64), value
 
     def dataset(self, n: int, seed: int, split: int = 0) -> list[SegmentBatch]:
         """Quota-balanced: each label appears floor/ceil(n / 10) times."""

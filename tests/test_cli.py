@@ -161,24 +161,39 @@ def test_listops_without_memory_names_the_padding_segment(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_listops_at_long_range_arena_settings_exits_2(tmp_path):
-    """Depth 10, 10 arguments, 2048 tokens: a draw fits about 3% of the
-    time, so training exits 2 naming the settings instead of redrawing
-    multi-million-token expressions without end."""
+@pytest.mark.parametrize("algorithm", ["amrb", "bptt"])
+def test_listops_trains_at_long_range_arena_settings(tmp_path, capsys, algorithm):
+    """Depth 10, 10 arguments, 2048 tokens: every draw fits the capacity,
+    so training runs."""
     path = tmp_path / "lra.ini"
     path.write_text(
         "[task]\nname = listops\nseg_len = 64\nn_segments = 32\nmax_depth = 10\nmax_args = 10\n"
+        f"[recurrence]\nalgorithm = {algorithm}\n"
+        "[training]\nepochs = 1\ntrain_samples = 4\nval_samples = 2\n"
     )
+    assert main(["train", "--config", str(path)]) == 0
+    assert "trained 1 epochs on listops" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["retention"], ["gradcheck", "--out-dir"]])
+def test_closed_stdout_keeps_the_exit_code_and_the_artifact(tmp_path, command):
+    """A reader that closes stdout before the first write: no traceback and
+    no message at interpreter exit, the command's own exit code, and the
+    ``--out-dir`` artifact written."""
+    argv = command + [str(tmp_path)] if command[-1] == "--out-dir" else command
     src = str(Path(astroseq.__file__).resolve().parents[1])
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    proc = subprocess.run(
-        [sys.executable, "-m", "astroseq", "train", "--config", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "astroseq", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: listops:") and proc.stderr.count("\n") == 1
-    assert "max_depth 10" in proc.stderr and "max_args 10" in proc.stderr
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == ""
+    if command[0] == "gradcheck":
+        assert json.loads((tmp_path / "gradcheck.json").read_text())["max_rel_discrepancy"] <= 1e-8
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):

@@ -199,24 +199,9 @@ def test_listops_datasets_that_always_fit_are_unchanged():
         assert h.hexdigest() == digest, (seg_len, n_segments)
 
 
-def test_listops_draw_stops_once_past_capacity():
-    """A draw gives up as soon as its tokens exceed the capacity, instead of
-    building the whole expression first."""
-    task = ListOpsTask(seg_len=8, n_segments=1, max_depth=10, max_args=10)
-    rng = np.random.default_rng(0)
-    gave_up = 0
-    for _ in range(200):
-        tokens = []
-        if task._gen_expr(rng, 0, tokens, 8) is None:
-            gave_up += 1
-            assert len(tokens) <= 8 + 2  # an operator opens with two tokens
-    assert gave_up > 100
-
-
 def test_listops_small_capacities_still_build():
-    """A short capacity fits few default draws (about 5% at 5 tokens), but an
-    abandoned draw there costs only a few tokens, so the per-sample budget
-    allows thousands of draws and the dataset builds."""
+    """At 5 to 8 tokens most default draws are capped by the capacity; every
+    sample still parses and keeps its label."""
     for seg_len, n_segments in ((4, 2), (5, 1)):
         task = ListOpsTask(seg_len, n_segments)
         for seed in range(3):
@@ -224,14 +209,6 @@ def test_listops_small_capacities_still_build():
             assert len(data) == 200
             for b in data:
                 assert [eval_listops_tokens(b.ids[b.mask.astype(bool)])] == b.label.tolist()
-
-
-def test_listops_that_rarely_fits_names_its_settings():
-    task = ListOpsTask(seg_len=64, n_segments=32, max_depth=10, max_args=10)
-    with pytest.raises(InvalidArgumentError) as info:
-        task.dataset(64, seed=0)
-    message = str(info.value)
-    assert "max_depth 10" in message and "max_args 10" in message and "2048 tokens" in message
 
 
 # ---------------------------------------------------------------------------
