@@ -14,7 +14,10 @@ A *read* pass then queries the summaries: each output row is
 ``phi(q_n) (H . P_n) + x_n`` where ``H`` is the summed pathway matrix and
 ``P_n = 1 / (phi(q_n) presyn^T)`` normalizes per token.  All intermediates
 are (n, m), (n, d) or (m, d); cost grows linearly with token count.
-``astro_attention`` runs both passes for each head in one loop.
+``astro_attention`` writes every head's summaries over all rows, then
+reads them for each row block its caller asks for.  Rows outside every
+block are written but never read, which is how the segment model skips
+token rows that nothing downstream reads.
 
 The positional summary R is built from a distance-decay profile
 ``exp(-|i - j| * pos_scale)`` mixed through two learned projections sized
@@ -32,6 +35,7 @@ it once with ``positional_matrix`` and hands it to every
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -191,7 +195,8 @@ def astro_attention(
     params: AttentionParams,
     pos: ValueNode | None = None,
     mask=None,
-) -> ValueNode:
+    blocks: Sequence[tuple[int, int]] | None = None,
+) -> ValueNode | tuple[ValueNode, ...]:
     """Full attention block: per head, write the summaries, then read them.
 
     ``pos`` is the block's positional summary R for x's token count, as
@@ -200,6 +205,13 @@ def astro_attention(
     summary.  Several heads split the m and d axes evenly and ``w_out``
     recombines them.  A (B, n, d) stack ``x`` takes a (B, n) stack of masks
     and attends within each of its B matrices.
+
+    Every row is written.  ``blocks`` lists the row ranges [start, stop)
+    to read, and the call returns one output per range; a row outside every
+    range costs only its share of the write.  Each range reads on its own,
+    so its rows come out bit for bit the same whatever other ranges are
+    read beside it.  Without ``blocks`` the call reads every row and
+    returns one output.
     """
     n, d = x.shape[-2:]
     if d != params.d_model:
@@ -210,6 +222,7 @@ def astro_attention(
     v = ad.matmul(x, params.w_value)
     r = positional_matrix(n, params) if pos is None else pos
     tile = _mask_tile(mask, n, m_h) if mask is not None else None
+    summaries = []
     for h in range(heads):
         phi_k = phi(_head_cols(k, h, heads))
         phi_r = phi(_head_cols(r, h, heads))
@@ -219,19 +232,27 @@ def astro_attention(
         v_h = _head_cols(v, h, heads)
         hebb_keys = ad.scalar_mul(ad.matmul(ad.transpose(phi_k), v_h), 1.0 / m_h)
         hebb_pos = ad.scalar_mul(ad.matmul(ad.transpose(phi_r), v_h), 1.0 / m_h)
-        key_mass = ad.col_sum(phi_k)
-        key_norm = ad.power(key_mass, params.alpha)
-        if h == 0:
-            # Project queries only after the first head's write: the reverse
-            # sweep then reaches this projection right after the reads
-            # instead of holding q's gradient through the whole write.
-            q = ad.matmul(x, params.w_query)
+        key_norm = ad.power(ad.col_sum(phi_k), params.alpha)
+        summaries.append((ad.add(hebb_keys, hebb_pos), key_norm))
+    if blocks is None:
+        return _read(x, params, summaries, 0, n)
+    return tuple(_read(x, params, summaries, start, stop) for start, stop in blocks)
+
+
+def _read(x: ValueNode, params: AttentionParams, summaries, start: int, stop: int) -> ValueNode:
+    """Rows [start, stop) of the block's output: each head's summaries
+    queried by those rows, heads recombined, plus the rows themselves."""
+    heads = params.n_heads
+    rows = x if (start, stop) == (0, x.shape[-2]) else ad.slice_rows(x, start, stop)
+    # Projected after the write, so the reverse sweep reaches q right after
+    # the reads instead of holding its gradient through the whole write.
+    q = ad.matmul(rows, params.w_query)
+    for h, (hebb, key_norm) in enumerate(summaries):
         phi_q = phi(_head_cols(q, h, heads))
         feedback = ad.reciprocal(ad.matmul(phi_q, ad.transpose(key_norm)))
-        hebb = ad.add(hebb_keys, hebb_pos)
         y = ad.matmul(phi_q, hebb)
         y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[-1]))
         out = y if h == 0 else ad.concat_cols(out, y)
     if heads > 1:
         out = ad.matmul(out, params.w_out)
-    return ad.add(out, x)
+    return ad.add(out, rows)

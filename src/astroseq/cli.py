@@ -9,8 +9,9 @@ Commands:
 * ``gradcheck``  compare replay gradients against full backprop
 * ``train``      train a segment model per the run config
 * ``bench``      time the attention block, both gradient algorithms (one
-                 sample and one stacked optimizer step), evaluation and
-                 the retention schedule's derivation
+                 sample and one stacked optimizer step, with one rollout's
+                 real peak bytes), evaluation and the retention schedule's
+                 derivation
 * ``eval``       score a checkpoint, under the run it stores, on fresh
                  validation data; a ``--config`` must describe that run
                  and may change only ``[recurrence]`` and ``[training]`` keys
@@ -35,6 +36,7 @@ import numpy as np
 from .config import RunConfig, load_run_config
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, InvalidArgumentError
 from .harness import (
+    BENCH_SCHEMA,
     bench_attention,
     bench_evaluation,
     bench_retention,
@@ -253,6 +255,7 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise InvalidArgumentError(f"--repeats must be positive, got {args.repeats}")
     payload = {
+        "schema": BENCH_SCHEMA,
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
         "rollouts": bench_rollouts(cfg, seed=args.seed, repeats=args.repeats),
         "evaluation": bench_evaluation(cfg, seed=args.seed, repeats=args.repeats),

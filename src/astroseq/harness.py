@@ -19,8 +19,10 @@ training stack never crosses an optimizer step.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -42,6 +44,9 @@ from .trainer import (
 )
 
 RECORD_SCHEMA = 1
+# Version of ``astroseq bench``'s payload.  2 added this key and each
+# rollout row's ``tracemalloc_peak_bytes``.
+BENCH_SCHEMA = 2
 
 # Attention rows per stack.  At 256, the README key-value config (10 rows
 # a call) stacks 25 samples and a 256-row segment one.
@@ -322,6 +327,20 @@ def _best(fn, repeats: int) -> tuple[float, float]:
     return wall, (time.process_time() - cpu) / repeats
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during one call of ``fn``,
+    above what was allocated before it.  Tracing slows every allocation,
+    so no timed call runs under it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     """Time one schedule derivation per segment count on the config's
     experiment: wall-clock and process CPU seconds, and how many cycles it
@@ -348,7 +367,9 @@ def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     mean): ``seconds`` for the rollout of one sample, a one-sample stack,
     whose counted storage the row reports, and ``step_seconds`` for the
     gradients of one optimizer step of ``batch_size`` samples, stacked as
-    ``train_run`` stacks them.
+    ``train_run`` stacks them.  ``tracemalloc_peak_bytes`` is the real
+    peak of the one-sample rollout, taken in one more, untimed, repeat,
+    beside the counted floats of its storage report.
     No update is made, so every repeat sees the same parameters.
     """
     task, model = setup_run(cfg, seed)
@@ -370,12 +391,14 @@ def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
         step()
         seconds, cpu = _best(one, repeats)
         step_seconds, step_cpu = _best(step, repeats)
+        peak_bytes = _traced_peak(one)
         out[name] = {
             "seconds": seconds,
             "cpu_seconds": cpu,
             "step_samples": len(samples),
             "step_seconds": step_seconds,
             "step_cpu_seconds": step_cpu,
+            "tracemalloc_peak_bytes": peak_bytes,
             **reports[-1].memory_report(),
         }
     return out

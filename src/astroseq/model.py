@@ -9,6 +9,15 @@ segment's valid rows together with the final memory.  ``segments`` is
 the one walk: prediction, full backprop and both passes of replay take
 it, so the retention factor is applied in one place.
 
+Only the memory rows cross a segment boundary, so a segment's token rows
+matter only where a loss or a prediction reads them.  Every block but the
+last runs on all rows, because the next block's write reads them all;
+the last block runs its read and tail on the memory rows and the token
+rows as two row blocks, and skips the token block where the walk's
+``tokens_at`` does not name the segment.  Prediction reads segment T's
+token rows alone; which segments a training loss reads is the trainer's
+to say.
+
 A :class:`SegmentBatch` is always a stack of B sequences; one sample is a
 stack of one (``split_segments``), and ``stack_batches`` joins stacks.
 Every autodiff primitive acts on the last two axes and carries leading
@@ -270,14 +279,34 @@ class SegmentModel:
 
     # -- graph builders -----------------------------------------------------
 
-    def _dropout(self, node: ValueNode, rng) -> ValueNode:
+    def _keep(self, rng, shape: tuple[int, int]) -> np.ndarray | None:
+        """A dropout keep-mask of ``shape`` per stacked sample, scaled by
+        1 / (1 - rate), each drawn from its sample's own generator; None
+        when dropout is off."""
         rate = self.config.dropout
         if rng is None or rate == 0.0:
-            return node
-        # Each stacked sample draws its mask from its own generator.
-        draw = np.stack([r.random(node.shape[1:]) for r in rng])
-        keep = (draw >= rate).astype(np.float64) / (1.0 - rate)
-        return ad.hadamard(node, ad.constant(keep))
+            return None
+        draw = np.stack([r.random(shape) for r in rng])
+        return (draw >= rate).astype(np.float64) / (1.0 - rate)
+
+    def _tail(self, i: int, a: ValueNode, keep, start: int, stop: int) -> ValueNode:
+        """Block i's row-wise tail on rows [start, stop) of its attention
+        output ``a``: dropout, layer norm, FFN, dropout, residual, layer
+        norm.  ``keep`` holds the block's two dropout masks over all rows."""
+        p = self.params
+
+        def dropout(node, mask):
+            return node if mask is None else ad.hadamard(node, ad.constant(mask[:, start:stop]))
+
+        h1 = ad.layer_norm(
+            dropout(a, keep[0]), p[f"block{i}.norm_attn.gain"], p[f"block{i}.norm_attn.bias"]
+        )
+        f = ad.relu(ad.add_bias(ad.matmul(h1, p[f"block{i}.ffn.w_in"]), p[f"block{i}.ffn.b_in"]))
+        f = dropout(f, keep[1])
+        f = ad.add_bias(ad.matmul(f, p[f"block{i}.ffn.w_out"]), p[f"block{i}.ffn.b_out"])
+        return ad.layer_norm(
+            ad.add(h1, f), p[f"block{i}.norm_ffn.gain"], p[f"block{i}.norm_ffn.bias"]
+        )
 
     def _with_memory(self, mask: np.ndarray) -> np.ndarray:
         """A segment's token ``mask`` followed by 1 for each memory row."""
@@ -295,7 +324,8 @@ class SegmentModel:
         memory: ValueNode,
         pos: tuple[ValueNode, ...],
         drop_rng=None,
-    ) -> tuple[ValueNode, ValueNode]:
+        tokens: bool = True,
+    ) -> tuple[ValueNode | None, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
         ``ids`` and ``mask`` are (B, seg_len), one row per stacked sample,
@@ -308,6 +338,17 @@ class SegmentModel:
         applied only when ``drop_rng`` is given (training): a list of B
         generators, one per sample, seeded per segment so a replayed
         forward reproduces the same masks.
+
+        Every block but the last runs on all rows, because the next
+        block's write reads them all.  The last block writes all rows,
+        then reads and runs its tail on the memory rows and on the token
+        rows as two separate row blocks, so the memory rows come out bit
+        for bit the same whether or not the token rows run.  The memory
+        block runs first: the reverse sweep then holds its small gradient,
+        not the token block's, while it sweeps the other block.  With
+        ``tokens`` false only the memory rows run and the token rows come
+        back None.  With no memory rows the token rows always run, and the
+        memory returned is an empty view of them.
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64)
@@ -322,28 +363,23 @@ class SegmentModel:
             raise ShapeError(
                 f"memory must be {(cfg.mem_tokens, cfg.d_model)} per sample, got {memory.shape}"
             )
-        p = self.params
-        x = ad.embedding_rows(p["embed"], ids)
-        h = ad.concat_rows(x, memory)
+        n, last = cfg.n_tokens, len(self.attn) - 1
+        tokens = tokens or not cfg.mem_tokens
+        blocks = [(cfg.seg_len, n)] if cfg.mem_tokens else []
+        if tokens:
+            blocks.append((0, cfg.seg_len))
+        h = ad.concat_rows(ad.embedding_rows(self.params["embed"], ids), memory)
         full_mask = self._with_memory(mask)
         for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
-            a = astro_attention(h, attn_params, r, mask=full_mask)
-            a = self._dropout(a, drop_rng)
-            h1 = ad.layer_norm(
-                a, p[f"block{i}.norm_attn.gain"], p[f"block{i}.norm_attn.bias"]
-            )
-            f = ad.relu(
-                ad.add_bias(ad.matmul(h1, p[f"block{i}.ffn.w_in"]), p[f"block{i}.ffn.b_in"])
-            )
-            f = self._dropout(f, drop_rng)
-            f = ad.add_bias(ad.matmul(f, p[f"block{i}.ffn.w_out"]), p[f"block{i}.ffn.b_out"])
-            h = ad.layer_norm(
-                ad.add(h1, f),
-                p[f"block{i}.norm_ffn.gain"],
-                p[f"block{i}.norm_ffn.bias"],
-            )
-        out = ad.slice_rows(h, 0, cfg.seg_len)
-        mem_out = ad.slice_rows(h, cfg.seg_len, cfg.n_tokens)
+            # Each mask is drawn over all rows, so the generator advances
+            # alike whichever rows run.
+            keep = [self._keep(drop_rng, (n, width)) for width in (cfg.d_model, cfg.ffn_dim)]
+            spans = blocks if i == last else [(0, n)]
+            reads = astro_attention(h, attn_params, r, mask=full_mask, blocks=spans)
+            rows = [self._tail(i, a, keep, *span) for a, span in zip(reads, spans)]
+            h = rows[0]
+        out = rows[-1] if tokens else None
+        mem_out = rows[0] if cfg.mem_tokens else ad.slice_rows(out, cfg.seg_len, cfg.seg_len)
         return out, mem_out
 
     def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
@@ -369,7 +405,8 @@ class SegmentModel:
         drop_seed=None,
         start: int = 1,
         memory: ValueNode | None = None,
-    ) -> Iterator[tuple[int, ValueNode, ValueNode]]:
+        tokens_at=None,
+    ) -> Iterator[tuple[int, ValueNode | None, ValueNode]]:
         """Walk segments ``start..T``; yields (t, token rows, memory rows
         scaled by segment t's retention factor).
 
@@ -377,8 +414,11 @@ class SegmentModel:
         ``pos`` holds each block's R.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
         the memory yielded at t-1 repeats the full walk's segment t.
-        ``drop_seed`` is a list of one seed per stacked sample.  Ops record
-        on the active tape, if any.
+        ``drop_seed`` is a list of one seed per stacked sample.
+        ``tokens_at`` names the segments whose token rows something reads
+        (default: every segment); elsewhere the walk skips the last
+        block's token rows and yields None for them (see
+        ``segment_forward``).  Ops record on the active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
@@ -388,6 +428,10 @@ class SegmentModel:
         B = len(batch.ids)
         if drop_seed is not None and (not isinstance(drop_seed, list) or len(drop_seed) != B):
             raise InvalidArgumentError(f"a stack of {B} samples takes a list of {B} dropout seeds")
+        if tokens_at is not None:
+            outside = sorted(set(tokens_at) - set(range(1, T + 1)))
+            if outside:
+                raise InvalidArgumentError(f"tokens_at names segments {outside} outside 1..{T}")
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
             ids, mask = batch.ids[:, t - 1], batch.mask[:, t - 1]
@@ -396,7 +440,10 @@ class SegmentModel:
                     f"segment {t} holds only padding and mem_tokens = 0 leaves it "
                     "no row to attend over; set mem_tokens > 0 or fewer segments"
                 )
-            out, mem_raw = self.segment_forward(ids, mask, mem, pos, _segment_rng(drop_seed, t))
+            out, mem_raw = self.segment_forward(
+                ids, mask, mem, pos, _segment_rng(drop_seed, t),
+                tokens=tokens_at is None or t in tokens_at,
+            )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem
 
@@ -405,8 +452,10 @@ class SegmentModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free rollout over all segments under ``schedule``, with R
         from ``positional``; returns (B,) labels and (B, 1, n_classes)
-        logits."""
-        for _, out, mem in self.segments(batch, schedule, pos):
+        logits.  Only segment T's token rows are read, so the walk skips
+        the others'."""
+        T = batch.n_segments
+        for _, out, mem in self.segments(batch, schedule, pos, tokens_at=(T,)):
             pass
         logits = self.classify(out, mem, batch.mask[:, -1]).value
         if not np.isfinite(logits).all():

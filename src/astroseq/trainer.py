@@ -29,6 +29,14 @@ straight into ``model.params[...].grad``.  Replay visits the
 operations in the order the single BPTT sweep does, so the two give the
 same gradients bit for bit.
 
+Replay's forward and its replays run the last block's token rows only in
+the segments the loss reads (its ``tokens_at``: segment T under the
+``final`` loss), and the memory rows everywhere.  BPTT walks every row of
+every segment: it is replay's oracle, and the storage baseline replay is
+measured against.  Its sweep never reaches an unread token block, and the
+memory rows are their own row block on every pass, so the skip changes
+no gradient bit.
+
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
 AMRB), and the peak alive during the backward phase (retained storage
@@ -41,6 +49,7 @@ the two algorithms and are not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable
 
@@ -51,7 +60,11 @@ from .errors import InvalidArgumentError, TrainingAbortError
 from .model import SegmentBatch, SegmentModel
 from .retention import RetentionSchedule
 
-LossFn = Callable[[int, ad.ValueNode, ad.ValueNode], "ad.ValueNode | None"]
+# A loss takes (t, token rows, scaled memory rows) and returns segment t's
+# loss or None.  It may carry ``tokens_at``, the segments whose token rows
+# it reads; replay passes it to ``SegmentModel.segments``, which skips the
+# token rows of the others.  A loss without it reads every segment's.
+LossFn = Callable[[int, "ad.ValueNode | None", ad.ValueNode], "ad.ValueNode | None"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,8 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
 
     ``final`` scores only the last segment; ``per_segment`` scores every
     segment against the same label (deep supervision), summed without
-    rescaling.  The loss node holds one loss per sample, (B, 1, 1).
+    rescaling.  The loss node holds one loss per sample, (B, 1, 1).  Its
+    ``tokens_at`` names the segments it scores.
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
@@ -95,6 +109,7 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         logits = model.classify(out, mem, batch.mask[:, t - 1])
         return ad.cross_entropy(logits, batch.label)
 
+    loss_fn.tokens_at = (T,) if mode == "final" else tuple(range(1, T + 1))
     return loss_fn
 
 
@@ -123,7 +138,8 @@ def bptt_rollout(
     drop_seed=None,
     step: PositionalStep | None = None,
 ) -> GradReport:
-    """Exact reference: one tape across all segments, one reverse sweep."""
+    """Exact reference: one tape across all segments, one reverse sweep,
+    over every row of every segment."""
     own_step, step = step is None, step or PositionalStep(model)
     seg_losses = [0.0] * batch.n_segments
     with ad.Tape() as tape:
@@ -159,11 +175,14 @@ def amrb_rollout(
     """Replay-based gradients: bounded storage, same result as BPTT."""
     T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
-    walk_args = (batch, schedule, step.leaves, drop_seed)
+    walk = partial(
+        model.segments, batch, schedule, step.leaves, drop_seed,
+        tokens_at=getattr(loss_fn, "tokens_at", None),
+    )
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
-    replay += [mem.value for _, _, mem in islice(model.segments(*walk_args), T - 1)]
+    replay += [mem.value for _, _, mem in islice(walk(), T - 1)]
     replay_floats = sum(mem.size for mem in replay)
 
     # Backward, last segment first, one tape per segment.
@@ -174,7 +193,7 @@ def amrb_rollout(
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
             mem_in = ad.leaf(replay[t - 1])
-            _, out, mem_scaled = next(model.segments(*walk_args, start=t, memory=mem_in))
+            _, out, mem_scaled = next(walk(start=t, memory=mem_in))
             loss_node = loss_fn(t, out, mem_scaled)
         roots = []
         if loss_node is not None:

@@ -437,6 +437,19 @@ def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
     assert seen == [2, 2] + [2, 2] * 2 + [2] + [1] * 4
 
 
+def test_bench_payload_names_its_schema(tmp_path, capsys):
+    """The payload carries its schema version, and each rollout row the
+    real peak bytes beside the counted floats."""
+    from astroseq.harness import BENCH_SCHEMA
+
+    cfg = write_tiny_config(tmp_path)
+    assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == BENCH_SCHEMA == 2
+    for row in payload["rollouts"].values():
+        assert row["tracemalloc_peak_bytes"] > 0
+
+
 def test_bench_bad_sizes_exits_2(tmp_path, capsys):
     code = main(["bench", "--sizes", "a,b"])
     assert code == 2

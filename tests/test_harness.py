@@ -214,6 +214,26 @@ def test_bench_rollouts_reports_both_algorithms():
         assert row["cpu_seconds"] >= 0 and row["step_cpu_seconds"] >= 0
 
 
+def test_bench_rollouts_take_the_real_peak_untimed(monkeypatch):
+    """Each rollout row gives the tracemalloc peak of one rollout, taken
+    outside every timed call."""
+    import tracemalloc
+
+    traced = []
+    best = harness._best
+
+    def recording(fn, repeats):
+        traced.append(tracemalloc.is_tracing())
+        return best(fn, repeats)
+
+    monkeypatch.setattr(harness, "_best", recording)
+    out = bench_rollouts(tiny_run_config(), seed=0, repeats=1)
+    assert traced == [False] * 4
+    for row in out.values():
+        # Real bytes exceed the counted floats' bytes: closures hold more.
+        assert row["tracemalloc_peak_bytes"] > 8 * row["backward_peak_floats"]
+
+
 def test_bench_evaluation_reports_throughput():
     row = bench_evaluation(tiny_run_config(), seed=0, repeats=1)
     assert row["samples"] == 12 and row["stack_samples"] == 256 // 6

@@ -327,6 +327,43 @@ def test_predict_scores_the_logits_full_backprop_trains_on():
     assert np.array_equal(logits, scored[0])
 
 
+def last_ffn_rows(monkeypatch, model):
+    """Records (taped, rows) for each product with the last block's FFN
+    input weight, in call order."""
+    w_in = model.params[f"block{model.config.n_layers - 1}.ffn.w_in"]
+    seen = []
+    original = ad.matmul
+
+    def recording(a, b):
+        if b is w_in:
+            seen.append((ad.active_tape() is not None, a.shape[-2]))
+        return original(a, b)
+
+    monkeypatch.setattr(ad, "matmul", recording)
+    return seen
+
+
+def test_predict_runs_token_rows_of_the_last_segment_only(monkeypatch):
+    """Before T, prediction runs the last block's FFN on the memory rows
+    alone; at T on the memory rows, then the token rows."""
+    model, batch, schedule = walk_setup()
+    pos = model.positional()
+    seen = last_ffn_rows(monkeypatch, model)
+    model.predict(batch, schedule, pos)
+    assert seen == [(False, 2)] * 3 + [(False, 2), (False, 3)]
+
+
+def test_walk_refuses_a_read_segment_outside_the_walk():
+    model, batch, schedule = walk_setup()
+    pos = model.positional()
+    for tokens_at in ((0,), (1, 5), (-1,)):
+        with pytest.raises(InvalidArgumentError, match="outside 1..4"):
+            next(model.segments(batch, schedule, pos, tokens_at=tokens_at))
+    assert [out is None for _, out, _ in model.segments(batch, schedule, pos, tokens_at=())] == [
+        True
+    ] * 4
+
+
 # ---------------------------------------------------------------------------
 # dropout
 

@@ -180,7 +180,8 @@ def test_listops_segments_carry_expression():
 
 
 def test_listops_datasets_that_always_fit_are_unchanged():
-    """At the default depth and arguments no draw exceeds 28 tokens, so at a
+    """At the default depth and arguments no draw exceeds 31 tokens (an
+    operator over 4 operators of 4 digits each: 2 + 4 x 7 + 1), so at a
     capacity of 31 or more no draw is cut short or redrawn: both splits are
     those the unbounded redraw made (digests pinned from it)."""
     pinned = {
