@@ -206,12 +206,12 @@ def astro_attention(
     recombines them.  A (B, n, d) stack ``x`` takes a (B, n) stack of masks
     and attends within each of its B matrices.
 
-    Every row is written.  ``blocks`` lists the row ranges [start, stop)
-    to read, and the call returns one output per range; a row outside every
-    range costs only its share of the write.  Each range reads on its own,
-    so its rows come out bit for bit the same whatever other ranges are
-    read beside it.  Without ``blocks`` the call reads every row and
-    returns one output.
+    Every row is written.  Without ``blocks`` the call reads every row
+    and returns one node.  ``blocks`` lists the row ranges [start, stop)
+    to read instead, and the call returns a tuple of one node per range;
+    the segment model always passes it.  A row outside every range costs
+    only its share of the write.  Each range reads on its own, so its rows
+    come out bit for bit the same whatever other ranges are read beside it.
     """
     n, d = x.shape[-2:]
     if d != params.d_model:

@@ -330,15 +330,20 @@ def _best(fn, repeats: int) -> tuple[float, float]:
 def _traced_peak(fn) -> int:
     """Peak bytes ``tracemalloc`` sees allocated during one call of ``fn``,
     above what was allocated before it.  Tracing slows every allocation,
-    so no timed call runs under it."""
+    so no timed call runs under it.  Tracing that was already on stays
+    on; its peak is reset, so the earlier high-water mark is lost."""
     gc.collect()
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         fn()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:

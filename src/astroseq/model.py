@@ -11,10 +11,13 @@ it, so the retention factor is applied in one place.
 
 Only the memory rows cross a segment boundary, so a segment's token rows
 matter only where a loss or a prediction reads them.  Every block but the
-last runs on all rows, because the next block's write reads them all;
-the last block runs its read and tail on the memory rows and the token
-rows as two row blocks, and skips the token block where the walk's
-``tokens_at`` does not name the segment.  Prediction reads segment T's
+last runs on all rows, because the next block's write reads them all.
+A walk given ``tokens_at`` runs the last block's read and tail on the
+memory rows and the token rows as two row blocks, and skips the token
+block where ``tokens_at`` does not name the segment; the memory block
+always runs on its own, so its rows are the same bits whichever token
+blocks run.  A walk that reads every segment's token rows runs the last
+block in one piece, which costs fewer ops.  Prediction reads segment T's
 token rows alone; which segments a training loss reads is the trainer's
 to say.
 
@@ -324,7 +327,7 @@ class SegmentModel:
         memory: ValueNode,
         pos: tuple[ValueNode, ...],
         drop_rng=None,
-        tokens: bool = True,
+        rows: str = "all",
     ) -> tuple[ValueNode | None, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
@@ -340,14 +343,18 @@ class SegmentModel:
         forward reproduces the same masks.
 
         Every block but the last runs on all rows, because the next
-        block's write reads them all.  The last block writes all rows,
-        then reads and runs its tail on the memory rows and on the token
-        rows as two separate row blocks, so the memory rows come out bit
-        for bit the same whether or not the token rows run.  The memory
-        block runs first: the reverse sweep then holds its small gradient,
-        not the token block's, while it sweeps the other block.  With
-        ``tokens`` false only the memory rows run and the token rows come
-        back None.  With no memory rows the token rows always run, and the
+        block's write reads them all.  The last block writes all rows;
+        ``rows`` says how it reads them and runs its tail.  ``"all"``: in
+        one piece.  ``"split"``: as two row blocks, the memory rows, then
+        the token rows.  ``"memory"``: the memory block alone, and the
+        token rows come back None.  The memory block is computed on its
+        own under both of the last two, so its rows come out bit for bit
+        the same whether or not the token rows run; under ``"all"`` they
+        can differ from those at rounding level, since numpy's products
+        over 4 rows do not round like those over 10.  The memory block
+        runs first: the reverse sweep then holds its small gradient, not
+        the token block's, while it sweeps the other block.  With no
+        memory rows every mode runs the token rows in one piece, and the
         memory returned is an empty view of them.
         """
         cfg = self.config
@@ -363,11 +370,13 @@ class SegmentModel:
             raise ShapeError(
                 f"memory must be {(cfg.mem_tokens, cfg.d_model)} per sample, got {memory.shape}"
             )
-        n, last = cfg.n_tokens, len(self.attn) - 1
-        tokens = tokens or not cfg.mem_tokens
-        blocks = [(cfg.seg_len, n)] if cfg.mem_tokens else []
-        if tokens:
-            blocks.append((0, cfg.seg_len))
+        if rows not in ("all", "split", "memory"):
+            raise InvalidArgumentError(f"rows must be 'all', 'split' or 'memory', got {rows!r}")
+        n, s, last = cfg.n_tokens, cfg.seg_len, len(self.attn) - 1
+        if rows == "all" or not cfg.mem_tokens:
+            blocks = [(0, n)]
+        else:
+            blocks = [(s, n)] + ([(0, s)] if rows == "split" else [])
         h = ad.concat_rows(ad.embedding_rows(self.params["embed"], ids), memory)
         full_mask = self._with_memory(mask)
         for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
@@ -376,11 +385,11 @@ class SegmentModel:
             keep = [self._keep(drop_rng, (n, width)) for width in (cfg.d_model, cfg.ffn_dim)]
             spans = blocks if i == last else [(0, n)]
             reads = astro_attention(h, attn_params, r, mask=full_mask, blocks=spans)
-            rows = [self._tail(i, a, keep, *span) for a, span in zip(reads, spans)]
-            h = rows[0]
-        out = rows[-1] if tokens else None
-        mem_out = rows[0] if cfg.mem_tokens else ad.slice_rows(out, cfg.seg_len, cfg.seg_len)
-        return out, mem_out
+            outs = [self._tail(i, a, keep, *span) for a, span in zip(reads, spans)]
+            h = outs[0]
+        if blocks == [(0, n)]:
+            return ad.slice_rows(h, 0, s), ad.slice_rows(h, s, n)
+        return (outs[1] if len(outs) > 1 else None), outs[0]
 
     def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
         """Logits (B, 1, n_classes) from mean-pooling each sample's valid
@@ -415,10 +424,13 @@ class SegmentModel:
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
         the memory yielded at t-1 repeats the full walk's segment t.
         ``drop_seed`` is a list of one seed per stacked sample.
-        ``tokens_at`` names the segments whose token rows something reads
-        (default: every segment); elsewhere the walk skips the last
-        block's token rows and yields None for them (see
-        ``segment_forward``).  Ops record on the active tape, if any.
+        ``tokens_at`` names the segments whose token rows something reads.
+        Without it every segment runs its last block in one piece.  With
+        it every segment runs its last block as two row blocks, and a
+        segment it does not name skips its token block and yields None
+        for those rows (see ``segment_forward``), so the memory rows are
+        the same bits whichever segments it names.  Ops record on the
+        active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
@@ -442,7 +454,7 @@ class SegmentModel:
                 )
             out, mem_raw = self.segment_forward(
                 ids, mask, mem, pos, _segment_rng(drop_seed, t),
-                tokens=tokens_at is None or t in tokens_at,
+                rows="all" if tokens_at is None else "split" if t in tokens_at else "memory",
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem

@@ -33,9 +33,11 @@ Replay's forward and its replays run the last block's token rows only in
 the segments the loss reads (its ``tokens_at``: segment T under the
 ``final`` loss), and the memory rows everywhere.  BPTT walks every row of
 every segment: it is replay's oracle, and the storage baseline replay is
-measured against.  Its sweep never reaches an unread token block, and the
-memory rows are their own row block on every pass, so the skip changes
-no gradient bit.
+measured against.  Under a loss with ``tokens_at`` it walks them in the
+row blocks replay runs; its sweep never reaches an unread token block,
+and the memory rows are their own row block on every pass, so the skip
+changes no gradient bit.  The ``per_segment`` loss reads every segment,
+so both algorithms run each segment's last block in one piece.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
@@ -63,7 +65,8 @@ from .retention import RetentionSchedule
 # A loss takes (t, token rows, scaled memory rows) and returns segment t's
 # loss or None.  It may carry ``tokens_at``, the segments whose token rows
 # it reads; replay passes it to ``SegmentModel.segments``, which skips the
-# token rows of the others.  A loss without it reads every segment's.
+# token rows of the others.  A loss without it, or with None, reads every
+# segment's.
 LossFn = Callable[[int, "ad.ValueNode | None", ad.ValueNode], "ad.ValueNode | None"]
 
 
@@ -95,7 +98,8 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
     ``final`` scores only the last segment; ``per_segment`` scores every
     segment against the same label (deep supervision), summed without
     rescaling.  The loss node holds one loss per sample, (B, 1, 1).  Its
-    ``tokens_at`` names the segments it scores.
+    ``tokens_at`` names the segments it scores: (T,) under ``final``, and
+    None, every segment, under ``per_segment``.
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
@@ -109,7 +113,7 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         logits = model.classify(out, mem, batch.mask[:, t - 1])
         return ad.cross_entropy(logits, batch.label)
 
-    loss_fn.tokens_at = (T,) if mode == "final" else tuple(range(1, T + 1))
+    loss_fn.tokens_at = (T,) if mode == "final" else None
     return loss_fn
 
 
@@ -139,12 +143,15 @@ def bptt_rollout(
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep,
-    over every row of every segment."""
+    over every row of every segment, in the row blocks replay runs."""
+    T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
-    seg_losses = [0.0] * batch.n_segments
+    seg_losses = [0.0] * T
+    every = None if getattr(loss_fn, "tokens_at", None) is None else range(1, T + 1)
     with ad.Tape() as tape:
         total = None
-        for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed):
+        walk = model.segments(batch, schedule, step.leaves, drop_seed, tokens_at=every)
+        for t, out, mem in walk:
             node = loss_fn(t, out, mem)
             if node is not None:
                 seg_losses[t - 1] = float(node.value.sum())

@@ -234,6 +234,24 @@ def test_bench_rollouts_take_the_real_peak_untimed(monkeypatch):
         assert row["tracemalloc_peak_bytes"] > 8 * row["backward_peak_floats"]
 
 
+def test_traced_peak_leaves_tracing_that_was_already_on():
+    """With tracing already on, the peak is still this call's alone, and
+    tracing stays on afterwards."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        earlier = bytearray(8_000_000)
+        del earlier
+        peak = harness._traced_peak(lambda: bytearray(800_000))
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert 800_000 <= peak < 2_000_000
+    assert harness._traced_peak(lambda: bytearray(800_000)) >= 800_000
+    assert not tracemalloc.is_tracing()
+
+
 def test_bench_evaluation_reports_throughput():
     row = bench_evaluation(tiny_run_config(), seed=0, repeats=1)
     assert row["samples"] == 12 and row["stack_samples"] == 256 // 6

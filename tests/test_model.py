@@ -353,6 +353,13 @@ def test_predict_runs_token_rows_of_the_last_segment_only(monkeypatch):
     assert seen == [(False, 2)] * 3 + [(False, 2), (False, 3)]
 
 
+def test_segment_forward_refuses_an_unknown_row_mode():
+    model, batch, _ = walk_setup()
+    mem, pos = model.params["mem_init"], model.positional()
+    with pytest.raises(InvalidArgumentError, match="rows must be"):
+        model.segment_forward(batch.ids[:, 0], batch.mask[:, 0], mem, pos, rows="tokens")
+
+
 def test_walk_refuses_a_read_segment_outside_the_walk():
     model, batch, schedule = walk_setup()
     pos = model.positional()

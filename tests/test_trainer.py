@@ -205,9 +205,10 @@ def test_step_builds_positional_summary_once_per_layer(monkeypatch):
     "mode,taped",
     [
         # Before T only the memory rows run (2 of them), taped or not; at T
-        # the memory rows, then the token rows (3).
+        # the memory rows, then the token rows (3).  Reading every segment,
+        # all 5 rows run in one piece.
         ("final", [(True, 2), (True, 3), (True, 2), (True, 2)]),
-        ("per_segment", [(True, 2), (True, 3)] * 3),
+        ("per_segment", [(True, 5)] * 3),
     ],
 )
 def test_replay_runs_only_the_token_rows_its_loss_reads(monkeypatch, mode, taped):
@@ -217,25 +218,30 @@ def test_replay_runs_only_the_token_rows_its_loss_reads(monkeypatch, mode, taped
     loss_fn = classification_loss(model, batch, mode=mode)
     seen = last_ffn_rows(monkeypatch, model)
     amrb_rollout(model, batch, skewed_schedule(3), loss_fn)
-    free = [(False, 2)] * 2 if mode == "final" else [(False, 2), (False, 3)] * 2
+    free = [(False, 2)] * 2 if mode == "final" else [(False, 5)] * 2
     assert seen == free + taped
 
 
 def test_full_backprop_and_unscoped_losses_run_every_token_row(monkeypatch):
-    """BPTT walks every row, and so does replay under a loss that does not
-    say which segments it reads."""
+    """BPTT walks every row: in replay's two row blocks under a loss that
+    names the segments it reads, in one piece under one that reads them
+    all.  Replay under a loss that does not say runs every row in one
+    piece too."""
     from test_model import last_ffn_rows
 
     model, batch = build_setup(0)
     final = classification_loss(model, batch)
-    assert final.tokens_at == (3,)
-    assert classification_loss(model, batch, mode="per_segment").tokens_at == (1, 2, 3)
+    per_segment = classification_loss(model, batch, mode="per_segment")
+    assert final.tokens_at == (3,) and per_segment.tokens_at is None
     seen = last_ffn_rows(monkeypatch, model)
     bptt_rollout(model, batch, skewed_schedule(3), final)
     assert seen == [(True, 2), (True, 3)] * 3
     seen.clear()
+    bptt_rollout(model, batch, skewed_schedule(3), per_segment)
+    assert seen == [(True, 5)] * 3
+    seen.clear()
     amrb_rollout(model, batch, skewed_schedule(3), lambda t, out, mem: final(t, out, mem))
-    assert seen == [(False, 2), (False, 3)] * 2 + [(True, 2), (True, 3)] * 3
+    assert seen == [(False, 5)] * 2 + [(True, 5)] * 3
 
 
 def test_replay_matches_full_backprop_single_segment():
