@@ -11,15 +11,15 @@ it, so the retention factor is applied in one place.
 
 Only the memory rows cross a segment boundary, so a segment's token rows
 matter only where a loss or a prediction reads them.  Every block but the
-last runs on all rows, because the next block's write reads them all.
-A walk given ``tokens_at`` runs the last block's read and tail on the
-memory rows and the token rows as two row blocks, and skips the token
-block where ``tokens_at`` does not name the segment; the memory block
-always runs on its own, so its rows are the same bits whichever token
-blocks run.  A walk that reads every segment's token rows runs the last
-block in one piece, which costs fewer ops.  Prediction reads segment T's
-token rows alone; which segments a training loss reads is the trainer's
-to say.
+last runs on all rows, because the next block's write reads them all; the
+last block reads them in one of three row modes (``segment_forward``):
+``"all"``, in one piece; ``"split"``, the memory rows and the token rows
+as two row blocks; ``"memory"``, the memory block alone.  The memory
+block's rows are the same bits under the last two.  A walk runs every
+segment it covers in one mode, and a caller that needs another mode at
+segment T resumes the walk there: prediction walks 1..T-1 under
+``"memory"`` and T under ``"split"``.  The trainer picks the rollouts'
+modes from the loss's.
 
 A :class:`SegmentBatch` is always a stack of B sequences; one sample is a
 stack of one (``split_segments``), and ``stack_batches`` joins stacks.
@@ -40,6 +40,7 @@ parameter version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -354,8 +355,10 @@ class SegmentModel:
         over 4 rows do not round like those over 10.  The memory block
         runs first: the reverse sweep then holds its small gradient, not
         the token block's, while it sweeps the other block.  With no
-        memory rows every mode runs the token rows in one piece, and the
-        memory returned is an empty view of them.
+        memory rows nothing crosses the boundary, so ``"memory"`` runs no
+        block and returns ``memory`` as given; the other two run the token
+        rows in one piece, and the memory returned is an empty view of
+        them.
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64)
@@ -372,6 +375,8 @@ class SegmentModel:
             )
         if rows not in ("all", "split", "memory"):
             raise InvalidArgumentError(f"rows must be 'all', 'split' or 'memory', got {rows!r}")
+        if rows == "memory" and not cfg.mem_tokens:
+            return None, memory
         n, s, last = cfg.n_tokens, cfg.seg_len, len(self.attn) - 1
         if rows == "all" or not cfg.mem_tokens:
             blocks = [(0, n)]
@@ -414,7 +419,7 @@ class SegmentModel:
         drop_seed=None,
         start: int = 1,
         memory: ValueNode | None = None,
-        tokens_at=None,
+        rows: str = "all",
     ) -> Iterator[tuple[int, ValueNode | None, ValueNode]]:
         """Walk segments ``start..T``; yields (t, token rows, memory rows
         scaled by segment t's retention factor).
@@ -423,14 +428,10 @@ class SegmentModel:
         ``pos`` holds each block's R.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
         the memory yielded at t-1 repeats the full walk's segment t.
-        ``drop_seed`` is a list of one seed per stacked sample.
-        ``tokens_at`` names the segments whose token rows something reads.
-        Without it every segment runs its last block in one piece.  With
-        it every segment runs its last block as two row blocks, and a
-        segment it does not name skips its token block and yields None
-        for those rows (see ``segment_forward``), so the memory rows are
-        the same bits whichever segments it names.  Ops record on the
-        active tape, if any.
+        ``drop_seed`` is a list of one seed per stacked sample.  Every
+        segment runs in the row mode ``rows`` (see ``segment_forward``);
+        under ``"memory"`` the token rows come back None.  Ops record on
+        the active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
@@ -440,10 +441,6 @@ class SegmentModel:
         B = len(batch.ids)
         if drop_seed is not None and (not isinstance(drop_seed, list) or len(drop_seed) != B):
             raise InvalidArgumentError(f"a stack of {B} samples takes a list of {B} dropout seeds")
-        if tokens_at is not None:
-            outside = sorted(set(tokens_at) - set(range(1, T + 1)))
-            if outside:
-                raise InvalidArgumentError(f"tokens_at names segments {outside} outside 1..{T}")
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
             ids, mask = batch.ids[:, t - 1], batch.mask[:, t - 1]
@@ -453,8 +450,7 @@ class SegmentModel:
                     "no row to attend over; set mem_tokens > 0 or fewer segments"
                 )
             out, mem_raw = self.segment_forward(
-                ids, mask, mem, pos, _segment_rng(drop_seed, t),
-                rows="all" if tokens_at is None else "split" if t in tokens_at else "memory",
+                ids, mask, mem, pos, _segment_rng(drop_seed, t), rows
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem
@@ -464,11 +460,13 @@ class SegmentModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free rollout over all segments under ``schedule``, with R
         from ``positional``; returns (B,) labels and (B, 1, n_classes)
-        logits.  Only segment T's token rows are read, so the walk skips
-        the others'."""
+        logits.  Only segment T's token rows are read, so segments
+        1..T-1 run under ``"memory"`` and T under ``"split"``."""
         T = batch.n_segments
-        for _, out, mem in self.segments(batch, schedule, pos, tokens_at=(T,)):
+        mem = None
+        for _, _, mem in islice(self.segments(batch, schedule, pos, rows="memory"), T - 1):
             pass
+        _, out, mem = next(self.segments(batch, schedule, pos, start=T, memory=mem, rows="split"))
         logits = self.classify(out, mem, batch.mask[:, -1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")

@@ -29,15 +29,18 @@ straight into ``model.params[...].grad``.  Replay visits the
 operations in the order the single BPTT sweep does, so the two give the
 same gradients bit for bit.
 
-Replay's forward and its replays run the last block's token rows only in
-the segments the loss reads (its ``tokens_at``: segment T under the
-``final`` loss), and the memory rows everywhere.  BPTT walks every row of
-every segment: it is replay's oracle, and the storage baseline replay is
-measured against.  Under a loss with ``tokens_at`` it walks them in the
-row blocks replay runs; its sweep never reaches an unread token block,
-and the memory rows are their own row block on every pass, so the skip
-changes no gradient bit.  The ``per_segment`` loss reads every segment,
-so both algorithms run each segment's last block in one piece.
+Both take their loss from ``classification_loss``, and its ``mode`` sets
+the rows each walk runs (``SegmentModel.segments`` takes one row mode per
+walk).  Under ``final`` only segment T's token
+rows are read: replay runs its tape-free forward and its replays of
+1..T-1 under ``"memory"``, and replays T under ``"split"``; BPTT runs
+every segment under ``"split"``.  BPTT walks every row because it is
+replay's oracle and the storage baseline replay is measured against (the
+gate's C2); in replay's row blocks its sweep never reaches an unread
+token block, and the memory rows are their own row block on every pass,
+so the skip changes no gradient bit.  The ``per_segment`` loss reads
+every segment, so both run ``"all"``: two row blocks where nothing is
+skipped cost about a fifth more step time on the key-value workload.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
@@ -53,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
@@ -61,14 +63,6 @@ from . import autodiff as ad
 from .errors import InvalidArgumentError, TrainingAbortError
 from .model import SegmentBatch, SegmentModel
 from .retention import RetentionSchedule
-
-# A loss takes (t, token rows, scaled memory rows) and returns segment t's
-# loss or None.  It may carry ``tokens_at``, the segments whose token rows
-# it reads; replay passes it to ``SegmentModel.segments``, which skips the
-# token rows of the others.  A loss without it, or with None, reads every
-# segment's.
-LossFn = Callable[[int, "ad.ValueNode | None", ad.ValueNode], "ad.ValueNode | None"]
-
 
 @dataclass(frozen=True)
 class GradReport:
@@ -92,14 +86,14 @@ class GradReport:
         }
 
 
-def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "final") -> LossFn:
+def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "final"):
     """Cross-entropy of each stacked sample against its label.
 
     ``final`` scores only the last segment; ``per_segment`` scores every
     segment against the same label (deep supervision), summed without
-    rescaling.  The loss node holds one loss per sample, (B, 1, 1).  Its
-    ``tokens_at`` names the segments it scores: (T,) under ``final``, and
-    None, every segment, under ``per_segment``.
+    rescaling.  The returned function maps (t, token rows, scaled memory
+    rows) to segment t's loss node, one loss per sample, (B, 1, 1), or
+    None; it carries ``mode``, from which the rollouts pick their rows.
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
@@ -113,7 +107,7 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         logits = model.classify(out, mem, batch.mask[:, t - 1])
         return ad.cross_entropy(logits, batch.label)
 
-    loss_fn.tokens_at = (T,) if mode == "final" else None
+    loss_fn.mode = mode
     return loss_fn
 
 
@@ -138,26 +132,24 @@ def bptt_rollout(
     model: SegmentModel,
     batch: SegmentBatch,
     schedule: RetentionSchedule,
-    loss_fn: LossFn,
+    loss_fn,
     drop_seed=None,
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep,
-    over every row of every segment, in the row blocks replay runs."""
+    over every row of every segment: under ``"split"``, replay's row
+    blocks, for the ``final`` loss, and ``"all"`` for ``per_segment``."""
     T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
     seg_losses = [0.0] * T
-    every = None if getattr(loss_fn, "tokens_at", None) is None else range(1, T + 1)
+    rows = "split" if loss_fn.mode == "final" else "all"
     with ad.Tape() as tape:
         total = None
-        walk = model.segments(batch, schedule, step.leaves, drop_seed, tokens_at=every)
-        for t, out, mem in walk:
+        for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed, rows=rows):
             node = loss_fn(t, out, mem)
             if node is not None:
                 seg_losses[t - 1] = float(node.value.sum())
                 total = node if total is None else ad.add(total, node)
-        if total is None:
-            raise InvalidArgumentError("loss function produced no loss for any segment")
     forward_peak = tape.stored_floats
     pending_peak = ad.backward(total)
     if own_step:
@@ -175,36 +167,32 @@ def amrb_rollout(
     model: SegmentModel,
     batch: SegmentBatch,
     schedule: RetentionSchedule,
-    loss_fn: LossFn,
+    loss_fn,
     drop_seed=None,
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Replay-based gradients: bounded storage, same result as BPTT."""
     T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
-    walk = partial(
-        model.segments, batch, schedule, step.leaves, drop_seed,
-        tokens_at=getattr(loss_fn, "tokens_at", None),
-    )
+    walk = partial(model.segments, batch, schedule, step.leaves, drop_seed)
+    early, last = ("memory", "split") if loss_fn.mode == "final" else ("all", "all")
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
-    replay += [mem.value for _, _, mem in islice(walk(), T - 1)]
+    replay += [mem.value for _, _, mem in islice(walk(rows=early), T - 1)]
     replay_floats = sum(mem.size for mem in replay)
 
     # Backward, last segment first, one tape per segment.
     seg_losses = [0.0] * T
     grad_mem_next: np.ndarray | None = None
     backward_peak = 0
-    saw_loss = False
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
             mem_in = ad.leaf(replay[t - 1])
-            _, out, mem_scaled = next(walk(start=t, memory=mem_in))
+            _, out, mem_scaled = next(walk(start=t, memory=mem_in, rows=last if t == T else early))
             loss_node = loss_fn(t, out, mem_scaled)
         roots = []
         if loss_node is not None:
-            saw_loss = True
             seg_losses[t - 1] = float(loss_node.value.sum())
             roots.append((loss_node, None))
         if grad_mem_next is not None and grad_mem_next.size > 0:
@@ -212,8 +200,6 @@ def amrb_rollout(
         pending_peak = ad.backward(*roots[0], more=roots[1:]) if roots else 0
         grad_mem_next = mem_in.grad
         backward_peak = max(backward_peak, replay_floats + tape.stored_floats + pending_peak)
-    if not saw_loss:
-        raise InvalidArgumentError("loss function produced no loss for any segment")
 
     model.params["mem_init"].grad[...] += grad_mem_next
     if own_step:

@@ -17,7 +17,7 @@ from astroseq.model import (
     stack_batches,
 )
 from astroseq.retention import RetentionSchedule, uniform_schedule
-from astroseq.trainer import bptt_rollout
+from astroseq.trainer import bptt_rollout, classification_loss
 
 from conftest import rel_err
 
@@ -308,22 +308,27 @@ def test_stacked_walk_takes_one_dropout_seed_per_sample():
     next(model.segments(stack, schedule, pos, [(7, 1, 0), 8]))
 
 
+def scored_logits(model):
+    """Records the logits of each ``model.classify`` call, in call order."""
+    scored, classify = [], model.classify
+
+    def recording(out, mem, mask):
+        logits = classify(out, mem, mask)
+        scored.append(logits.value.copy())
+        return logits
+
+    model.classify = recording
+    return scored
+
+
 def test_predict_scores_the_logits_full_backprop_trains_on():
     """Training and evaluation walk one path: the final-segment logits a
     BPTT loss scores are ``predict``'s logits, bit for bit."""
     model, batch, schedule = walk_setup()
-    scored = []
-
-    def loss_fn(t, out, mem):
-        if t < batch.n_segments:
-            return None
-        logits = model.classify(out, mem, batch.mask[:, t - 1])
-        scored.append(logits.value.copy())
-        return ad.cross_entropy(logits, batch.label)
-
-    bptt_rollout(model, batch, schedule, loss_fn)
-    _, logits = model.predict(batch, schedule, model.positional())
+    scored = scored_logits(model)
+    bptt_rollout(model, batch, schedule, classification_loss(model, batch))
     assert len(scored) == 1
+    _, logits = model.predict(batch, schedule, model.positional())
     assert np.array_equal(logits, scored[0])
 
 
@@ -358,17 +363,6 @@ def test_segment_forward_refuses_an_unknown_row_mode():
     mem, pos = model.params["mem_init"], model.positional()
     with pytest.raises(InvalidArgumentError, match="rows must be"):
         model.segment_forward(batch.ids[:, 0], batch.mask[:, 0], mem, pos, rows="tokens")
-
-
-def test_walk_refuses_a_read_segment_outside_the_walk():
-    model, batch, schedule = walk_setup()
-    pos = model.positional()
-    for tokens_at in ((0,), (1, 5), (-1,)):
-        with pytest.raises(InvalidArgumentError, match="outside 1..4"):
-            next(model.segments(batch, schedule, pos, tokens_at=tokens_at))
-    assert [out is None for _, out, _ in model.segments(batch, schedule, pos, tokens_at=())] == [
-        True
-    ] * 4
 
 
 # ---------------------------------------------------------------------------

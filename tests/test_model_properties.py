@@ -1,7 +1,7 @@
 """Properties of the segment walk over random small models: a walk that
-skips token rows repeats the full walk's memory rows bit for bit, and its
-token rows wherever it keeps them, when the full walk runs the same row
-blocks; a walk in one piece agrees with both to rounding."""
+skips token rows repeats the memory rows of the walk that runs them in
+its own row blocks bit for bit, and a walk in one piece agrees with both
+to rounding."""
 
 import numpy as np
 import pytest
@@ -26,12 +26,13 @@ st = hypothesis.strategies
 def test_skipping_token_rows_keeps_every_row_it_computes(
     n_layers, n_heads, dropout, mem_tokens, T, stack, data
 ):
-    """Over random models, stacks, dropout seeds and sets of read segments:
-    every memory row, and the token rows of every read segment, equal
-    those of the walk that reads every segment in the same row blocks, bit
-    for bit.  Unread segments yield None for their token rows, except
-    without memory rows, where every segment's run.  The walk that runs
-    each segment in one piece differs from them at rounding level only."""
+    """Over random models, stacks, dropout seeds and a row mode drawn for
+    each segment, resuming the walk there as prediction and replay do:
+    every memory row equals that of the ``"split"`` walk bit for bit, and
+    so do the token rows of a segment run under ``"split"``; one run under
+    ``"memory"`` yields None for them, with or without memory rows.  The
+    ``"all"`` walk differs from the ``"split"`` walk at rounding level
+    only."""
     seg_len = data.draw(st.integers(2, 4), label="seg_len")
     cfg = ModelConfig(
         vocab_size=9, n_classes=3, d_model=4, m_hidden=4, n_heads=n_heads, ffn_dim=6,
@@ -52,19 +53,26 @@ def test_skipping_token_rows_keeps_every_row_it_computes(
     batch = stack_batches(samples)
     factors = data.draw(st.lists(st.floats(0.01, 1.0), min_size=T, max_size=T), label="factors")
     schedule = RetentionSchedule(n_segments=T, factors=tuple(factors), source={"kind": "drawn"})
-    tokens_at = data.draw(st.sets(st.integers(1, T)), label="tokens_at")
+    modes = data.draw(
+        st.lists(st.sampled_from(["memory", "split"]), min_size=T, max_size=T), label="modes"
+    )
     drop_seed = [(seed, 1, i) for i in range(stack)] if dropout else None
     pos = model.positional()
 
-    full = list(model.segments(batch, schedule, pos, drop_seed, tokens_at=range(1, T + 1)))
-    skipping = list(model.segments(batch, schedule, pos, drop_seed, tokens_at=tokens_at))
-    whole = list(model.segments(batch, schedule, pos, drop_seed))
-    assert [t for t, _, _ in skipping] == list(range(1, T + 1))
-    for (t, out, mem), (_, out_s, mem_s), (_, out_w, mem_w) in zip(full, skipping, whole):
-        assert np.array_equal(mem_s.value, mem.value)
-        if t in tokens_at or not mem_tokens:
-            assert np.array_equal(out_s.value, out.value)
+    split = list(model.segments(batch, schedule, pos, drop_seed, rows="split"))
+    whole = list(model.segments(batch, schedule, pos, drop_seed, rows="all"))
+    assert [t for t, _, _ in split] == list(range(1, T + 1))
+    memory = None
+    for (t, out, mem), (_, out_w, mem_w), rows in zip(split, whole, modes):
+        walk = model.segments(batch, schedule, pos, drop_seed, start=t, memory=memory, rows=rows)
+        t_r, out_r, memory = next(walk)
+        assert t_r == t
+        # Without memory rows there is nothing to compare: "memory" passes
+        # on the empty memory it was given, "split" an empty view.
+        assert not mem_tokens or np.array_equal(memory.value, mem.value)
+        if rows == "memory":
+            assert out_r is None
         else:
-            assert out_s is None
+            assert np.array_equal(out_r.value, out.value)
         np.testing.assert_allclose(mem_w.value, mem.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out_w.value, out.value, rtol=1e-12, atol=1e-12)

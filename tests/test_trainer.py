@@ -223,25 +223,32 @@ def test_replay_runs_only_the_token_rows_its_loss_reads(monkeypatch, mode, taped
 
 
 def test_full_backprop_and_unscoped_losses_run_every_token_row(monkeypatch):
-    """BPTT walks every row: in replay's two row blocks under a loss that
-    names the segments it reads, in one piece under one that reads them
-    all.  Replay under a loss that does not say runs every row in one
-    piece too."""
+    """BPTT walks every row: in replay's two row blocks under the ``final``
+    loss, in one piece under ``per_segment``, which reads them all."""
     from test_model import last_ffn_rows
 
     model, batch = build_setup(0)
-    final = classification_loss(model, batch)
-    per_segment = classification_loss(model, batch, mode="per_segment")
-    assert final.tokens_at == (3,) and per_segment.tokens_at is None
     seen = last_ffn_rows(monkeypatch, model)
-    bptt_rollout(model, batch, skewed_schedule(3), final)
+    bptt_rollout(model, batch, skewed_schedule(3), classification_loss(model, batch))
     assert seen == [(True, 2), (True, 3)] * 3
     seen.clear()
+    per_segment = classification_loss(model, batch, mode="per_segment")
     bptt_rollout(model, batch, skewed_schedule(3), per_segment)
     assert seen == [(True, 5)] * 3
+
+
+def test_segments_without_memory_rows_run_only_where_read(monkeypatch):
+    """With no memory rows nothing crosses a segment boundary, so replay
+    under ``final`` and prediction run no layer before segment T."""
+    from test_model import last_ffn_rows
+
+    model, batch = build_setup(0, mem_tokens=0)
+    seen = last_ffn_rows(monkeypatch, model)
+    amrb_rollout(model, batch, skewed_schedule(3), classification_loss(model, batch))
+    assert seen == [(True, 3)]
     seen.clear()
-    amrb_rollout(model, batch, skewed_schedule(3), lambda t, out, mem: final(t, out, mem))
-    assert seen == [(False, 5)] * 2 + [(True, 5)] * 3
+    model.predict(batch, skewed_schedule(3), model.positional())
+    assert seen == [(False, 3)]
 
 
 def test_replay_matches_full_backprop_single_segment():
@@ -358,14 +365,6 @@ def test_gradients_accumulate_across_rollouts():
     twice = grads_by_name(model)
     for name in once:
         assert rel_err(twice[name], 2 * once[name]) < 1e-12
-
-
-def test_loss_fn_must_emit_at_least_one_loss():
-    model, batch = build_setup(0)
-    with pytest.raises(InvalidArgumentError):
-        bptt_rollout(model, batch, uniform_schedule(3), lambda *a: None)
-    with pytest.raises(InvalidArgumentError):
-        amrb_rollout(model, batch, uniform_schedule(3), lambda *a: None)
 
 
 def test_rollout_rejects_mismatched_schedule():

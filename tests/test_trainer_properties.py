@@ -1,6 +1,7 @@
 """Properties of the rollouts over random small runs: replay and full
-backprop agree bit for bit on stacks of 1 to 3, and a stack's gradients
-are the sum of its samples' one-sample rollouts."""
+backprop agree bit for bit on stacks of 1 to 3, a stack's gradients are
+the sum of its samples' one-sample rollouts, and prediction scores the
+logits both rollouts train on."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from astroseq.retention import RetentionSchedule
 from astroseq.trainer import amrb_rollout, bptt_rollout, classification_loss
 
 from conftest import rel_err
+from test_model import scored_logits
 from test_trainer import grads_by_name, run_both
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -101,3 +103,33 @@ def test_stacked_rollout_equals_the_sum_of_single_rollouts(
     summed = np.sum([r.seg_losses for r in singles], axis=0)
     assert rel_err(report.seg_losses, summed) <= 1e-12
     assert B > 1 or report.seg_losses == singles[0].seg_losses
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
+@hypothesis.given(
+    n_heads=st.integers(1, 2),
+    n_layers=st.integers(1, 2),
+    mem_tokens=st.integers(0, 3),
+    T=st.integers(1, 4),
+    seg_len=st.integers(2, 4),
+    stack=st.integers(1, 3),
+    data=st.data(),
+)
+def test_predict_scores_the_logits_both_rollouts_train_on(
+    n_heads, n_layers, mem_tokens, T, seg_len, stack, data
+):
+    """Training and evaluation cannot disagree: over random small models
+    and stacks, without dropout, ``predict``'s logits are bit for bit the
+    segment-T logits the ``final`` loss scores in full backprop and in
+    replay's replay of T."""
+    model, samples, schedule, _ = _draw_run(
+        data, n_heads, n_layers, mem_tokens, T, seg_len, 0.0, stack
+    )
+    batch = stack_batches(samples)
+    scored = scored_logits(model)
+    for rollout in (bptt_rollout, amrb_rollout):
+        rollout(model, batch, schedule, classification_loss(model, batch))
+    assert len(scored) == 2
+    _, logits = model.predict(batch, schedule, model.positional())
+    for trained in scored[:2]:
+        assert np.array_equal(logits, trained)
