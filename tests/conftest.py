@@ -1,12 +1,19 @@
 """Shared numerical helpers for the test suite."""
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from astroseq.checkpoint import MAGIC, VERSION
 
 ACCEPTANCE_LINES: list[str] = []
+
+# The tests import the package from this checkout (pyproject's pytest
+# ``pythonpath``); a Python subprocess a test starts does too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter):
