@@ -10,7 +10,8 @@ Commands:
 * ``train``      train a segment model per the run config
 * ``bench``      time the attention block, both gradient algorithms (one
                  sample and one stacked optimizer step, with one rollout's
-                 real peak bytes), evaluation and the retention schedule's
+                 real peak bytes), evaluation, a sweep of step time and
+                 storage over stack sizes, and the retention schedule's
                  derivation
 * ``eval``       score a checkpoint, under the run it stores, on fresh
                  validation data; a ``--config`` must describe that run
@@ -41,6 +42,7 @@ from .harness import (
     bench_evaluation,
     bench_retention,
     bench_rollouts,
+    bench_stacks,
     eval_run,
     resolve_schedule,
     setup_run,
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(handler=cmd_train)
 
     bench = commands.add_parser(
-        "bench", help="attention, rollout, evaluation and retention timings"
+        "bench", help="attention, rollout, evaluation, stack-size and retention timings"
     )
     _common(bench)
     bench.add_argument(
@@ -98,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated token counts for the attention timing",
     )
     bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions of the "
-                       "attention, rollout and evaluation rows (retention: one derivation each)")
+                       "attention, rollout, evaluation and stack rows (retention: one derivation "
+                       "each)")
     bench.set_defaults(handler=cmd_bench)
 
     ev = commands.add_parser("eval", help="score a checkpoint under the run it stores")
@@ -259,6 +262,7 @@ def cmd_bench(args) -> int:
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
         "rollouts": bench_rollouts(cfg, seed=args.seed, repeats=args.repeats),
         "evaluation": bench_evaluation(cfg, seed=args.seed, repeats=args.repeats),
+        "stacks": bench_stacks(cfg, seed=args.seed, repeats=args.repeats),
         "retention": bench_retention(cfg),
     }
     _emit(payload, out_dir, "bench.json")

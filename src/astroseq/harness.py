@@ -14,7 +14,11 @@ tape op is paid once per stack, not once per sample.  A stack holds
 ``max(1, STACK_ROWS // n_tokens)`` samples, where ``n_tokens`` is the
 rows of one attention call, so a stack's working set stays near that of
 one sample with ``STACK_ROWS`` rows whatever the segment length.  A
-training stack never crosses an optimizer step.
+training stack never crosses an optimizer step.  ``STACK_ROWS`` was set
+from ``bench_stacks``, a sweep of step time against peak storage over
+stack sizes (``BENCH_3.json``): at 512 rows a 256-row segment stacks two
+samples, which pays the per-op cost half as often for about twice the
+storage of one.
 """
 
 from __future__ import annotations
@@ -45,12 +49,21 @@ from .trainer import (
 
 RECORD_SCHEMA = 1
 # Version of ``astroseq bench``'s payload.  2 added this key and each
-# rollout row's ``tracemalloc_peak_bytes``.
-BENCH_SCHEMA = 2
+# rollout row's ``tracemalloc_peak_bytes``; 3 added the stack sweep and
+# each timed row's median beside its best.
+BENCH_SCHEMA = 3
 
-# Attention rows per stack.  At 256, the README key-value config (10 rows
-# a call) stacks 25 samples and a 256-row segment one.
-STACK_ROWS = 256
+# Attention rows per stack.  At 512, the README key-value config (10 rows
+# a call) stacks 51 samples, ListOps with 64-token segments and 4 memory
+# rows 7, and a 256-row segment 2.  In the stack sweep on that segment
+# (``BENCH_3.json``), 2 samples a stack cut ``amrb``'s 16-sample step from
+# 128 to 75 ms against 1, for 1.8 times the counted peak.  1,024 rows was
+# faster still, but raised the benchmark's peak RSS on that segment by 14%.
+STACK_ROWS = 512
+
+# Samples per stack in ``bench_stacks``'s sweep, each capped at
+# ``batch_size``.
+SWEEP_STACKS = (1, 2, 4, 8, 16)
 
 
 def stack_samples(config: ModelConfig) -> int:
@@ -79,14 +92,16 @@ def setup_run(cfg: RunConfig, seed: int):
     return task, SegmentModel(cfg.model_config(spec.vocab_size, spec.n_classes), seed=seed)
 
 
-def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) -> float:
-    """Share of ``data`` predicted right, walked in stacks of
-    ``stack_samples`` with R built once for all of them."""
+def evaluate_accuracy(
+    model: SegmentModel, data, schedule: RetentionSchedule, per_stack: int | None = None
+) -> float:
+    """Share of ``data`` predicted right, walked in stacks of ``per_stack``
+    samples (default ``stack_samples``) with R built once for all of them."""
     if not data:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     correct = 0
     pos = model.positional()
-    per_stack = stack_samples(model.config)
+    per_stack = per_stack or stack_samples(model.config)
     for start in range(0, len(data), per_stack):
         batch = stack_batches(data[start : start + per_stack])
         labels, _ = model.predict(batch, schedule, pos)
@@ -94,11 +109,12 @@ def evaluate_accuracy(model: SegmentModel, data, schedule: RetentionSchedule) ->
     return correct / len(data)
 
 
-def _train_step(model, rollout, samples, schedule, loss_mode, drop_seeds) -> list[GradReport]:
+def _train_step(
+    model, rollout, samples, schedule, loss_mode, drop_seeds, per_stack: int
+) -> list[GradReport]:
     """Gradients of one optimizer step's ``samples``, summed into the
-    parameters: one rollout per stack, sharing one R build.  ``drop_seeds``
-    holds one dropout seed per sample, or is None."""
-    per_stack = stack_samples(model.config)
+    parameters: one rollout per stack of ``per_stack`` samples, sharing one
+    R build.  ``drop_seeds`` holds one dropout seed per sample, or is None."""
     step = PositionalStep(model)
     reports = []
     for start in range(0, len(samples), per_stack):
@@ -155,6 +171,7 @@ def train_run(
     best_val = 0.0
     peak_report = {"forward_peak_floats": 0, "backward_peak_floats": 0, "replay_buffer_bytes": 0}
     dropout_active = cfg.dropout > 0.0
+    per_stack = stack_samples(model.config)
     for epoch in range(1, cfg.epochs + 1):
         epoch_started = time.perf_counter()
         order = spawn(seed, STREAM_SHUFFLE, epoch).permutation(len(train_data))
@@ -165,7 +182,7 @@ def train_run(
             drop_seeds = [(seed, epoch, int(idx)) for idx in chunk] if dropout_active else None
             samples = [train_data[idx] for idx in chunk]
             for report in _train_step(
-                model, rollout, samples, schedule, cfg.loss_mode, drop_seeds
+                model, rollout, samples, schedule, cfg.loss_mode, drop_seeds, per_stack
             ):
                 loss_sum += report.total_loss
                 mem = report.memory_report()
@@ -202,7 +219,7 @@ def train_run(
             "epochs_run": len(epochs),
         },
         # The peaks are of one stacked rollout of up to stack_samples samples.
-        "memory": {**peak_report, "stack_samples": stack_samples(model.config)},
+        "memory": {**peak_report, "stack_samples": per_stack},
         "param_digest": params_digest(model),
         "wall_seconds": time.perf_counter() - started,
     }
@@ -277,8 +294,8 @@ def bench_attention(
     """Wall-clock and CPU time of the linear-cost block against quadratic
     softmax.
 
-    Each row times a tape-free forward at one token count (best of
-    ``repeats``, CPU time their mean), given R built before timing.  The
+    Each row times a tape-free forward at one token count (best and median
+    of ``repeats``, CPU time their mean), given R built before timing.  The
     softmax reference is timed on precomputed Q, K, V so it measures only
     the quadratic mixing.
     """
@@ -302,10 +319,8 @@ def bench_attention(
         rows.append(
             {
                 "n_tokens": n,
-                "astro_seconds": astro[0],
-                "astro_cpu_seconds": astro[1],
-                "softmax_seconds": softmax[0],
-                "softmax_cpu_seconds": softmax[1],
+                **_timing(astro, "astro_"),
+                **_timing(softmax, "softmax_"),
             }
         )
     return rows
@@ -317,14 +332,22 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _best(fn, repeats: int) -> tuple[float, float]:
-    """The least wall-clock seconds of ``repeats`` calls, and their mean
-    process CPU seconds.  The CPU clock is read only around all the calls:
-    read around each, it slowed a 128-token attention call by half on a
-    shared 2-core Linux machine."""
+def _best(fn, repeats: int) -> tuple[float, float, float]:
+    """The least and the median wall-clock seconds of ``repeats`` calls, and
+    their mean process CPU seconds.  The CPU clock is read only around all
+    the calls: read around each, it slowed a 128-token attention call by
+    half on a shared 2-core Linux machine."""
     cpu = time.process_time()
-    wall = min(_timed(fn) for _ in range(repeats))
-    return wall, (time.process_time() - cpu) / repeats
+    walls = [_timed(fn) for _ in range(repeats)]
+    cpu = (time.process_time() - cpu) / repeats
+    return min(walls), float(np.median(walls)), cpu
+
+
+def _timing(timed: tuple[float, float, float], prefix: str = "") -> dict:
+    """A ``_best`` result as a row's ``seconds``, ``median_seconds`` and
+    ``cpu_seconds``, each key led by ``prefix``."""
+    keys = (f"{prefix}seconds", f"{prefix}median_seconds", f"{prefix}cpu_seconds")
+    return dict(zip(keys, timed))
 
 
 def _traced_peak(fn) -> int:
@@ -353,26 +376,34 @@ def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     params, extras = cfg.sim_params()
     rows = []
     for n_segments in segment_counts:
-        wall, cpu = _best(lambda: retention_schedule(n_segments, params, extras), 1)
+        timed = _best(lambda: retention_schedule(n_segments, params, extras), 1)
         rows.append(
             {
                 "n_segments": n_segments,
-                "seconds": wall,
-                "cpu_seconds": cpu,
+                **_timing(timed),
                 "simulated_cycles": len(drive_patterns(n_segments, params, extras)[0]),
             }
         )
     return rows
 
 
+def _traced_rollout(model, rollout, batch, schedule, loss_mode) -> dict:
+    """The storage report of one rollout of ``batch``, with the real peak
+    bytes ``tracemalloc`` saw during it (``tracemalloc_peak_bytes``)."""
+    loss_fn = classification_loss(model, batch, mode=loss_mode)
+    reports = []
+    peak = _traced_peak(lambda: reports.append(rollout(model, batch, schedule, loss_fn)))
+    return {"tracemalloc_peak_bytes": peak, **reports[0].memory_report()}
+
+
 def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     """Compare the two gradient algorithms: time and storage.
 
-    Per algorithm, best of ``repeats`` after a warm-up (CPU time their
-    mean): ``seconds`` for the rollout of one sample, a one-sample stack,
-    whose counted storage the row reports, and ``step_seconds`` for the
-    gradients of one optimizer step of ``batch_size`` samples, stacked as
-    ``train_run`` stacks them.  ``tracemalloc_peak_bytes`` is the real
+    Per algorithm, best and median of ``repeats`` after a warm-up (CPU time
+    their mean): ``seconds`` for the rollout of one sample, a one-sample
+    stack, whose counted storage the row reports, and ``step_seconds`` for
+    the gradients of one optimizer step of ``batch_size`` samples, stacked
+    as ``train_run`` stacks them.  ``tracemalloc_peak_bytes`` is the real
     peak of the one-sample rollout, taken in one more, untimed, repeat,
     beside the counted floats of its storage report.
     No update is made, so every repeat sees the same parameters.
@@ -381,47 +412,85 @@ def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     schedule = resolve_schedule(cfg)
     samples = task.dataset(cfg.batch_size, seed)
     batch = samples[0]
+    per_stack = stack_samples(model.config)
     out = {}
     for name, rollout in (("amrb", amrb_rollout), ("bptt", bptt_rollout)):
         loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
-        reports = []
 
         def one():
-            reports.append(rollout(model, batch, schedule, loss_fn))
+            rollout(model, batch, schedule, loss_fn)
 
         def step():
-            _train_step(model, rollout, samples, schedule, cfg.loss_mode, None)
+            _train_step(model, rollout, samples, schedule, cfg.loss_mode, None, per_stack)
 
         one()  # warm-up
         step()
-        seconds, cpu = _best(one, repeats)
-        step_seconds, step_cpu = _best(step, repeats)
-        peak_bytes = _traced_peak(one)
+        timed = _best(one, repeats)
+        step_timed = _best(step, repeats)
         out[name] = {
-            "seconds": seconds,
-            "cpu_seconds": cpu,
+            **_timing(timed),
             "step_samples": len(samples),
-            "step_seconds": step_seconds,
-            "step_cpu_seconds": step_cpu,
-            "tracemalloc_peak_bytes": peak_bytes,
-            **reports[-1].memory_report(),
+            **_timing(step_timed, "step_"),
+            **_traced_rollout(model, rollout, batch, schedule, cfg.loss_mode),
         }
     return out
 
 
+def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> list[dict]:
+    """Time against storage as the stack size varies: the sweep that sets
+    ``STACK_ROWS``.
+
+    One row per stack size in ``SWEEP_STACKS``, each capped at
+    ``batch_size``.  Per algorithm, a row gives ``step_seconds``, the
+    gradients of one optimizer step of ``batch_size`` samples in stacks of
+    that size (best and median of ``repeats`` after a warm-up, CPU time
+    their mean), and the storage report and real peak bytes of one
+    rollout of such a stack, taken untimed.  Its ``evaluation`` times
+    ``evaluate_accuracy`` over ``val_samples`` samples in stacks of that
+    size.  No update is made, so every repeat sees the same parameters.
+    """
+    task, model = setup_run(cfg, seed)
+    schedule = resolve_schedule(cfg)
+    samples = task.dataset(cfg.batch_size, seed)
+    data = task.dataset(cfg.val_samples, seed, split=1)
+    rows = []
+    for per_stack in sorted({min(size, cfg.batch_size) for size in SWEEP_STACKS}):
+        row = {"stack_samples": per_stack}
+        for name, rollout in (("amrb", amrb_rollout), ("bptt", bptt_rollout)):
+
+            def step():
+                _train_step(model, rollout, samples, schedule, cfg.loss_mode, None, per_stack)
+
+            step()  # warm-up
+            row[name] = {
+                **_timing(_best(step, repeats), "step_"),
+                **_traced_rollout(
+                    model, rollout, stack_batches(samples[:per_stack]), schedule, cfg.loss_mode
+                ),
+            }
+
+        def evaluate():
+            evaluate_accuracy(model, data, schedule, per_stack)
+
+        evaluate()  # warm-up
+        timed = _best(evaluate, repeats)
+        row["evaluation"] = {**_timing(timed), "samples_per_s": len(data) / timed[0]}
+        rows.append(row)
+    return rows
+
+
 def bench_evaluation(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
     """Evaluation throughput: ``evaluate_accuracy`` over ``val_samples``
-    validation samples, best of ``repeats`` after a warm-up (CPU time
-    their mean)."""
+    validation samples, best and median of ``repeats`` after a warm-up (CPU
+    time their mean)."""
     task, model = setup_run(cfg, seed)
     schedule = resolve_schedule(cfg)
     data = task.dataset(cfg.val_samples, seed, split=1)
     evaluate_accuracy(model, data, schedule)  # warm-up
-    seconds, cpu = _best(lambda: evaluate_accuracy(model, data, schedule), repeats)
+    timed = _best(lambda: evaluate_accuracy(model, data, schedule), repeats)
     return {
         "samples": len(data),
         "stack_samples": stack_samples(model.config),
-        "seconds": seconds,
-        "cpu_seconds": cpu,
-        "samples_per_s": len(data) / seconds,
+        **_timing(timed),
+        "samples_per_s": len(data) / timed[0],
     }

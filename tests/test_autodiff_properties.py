@@ -279,3 +279,26 @@ def test_slices_and_transposes_are_views_that_store_nothing(r, c, recorded, data
         assert np.array_equal(view.value, expected)
         if expected.size:
             assert np.shares_memory(view.value, operand.value)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+@hypothesis.given(
+    vocab=st.integers(1, 6),
+    d=SIDE,
+    lead=st.lists(st.integers(1, 3), max_size=1),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_gradient_equals_the_add_at_scatter(vocab, d, lead, n, seed):
+    """The embedding table's gradient is np.add.at's scatter of the rows'
+    gradients, bit for bit, for (n,) and stacked (B, n) ids that repeat."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab, size=(*lead, n))  # n > vocab forces repeats
+    g = rng.standard_normal((*ids.shape, d))
+    with ad.Tape():
+        table = ad.leaf(rng.standard_normal((vocab, d)))
+        out = ad.embedding_rows(table, ids)
+    ad.backward(out, seed=g)
+    expected = np.zeros((vocab, d))
+    np.add.at(expected, ids.ravel(), g.reshape(-1, d))
+    assert np.array_equal(table.grad, expected)

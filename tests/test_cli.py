@@ -413,15 +413,17 @@ def test_bench_tiny_sizes(tmp_path, capsys):
     retention = payload["retention"]
     assert [r["n_segments"] for r in retention] == [2, 4, 8, 16]
     for row in retention:
-        assert set(row) == {"n_segments", "seconds", "cpu_seconds", "simulated_cycles"}
+        assert set(row) == {
+            "n_segments", "seconds", "median_seconds", "cpu_seconds", "simulated_cycles"
+        }
         assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
         assert row["simulated_cycles"] == 1  # the default drive repeats every cycle
     assert (tmp_path / "bench" / "bench.json").exists()
 
 
 def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
-    """--repeats sets the attention, rollout and evaluation timings; each
-    retention row times one derivation."""
+    """--repeats sets the attention, rollout, evaluation and stack-sweep
+    timings; each retention row times one derivation."""
     seen = []
     best = harness._best
 
@@ -433,21 +435,35 @@ def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
     cfg = write_tiny_config(tmp_path)
     assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "2"]) == 0
     # attention: linear block and softmax; rollouts: one sample and one step,
-    # per algorithm; evaluation; then four retention rows.
-    assert seen == [2, 2] + [2, 2] * 2 + [2] + [1] * 4
+    # per algorithm; evaluation; the stack sweep: a step per algorithm and
+    # an evaluation at each of 1, 2, 4 and 8 samples a stack (batch_size 8);
+    # then four retention rows.
+    assert seen == [2, 2] + [2, 2] * 2 + [2] + [2, 2, 2] * 4 + [1] * 4
 
 
 def test_bench_payload_names_its_schema(tmp_path, capsys):
-    """The payload carries its schema version, and each rollout row the
-    real peak bytes beside the counted floats."""
+    """The payload carries its schema version, each rollout row the real
+    peak bytes beside the counted floats, every timed row its median wall
+    time beside its best, and the stack sweep one row per stack size."""
     from astroseq.harness import BENCH_SCHEMA
 
     cfg = write_tiny_config(tmp_path)
     assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == BENCH_SCHEMA == 2
+    assert payload["schema"] == BENCH_SCHEMA == 3
     for row in payload["rollouts"].values():
         assert row["tracemalloc_peak_bytes"] > 0
+        assert row["median_seconds"] >= row["seconds"]
+        assert row["step_median_seconds"] >= row["step_seconds"]
+    for row in payload["attention"]:
+        assert row["astro_median_seconds"] >= row["astro_seconds"]
+        assert row["softmax_median_seconds"] >= row["softmax_seconds"]
+    assert payload["evaluation"]["median_seconds"] >= payload["evaluation"]["seconds"]
+    stacks = payload["stacks"]
+    assert [row["stack_samples"] for row in stacks] == [1, 2, 4, 8]
+    for row in stacks:
+        assert set(row) == {"stack_samples", "amrb", "bptt", "evaluation"}
+        assert row["evaluation"]["median_seconds"] >= row["evaluation"]["seconds"]
 
 
 def test_bench_bad_sizes_exits_2(tmp_path, capsys):

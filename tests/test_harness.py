@@ -13,6 +13,7 @@ from astroseq.harness import (
     bench_attention,
     bench_evaluation,
     bench_rollouts,
+    bench_stacks,
     eval_run,
     evaluate_accuracy,
     resolve_schedule,
@@ -74,7 +75,7 @@ def test_train_run_record_and_artifacts(tmp_path):
     assert record["final"]["epochs_run"] == 2
     assert 0.0 <= record["final"]["val_acc"] <= 1.0
     assert record["memory"]["replay_buffer_bytes"] > 0
-    assert record["memory"]["stack_samples"] == 256 // 6  # 4 tokens + 2 memory rows a call
+    assert record["memory"]["stack_samples"] == harness.STACK_ROWS // 6  # 4 tokens + 2 memory
     assert len(record["param_digest"]) == 64
     assert record["retention"]["factors"] == [1.0, 1.0]
 
@@ -234,6 +235,56 @@ def test_bench_rollouts_take_the_real_peak_untimed(monkeypatch):
         assert row["tracemalloc_peak_bytes"] > 8 * row["backward_peak_floats"]
 
 
+def test_best_reports_the_least_and_the_median_wall_time(monkeypatch):
+    """``_best`` gives the least and the median of its calls' wall times,
+    and the process CPU time read once around all of them, over the
+    calls."""
+    walls = iter([0.3, 0.1, 0.2, 0.5])
+    monkeypatch.setattr(harness, "_timed", lambda fn: next(walls))
+    clock = iter([10.0, 14.0])
+    monkeypatch.setattr(harness.time, "process_time", lambda: next(clock))
+    assert harness._best(lambda: None, 4) == (0.1, 0.25, 1.0)
+
+
+def test_bench_stacks_sweep_stack_sizes_up_to_the_batch():
+    """One row per stack size up to batch_size, each with both algorithms;
+    replay stores less than full backprop at every size, and the
+    one-sample row counts what bench_rollouts' one-sample row counts."""
+    cfg = tiny_run_config(batch_size=12)
+    rows = bench_stacks(cfg, seed=0, repeats=1)
+    assert [row["stack_samples"] for row in rows] == [1, 2, 4, 8, 12]
+    storage = ("forward_peak_floats", "backward_peak_floats", "replay_buffer_bytes")
+    for row in rows:
+        assert row["amrb"]["backward_peak_floats"] < row["bptt"]["backward_peak_floats"]
+        for name in ("amrb", "bptt"):
+            timing = row[name]
+            assert timing["step_seconds"] > 0 and timing["step_cpu_seconds"] >= 0
+            assert timing["step_median_seconds"] >= timing["step_seconds"]
+            assert timing["tracemalloc_peak_bytes"] > 8 * timing["backward_peak_floats"]
+        assert row["evaluation"]["samples_per_s"] == pytest.approx(12 / row["evaluation"]["seconds"])
+    peaks = [row["bptt"]["backward_peak_floats"] for row in rows]
+    assert peaks == sorted(peaks) and peaks[0] < peaks[-1]
+    single = bench_rollouts(cfg, seed=0, repeats=1)
+    for name in ("amrb", "bptt"):
+        assert {k: rows[0][name][k] for k in storage} == {k: single[name][k] for k in storage}
+
+
+def test_bench_stacks_step_in_stacks_of_each_size(monkeypatch):
+    """Each sweep row's step runs its batch in stacks of the row's size."""
+    sizes = []
+    original = harness.amrb_rollout
+
+    def recording(model, batch, *args):
+        sizes.append(len(batch.ids))
+        return original(model, batch, *args)
+
+    monkeypatch.setattr(harness, "amrb_rollout", recording)
+    monkeypatch.setattr(harness, "SWEEP_STACKS", (3, 20))
+    bench_stacks(tiny_run_config(), seed=0, repeats=1)
+    # Per size: a warm-up step, one timed step, then one traced stack.
+    assert sizes == [3, 3, 2] * 2 + [3] + [8] * 3
+
+
 def test_traced_peak_leaves_tracing_that_was_already_on():
     """With tracing already on, the peak is still this call's alone, and
     tracing stays on afterwards."""
@@ -254,8 +305,9 @@ def test_traced_peak_leaves_tracing_that_was_already_on():
 
 def test_bench_evaluation_reports_throughput():
     row = bench_evaluation(tiny_run_config(), seed=0, repeats=1)
-    assert row["samples"] == 12 and row["stack_samples"] == 256 // 6
+    assert row["samples"] == 12 and row["stack_samples"] == harness.STACK_ROWS // 6
     assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
+    assert row["median_seconds"] == row["seconds"]  # one repeat
     assert row["samples_per_s"] == pytest.approx(12 / row["seconds"])
 
 
@@ -264,12 +316,18 @@ def test_bench_evaluation_reports_throughput():
 
 
 def test_stack_samples_fill_stack_rows():
-    """The README key-value config (6 tokens + 4 memory rows) stacks 25
-    samples; a 252-token segment with 4 memory rows stacks one."""
+    """A stack holds as many samples as fill STACK_ROWS attention rows, at
+    least one.  At 512 rows, the README key-value config (6 tokens + 4
+    memory rows) stacks 51 samples, ListOps with 64-token segments and 4
+    memory rows 7, and a 252-token segment with 4 memory rows 2."""
     kv = RunConfig(task="kv_retrieval", seg_len=6, n_segments=8, mem_tokens=4)
-    assert stack_samples(kv.model_config(13, 4)) == 25
     long = RunConfig(task="kv_retrieval", seg_len=252, n_segments=4, mem_tokens=4)
-    assert stack_samples(long.model_config(13, 4)) == 1
+    listops = RunConfig(task="listops", seg_len=64, n_segments=32, mem_tokens=4)
+    wide = RunConfig(seg_len=harness.STACK_ROWS, mem_tokens=2)
+    stacks = [stack_samples(c.model_config(13, 10)) for c in (kv, long, listops, wide)]
+    rows = harness.STACK_ROWS
+    assert stacks == [rows // 10, rows // 256, rows // 68, 1]
+    assert stacks == [51, 2, 7, 1]
 
 
 def test_stacked_prediction_matches_per_sample_predictions():
