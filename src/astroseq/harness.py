@@ -14,7 +14,10 @@ tape op is paid once per stack, not once per sample.  A stack holds
 ``max(1, STACK_ROWS // n_tokens)`` samples, where ``n_tokens`` is the
 rows of one attention call, so a stack's working set stays near that of
 one sample with ``STACK_ROWS`` rows whatever the segment length.  A
-training stack never crosses an optimizer step.  ``STACK_ROWS`` was set
+training stack never crosses an optimizer step.  Evaluation cuts its
+samples into the fewest stacks that hold them, of near-equal size: 64
+key-value samples run as 32 and 32, not 51 and 13, for the same number of
+stacks and a smaller largest one.  ``STACK_ROWS`` was set
 from ``bench_stacks``, a sweep of step time against peak storage over
 stack sizes (``BENCH_3.json``): at 512 rows a 256-row segment stacks two
 samples, which pays the per-op cost half as often for about twice the
@@ -72,6 +75,14 @@ def stack_samples(config: ModelConfig) -> int:
     return max(1, STACK_ROWS // config.n_tokens)
 
 
+def _even_stacks(n: int, per_stack: int) -> list[slice]:
+    """``n`` samples cut into as few stacks of at most ``per_stack`` as
+    hold them, their sizes differing by at most one."""
+    count = -(-n // per_stack)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def resolve_schedule(cfg: RunConfig) -> RetentionSchedule:
     """The retention schedule a run config asks for.
 
@@ -95,15 +106,15 @@ def setup_run(cfg: RunConfig, seed: int):
 def evaluate_accuracy(
     model: SegmentModel, data, schedule: RetentionSchedule, per_stack: int | None = None
 ) -> float:
-    """Share of ``data`` predicted right, walked in stacks of ``per_stack``
-    samples (default ``stack_samples``) with R built once for all of them."""
+    """Share of ``data`` predicted right, walked in the fewest stacks of at
+    most ``per_stack`` samples (default ``stack_samples``), of near-equal
+    size, with R built once for all of them."""
     if not data:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     correct = 0
     pos = model.positional()
-    per_stack = per_stack or stack_samples(model.config)
-    for start in range(0, len(data), per_stack):
-        batch = stack_batches(data[start : start + per_stack])
+    for part in _even_stacks(len(data), per_stack or stack_samples(model.config)):
+        batch = stack_batches(data[part])
         labels, _ = model.predict(batch, schedule, pos)
         correct += int(np.sum(labels == batch.label))
     return correct / len(data)
@@ -446,8 +457,8 @@ def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> list[dict]:
     that size (best and median of ``repeats`` after a warm-up, CPU time
     their mean), and the storage report and real peak bytes of one
     rollout of such a stack, taken untimed.  Its ``evaluation`` times
-    ``evaluate_accuracy`` over ``val_samples`` samples in stacks of that
-    size.  No update is made, so every repeat sees the same parameters.
+    ``evaluate_accuracy`` over ``val_samples`` samples in stacks of at
+    most that size.  No update is made, so every repeat sees the same parameters.
     """
     task, model = setup_run(cfg, seed)
     schedule = resolve_schedule(cfg)

@@ -353,6 +353,33 @@ def test_stacked_prediction_matches_per_sample_predictions():
     assert evaluate_accuracy(model, data, schedule) == right / len(data)
 
 
+def test_evaluation_cuts_the_fewest_stacks_of_near_equal_size(monkeypatch):
+    """12 samples at 5 a stack run as three stacks of 4, not 5, 5 and 2,
+    and at 12 or more a stack as one; every sample is predicted once."""
+    cfg = tiny_run_config()
+    task, model = harness.setup_run(cfg, 0)
+    schedule = uniform_schedule(cfg.n_segments)
+    data = task.dataset(12, 0, split=1)
+    sizes = []
+    original = model.predict
+
+    def recording(batch, *args):
+        sizes.append(len(batch.ids))
+        return original(batch, *args)
+
+    monkeypatch.setattr(model, "predict", recording)
+    acc = evaluate_accuracy(model, data, schedule, 5)
+    assert sizes == [4, 4, 4]
+    assert acc == evaluate_accuracy(model, data, schedule, 1)
+    sizes.clear()
+    evaluate_accuracy(model, data, schedule, 12)
+    evaluate_accuracy(model, data, schedule, 13)
+    assert sizes == [12, 12]
+    sizes.clear()
+    evaluate_accuracy(model, data[:7], schedule, 3)
+    assert sizes == [2, 2, 3]
+
+
 def test_train_run_stacks_within_each_optimizer_step(monkeypatch):
     """Stacks hold stack_samples samples and never cross an optimizer step;
     a run stacked that way trains like one with a sample per stack, to
