@@ -3,17 +3,16 @@
 The mechanism never forms a token-by-token score matrix.  A *write* pass
 compresses the sequence into fixed-size summaries:
 
-* ``hebb_keys``  (m, d): sum of outer products phi(k_t) v_t / m, the
-  content pathway;
-* ``hebb_pos``   (m, d): the same accumulation driven by a learned
-  positional summary instead of the keys;
-* ``presyn``     (1, m): (sum_t phi(k_t)) ** alpha, a compressive record
-  of total key mass.
+* ``H``       (m, d): sum of outer products (phi(k_t) + phi(r_t)) v_t / m,
+  the content pathway (keys) and the positional one (rows r_t of a learned
+  positional summary R) written by one product, (phi(K) + phi(R))^T V / m;
+* ``presyn``  (1, m): (sum_t phi(k_t)) ** alpha, a compressive record of
+  total key mass.
 
 A *read* pass then queries the summaries: each output row is
-``phi(q_n) (H . P_n) + x_n`` where ``H`` is the summed pathway matrix and
-``P_n = 1 / (phi(q_n) presyn^T)`` normalizes per token.  All intermediates
-are (n, m), (n, d) or (m, d); cost grows linearly with token count.
+``phi(q_n) H . P_n + x_n`` where ``P_n = 1 / (phi(q_n) presyn^T)``
+normalizes per token.  All intermediates are (n, m), (n, d) or (m, d);
+cost grows linearly with token count.
 ``astro_attention`` writes every head's summaries over all rows, then
 reads them for each row block its caller asks for.  Rows outside every
 block are written but never read, which is how the segment model skips
@@ -172,14 +171,15 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     return ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
 
 
-def _mask_tile(mask, n_rows: int, n_cols: int) -> ValueNode:
-    """A (n_rows,) mask, or a (B, n_rows) stack of them, tiled to n_cols."""
+def _mask_col(mask, n_rows: int) -> ValueNode:
+    """A (n_rows,) mask, or a (B, n_rows) stack of them, as a column
+    (..., n_rows, 1) that broadcasts across any width."""
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim not in (1, 2) or mask.shape[-1] != n_rows:
         raise ShapeError(f"mask of shape {mask.shape} does not cover {n_rows} rows")
     if not mask.any(axis=-1).all():
         raise InvalidArgumentError("mask excludes every row; nothing to write")
-    return ad.constant(np.repeat(mask[..., None], n_cols, axis=-1))
+    return ad.constant(mask[..., None])
 
 
 def _head_cols(a: ValueNode, h: int, n_heads: int) -> ValueNode:
@@ -221,19 +221,18 @@ def astro_attention(
     k = ad.matmul(x, params.w_key)
     v = ad.matmul(x, params.w_value)
     r = positional_matrix(n, params) if pos is None else pos
-    tile = _mask_tile(mask, n, m_h) if mask is not None else None
+    col = _mask_col(mask, n) if mask is not None else None
     summaries = []
     for h in range(heads):
         phi_k = phi(_head_cols(k, h, heads))
         phi_r = phi(_head_cols(r, h, heads))
-        if tile is not None:
-            phi_k = ad.hadamard(phi_k, tile)
-            phi_r = ad.hadamard(phi_r, tile)
-        v_h = _head_cols(v, h, heads)
-        hebb_keys = ad.scalar_mul(ad.matmul(ad.transpose(phi_k), v_h), 1.0 / m_h)
-        hebb_pos = ad.scalar_mul(ad.matmul(ad.transpose(phi_r), v_h), 1.0 / m_h)
+        if col is not None:
+            phi_k = ad.hadamard(phi_k, col)
+            phi_r = ad.hadamard(phi_r, col)
+        # Both pathways share V, so one product writes them.
+        written = ad.matmul(ad.transpose(ad.add(phi_k, phi_r)), _head_cols(v, h, heads))
         key_norm = ad.power(ad.col_sum(phi_k), params.alpha)
-        summaries.append((ad.add(hebb_keys, hebb_pos), key_norm))
+        summaries.append((ad.scalar_mul(written, 1.0 / m_h), key_norm))
     if blocks is None:
         return _read(x, params, summaries, 0, n)
     return tuple(_read(x, params, summaries, start, stop) for start, stop in blocks)
@@ -250,8 +249,7 @@ def _read(x: ValueNode, params: AttentionParams, summaries, start: int, stop: in
     for h, (hebb, key_norm) in enumerate(summaries):
         phi_q = phi(_head_cols(q, h, heads))
         feedback = ad.reciprocal(ad.matmul(phi_q, ad.transpose(key_norm)))
-        y = ad.matmul(phi_q, hebb)
-        y = ad.hadamard(y, ad.broadcast_col(feedback, hebb.shape[-1]))
+        y = ad.hadamard(ad.matmul(phi_q, hebb), feedback)
         out = y if h == 0 else ad.concat_cols(out, y)
     if heads > 1:
         out = ad.matmul(out, params.w_out)

@@ -9,11 +9,17 @@ trainer uses for its gradient-free forward pass.
 
 Every primitive acts on the last two axes and carries any leading axes
 along, so a (B, r, c) stack runs B matrices through one op; a plain
-(r, c) matrix is the case with no leading axes.  ``add``, ``subtract``,
-``hadamard``, ``matmul`` and the concatenations also take a 2-D operand
-beside a stacked one: every matrix of the stack uses it, and its
-gradient is summed over the leading axes.  That is how one parameter,
-memory seed or positional summary serves a whole stack.
+(r, c) matrix is the case with no leading axes.  Operands of different
+shapes meet by one broadcasting rule.  ``add``, ``subtract``,
+``hadamard``, ``matmul`` and the concatenations take a 2-D operand beside
+a stacked one: every matrix of the stack uses it.  ``add``, ``subtract``
+and ``hadamard`` also take an operand whose row or column axis has size 1
+where the other's does not, as numpy does.  A broadcast operand's
+gradient is summed over the leading axes it lacks, then over each size-1
+axis, so it equals, bit for bit, the gradient through an explicit
+``broadcast_row``/``broadcast_col`` tile.  That is how one parameter,
+memory seed or positional summary serves a whole stack, and how a bias
+row or a per-row scale serves every row without a tiled copy on the tape.
 
 Design points that the rest of the package relies on:
 
@@ -201,19 +207,26 @@ def _lead(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``g`` summed over the leading axes an operand of ``shape`` lacks."""
+    """``g`` summed to an operand of ``shape``: over the leading axes it
+    lacks first, then over each of the last two axes where it has size 1
+    and ``g`` does not.  A tile's gradient sums in that order too."""
     extra = g.ndim - len(shape)
-    if not extra:
-        return g
-    return g.sum(axis=tuple(range(extra)))
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    for axis in (-2, -1):
+        if shape[axis] == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
 
 
-def _require_same_matrix(a, b, op: str) -> None:
+def _require_broadcastable(a, b, op: str) -> None:
+    """Leading axes by ``_lead``; each of the last two axes equal, or of
+    size 1 in one operand."""
     sa, sb = a.value.shape, b.value.shape
     if sa != sb:
         _lead(op, sa, sb)
-        if sa[-2:] != sb[-2:]:
-            raise ShapeError(f"{op}: shapes {sa} and {sb} differ")
+        if any(x != y and 1 not in (x, y) for x, y in zip(sa[-2:], sb[-2:])):
+            raise ShapeError(f"{op}: shapes {sa} and {sb} differ other than by a size-1 axis")
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +234,13 @@ def _require_same_matrix(a, b, op: str) -> None:
 
 
 def add(a, b) -> ValueNode:
-    _require_same_matrix(a, b, "add")
+    _require_broadcastable(a, b, "add")
     sa, sb = a.value.shape, b.value.shape
     return _emit(a.value + b.value, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def subtract(a, b) -> ValueNode:
-    _require_same_matrix(a, b, "subtract")
+    _require_broadcastable(a, b, "subtract")
     sa, sb = a.value.shape, b.value.shape
     return _emit(
         a.value - b.value, (a, b), lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb))
@@ -235,7 +248,7 @@ def subtract(a, b) -> ValueNode:
 
 
 def hadamard(a, b) -> ValueNode:
-    _require_same_matrix(a, b, "hadamard")
+    _require_broadcastable(a, b, "hadamard")
     av, bv = a.value, b.value
     return _emit(
         av * bv,
@@ -378,13 +391,13 @@ def broadcast_col(a, n_cols: int) -> ValueNode:
 
 
 def broadcast_row(a, n_rows: int) -> ValueNode:
-    """Tile a row vector (1, c) across n_rows rows (bias addition helper)."""
+    """Tile a row vector (1, c) across n_rows rows."""
     return _tile("broadcast_row", a, n_rows, -2)
 
 
 def add_bias(x, bias) -> ValueNode:
     """Add a (1, c) bias row to every row of x."""
-    return add(x, broadcast_row(bias, x.value.shape[-2]))
+    return add(x, bias)
 
 
 def embedding_rows(table, ids) -> ValueNode:
@@ -470,8 +483,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
     out = xhat * gain.value + bias.value
 
     def vjp(g):
-        d_gain = _unbroadcast((g * xhat).sum(axis=-2, keepdims=True), (1, c))
-        d_bias = _unbroadcast(g.sum(axis=-2, keepdims=True), (1, c))
+        d_gain = _unbroadcast(g * xhat, (1, c))
+        d_bias = _unbroadcast(g, (1, c))
         d_xhat = g * gain.value
         mean_d = d_xhat.mean(axis=-1, keepdims=True)
         mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)

@@ -10,18 +10,19 @@ deterministic for a given config and seed.
 Training and evaluation join a task's samples, each a stack of one, into
 larger stacks (``model.stack_batches``): each stack is one graph whose
 primitives carry the sample axis along, so the interpreter's cost per
-tape op is paid once per stack, not once per sample.  A stack holds
-``max(1, STACK_ROWS // n_tokens)`` samples, where ``n_tokens`` is the
-rows of one attention call, so a stack's working set stays near that of
-one sample with ``STACK_ROWS`` rows whatever the segment length.  A
-training stack never crosses an optimizer step.  Evaluation cuts its
-samples into the fewest stacks that hold them, of near-equal size: 64
-key-value samples run as 32 and 32, not 51 and 13, for the same number of
-stacks and a smaller largest one.  ``STACK_ROWS`` was set
-from ``bench_stacks``, a sweep of step time against peak storage over
-stack sizes (``BENCH_3.json``): at 512 rows a 256-row segment stacks two
-samples, which pays the per-op cost half as often for about twice the
-storage of one.
+tape op is paid once per stack, not once per sample.  A stack holds at
+most ``max(1, STACK_ROWS // n_tokens)`` samples, where ``n_tokens`` is
+the rows of one attention call, so a stack's working set stays near that
+of one sample with ``STACK_ROWS`` rows whatever the segment length.  A
+training stack never crosses an optimizer step.  Training steps and
+evaluation alike cut their samples into the fewest stacks that hold
+them, of near-equal size: 64 key-value samples evaluate as 32 and 32, not
+51 and 13, and a 16-sample ListOps step at 7 a stack trains as 5, 5 and
+6, not 7, 7 and 2, for the same number of stacks and a smaller largest
+one.  ``STACK_ROWS`` was set from ``bench_stacks``, a sweep of step time
+against peak storage over stack sizes (``BENCH_3.json``): at 512 rows a
+256-row segment stacks two samples, which pays the per-op cost half as
+often for about twice the storage of one.
 """
 
 from __future__ import annotations
@@ -124,13 +125,14 @@ def _train_step(
     model, rollout, samples, schedule, loss_mode, drop_seeds, per_stack: int
 ) -> list[GradReport]:
     """Gradients of one optimizer step's ``samples``, summed into the
-    parameters: one rollout per stack of ``per_stack`` samples, sharing one
-    R build.  ``drop_seeds`` holds one dropout seed per sample, or is None."""
+    parameters: one rollout per stack, in the fewest stacks of at most
+    ``per_stack`` samples, of near-equal size, sharing one R build.
+    ``drop_seeds`` holds one dropout seed per sample, or is None."""
     step = PositionalStep(model)
     reports = []
-    for start in range(0, len(samples), per_stack):
-        batch = stack_batches(samples[start : start + per_stack])
-        seeds = None if drop_seeds is None else drop_seeds[start : start + per_stack]
+    for part in _even_stacks(len(samples), per_stack):
+        batch = stack_batches(samples[part])
+        seeds = None if drop_seeds is None else drop_seeds[part]
         loss_fn = classification_loss(model, batch, mode=loss_mode)
         reports.append(rollout(model, batch, schedule, loss_fn, seeds, step))
     step.backward()
@@ -454,8 +456,8 @@ def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> list[dict]:
     One row per stack size in ``SWEEP_STACKS``, each capped at
     ``batch_size``.  Per algorithm, a row gives ``step_seconds``, the
     gradients of one optimizer step of ``batch_size`` samples in stacks of
-    that size (best and median of ``repeats`` after a warm-up, CPU time
-    their mean), and the storage report and real peak bytes of one
+    at most that size (best and median of ``repeats`` after a warm-up, CPU
+    time their mean), and the storage report and real peak bytes of one
     rollout of such a stack, taken untimed.  Its ``evaluation`` times
     ``evaluate_accuracy`` over ``val_samples`` samples in stacks of at
     most that size.  No update is made, so every repeat sees the same parameters.

@@ -304,6 +304,11 @@ def test_shape_errors():
     b = ad.constant(np.ones((3, 2)))
     with pytest.raises(ShapeError):
         ad.add(a, b)
+    # Shapes that differ other than by a size-1 axis do not broadcast.
+    for shape in ((2, 2), (3, 1), (1, 2)):
+        for op in (ad.add, ad.subtract, ad.hadamard):
+            with pytest.raises(ShapeError):
+                op(a, ad.constant(np.ones(shape)))
     with pytest.raises(ShapeError):
         ad.matmul(a, a)
     with pytest.raises(ShapeError):

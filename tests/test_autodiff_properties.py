@@ -258,6 +258,50 @@ def test_each_primitive_on_a_stack_equals_one_call_per_matrix(B, r, c, data):
             assert rel_err(lf.grad, total) <= 1e-12, f"{name}[{i}]"
 
 
+# ---------------------------------------------------------------------------
+# a size-1 axis broadcasts like its explicit tile
+
+# Leading axes of the full operand and of the one with a size-1 axis.
+LAYOUTS = {
+    "both 2-D": ((), ()),
+    "both stacked": ((3,), (3,)),
+    "size-1 operand shared by a stack": ((3,), ()),
+    "full operand shared by a stack": ((), (3,)),
+}
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+@hypothesis.given(
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    axis=st.sampled_from([-2, -1]),
+    first=st.booleans(),
+    r=SIDE,
+    c=SIDE,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_size_one_axis_broadcasts_like_its_tile(layout, axis, first, r, c, seed):
+    """add, subtract and hadamard with an operand of one row or one column:
+    the value and both leaf gradients equal, bit for bit, those with the
+    operand tiled by broadcast_row/broadcast_col first."""
+    full_lead, small_lead = LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal(full_lead + (r, c))
+    small = rng.standard_normal(small_lead + ((1, c) if axis == -2 else (r, 1)))
+    tile = ad.broadcast_row if axis == -2 else ad.broadcast_col
+    weights = rng.standard_normal((full_lead or small_lead) + (r, c))
+    for op in (ad.add, ad.subtract, ad.hadamard):
+        results = []
+        for tiled in (False, True):
+            with ad.Tape():
+                a, b = ad.leaf(full), ad.leaf(small)
+                operand = tile(b, (r, c)[axis]) if tiled else b
+                out = op(operand, a) if first else op(a, operand)
+            ad.backward(out, seed=weights)
+            results.append((out.value, a.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape and np.array_equal(got, want), op.__name__
+
+
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
 @hypothesis.given(r=SIDE, c=SIDE, recorded=st.booleans(), data=st.data())
 def test_slices_and_transposes_are_views_that_store_nothing(r, c, recorded, data):

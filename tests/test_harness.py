@@ -1,13 +1,15 @@
 """Training harness: records, artifacts, reproducibility, benchmarks."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from astroseq import harness
-from astroseq.config import RunConfig
+from astroseq import autodiff as ad, harness
+from astroseq.config import RunConfig, parse_run_config
 from astroseq.errors import InvalidArgumentError
 from astroseq.harness import (
     bench_attention,
@@ -22,6 +24,7 @@ from astroseq.harness import (
 )
 from astroseq.model import SegmentModel, stack_batches
 from astroseq.retention import RetentionSchedule, uniform_schedule
+from astroseq.trainer import amrb_rollout, bptt_rollout, classification_loss
 
 from conftest import rel_err
 
@@ -270,7 +273,8 @@ def test_bench_stacks_sweep_stack_sizes_up_to_the_batch():
 
 
 def test_bench_stacks_step_in_stacks_of_each_size(monkeypatch):
-    """Each sweep row's step runs its batch in stacks of the row's size."""
+    """Each sweep row's step runs its batch in the fewest stacks of at most
+    the row's size, of near-equal size."""
     sizes = []
     original = harness.amrb_rollout
 
@@ -282,7 +286,7 @@ def test_bench_stacks_step_in_stacks_of_each_size(monkeypatch):
     monkeypatch.setattr(harness, "SWEEP_STACKS", (3, 20))
     bench_stacks(tiny_run_config(), seed=0, repeats=1)
     # Per size: a warm-up step, one timed step, then one traced stack.
-    assert sizes == [3, 3, 2] * 2 + [3] + [8] * 3
+    assert sizes == [2, 3, 3] * 2 + [3] + [8] * 3
 
 
 def test_traced_peak_leaves_tracing_that_was_already_on():
@@ -381,9 +385,10 @@ def test_evaluation_cuts_the_fewest_stacks_of_near_equal_size(monkeypatch):
 
 
 def test_train_run_stacks_within_each_optimizer_step(monkeypatch):
-    """Stacks hold stack_samples samples and never cross an optimizer step;
-    a run stacked that way trains like one with a sample per stack, to
-    within rounding."""
+    """A step's samples run in the fewest stacks of at most stack_samples
+    samples, of near-equal size, that never cross an optimizer step; a run
+    stacked that way trains like one with a sample per stack, to within
+    rounding."""
     cfg = tiny_run_config(dropout=0.1, epochs=1, train_samples=20, batch_size=8)
     sizes = []
     original = harness.amrb_rollout
@@ -395,7 +400,7 @@ def test_train_run_stacks_within_each_optimizer_step(monkeypatch):
     monkeypatch.setattr(harness, "amrb_rollout", recording)
     monkeypatch.setattr(harness, "STACK_ROWS", 3 * 6)  # 3 samples of 6 rows
     stacked = train_run(cfg, seed=2)
-    assert sizes == [3, 3, 2, 3, 3, 2, 3, 1]
+    assert sizes == [2, 3, 3, 2, 3, 3, 2, 2]
     assert stacked["memory"]["stack_samples"] == 3
     monkeypatch.setattr(harness, "STACK_ROWS", 1)
     single = train_run(cfg, seed=2)
@@ -403,3 +408,23 @@ def test_train_run_stacks_within_each_optimizer_step(monkeypatch):
     for a, b in zip(stacked["epochs"], single["epochs"]):
         assert a["train_loss"] == pytest.approx(b["train_loss"], rel=1e-12)
         assert a["val_acc"] == b["val_acc"]
+
+
+def test_readme_config_makes_no_tiled_copy(monkeypatch):
+    """On the README key-value config, a stacked rollout of either kind and
+    a prediction broadcast every bias, mask and per-row scale in place:
+    none of them reaches autodiff's tiling op."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = parse_run_config(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    task, model = harness.setup_run(cfg, seed=0)
+    batch = stack_batches(task.dataset(3, 0))
+    schedule = uniform_schedule(cfg.n_segments)
+
+    def refuse(*args):
+        raise AssertionError("a tiled copy was put on the tape")
+
+    monkeypatch.setattr(ad, "_tile", refuse)
+    for rollout in (amrb_rollout, bptt_rollout):
+        rollout(model, batch, schedule, classification_loss(model, batch, mode=cfg.loss_mode))
+    labels, _ = model.predict(batch, schedule, model.positional())
+    assert labels.shape == (3,)
