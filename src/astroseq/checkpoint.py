@@ -11,6 +11,9 @@ Layout (all integers little-endian):
         uint64  rows
         uint64  cols
         rows * cols float64 values
+
+Every artifact a command writes, checkpoints included, goes through
+``write_file``.
 """
 
 from __future__ import annotations
@@ -21,15 +24,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 
 MAGIC = b"ASEQCKPT"
 VERSION = 1
 
 
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a ``.tmp`` sibling renamed over it,
+    so no reader sees half a file.  A path that cannot be written is a
+    usage error that names it, and leaves no ``.tmp`` behind."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write config and named parameter arrays to ``path`` atomically."""
-    path = Path(path)
     config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", VERSION)]
     chunks.append(struct.pack("<Q", len(config_bytes)))
@@ -44,9 +61,7 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
         chunks.append(name_bytes)
         chunks.append(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
         chunks.append(arr.tobytes(order="C"))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
-    tmp.replace(path)
+    write_file(path, b"".join(chunks))
 
 
 class _Reader:

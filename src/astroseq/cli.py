@@ -8,18 +8,19 @@ Commands:
 * ``retention``  derive a memory-retention schedule from the system
 * ``gradcheck``  compare replay gradients against full backprop
 * ``train``      train a segment model per the run config
-* ``bench``      time the attention block, both gradient algorithms (one
-                 sample and one stacked optimizer step, with one rollout's
-                 real peak bytes), evaluation, a sweep of step time and
-                 storage over stack sizes, and the retention schedule's
+* ``bench``      time the attention block; a sweep over stack sizes, one
+                 of them the run's own, of both gradient algorithms (one
+                 optimizer step, and one rollout's counted and real peak
+                 storage) and of evaluation; and the retention schedule's
                  derivation
 * ``eval``       score a checkpoint, under the run it stores, on fresh
                  validation data; a ``--config`` must describe that run
                  and may change only ``[recurrence]`` and ``[training]`` keys
 
 Exit codes: 0 success, 2 usage or configuration error (a run too large
-to allocate included), 3 numerical failure (overflow, degenerate schedule,
-aborted training, or a failed gradient check).
+to allocate, or an artifact that cannot be written, included), 3
+numerical failure (overflow, degenerate schedule, aborted training, or a
+failed gradient check).
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_file
 from .config import RunConfig, load_run_config
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, InvalidArgumentError
 from .harness import (
     BENCH_SCHEMA,
     bench_attention,
-    bench_evaluation,
     bench_retention,
-    bench_rollouts,
     bench_stacks,
     eval_run,
     resolve_schedule,
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(handler=cmd_train)
 
     bench = commands.add_parser(
-        "bench", help="attention, rollout, evaluation, stack-size and retention timings"
+        "bench", help="attention, stack-size (training and evaluation) and retention timings"
     )
     _common(bench)
     bench.add_argument(
@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated token counts for the attention timing",
     )
     bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions of the "
-                       "attention, rollout, evaluation and stack rows (retention: one derivation "
-                       "each)")
+                       "attention and stack-sweep rows (retention: one derivation each)")
     bench.set_defaults(handler=cmd_bench)
 
     ev = commands.add_parser("eval", help="score a checkpoint under the run it stores")
@@ -144,7 +143,7 @@ def _say(text: str) -> None:
 def _emit(payload: dict, out_dir: Path | None, filename: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_dir is not None:
-        (out_dir / filename).write_text(text + "\n")
+        write_file(out_dir / filename, (text + "\n").encode())
     _say(text)
 
 
@@ -170,10 +169,8 @@ def cmd_simulate(args) -> int:
                 f"{trace.times[i]:.6f},{trace.fac[i].mean():.9f},"
                 f"{trace.stp[i].mean():.9f},{trace.ltp[i].mean():.9f}"
             )
-        (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
-        (out_dir / "boundaries.json").write_text(
-            json.dumps(boundaries, indent=2) + "\n"
-        )
+        write_file(out_dir / "trace.csv", ("\n".join(lines) + "\n").encode())
+        write_file(out_dir / "boundaries.json", (json.dumps(boundaries, indent=2) + "\n").encode())
     _say(
         f"simulated {n_cycles} cycles of {extras['cycle_seconds']}s "
         f"({len(trace.times)} samples, {extras['n_neurons']} neurons)"
@@ -260,9 +257,7 @@ def cmd_bench(args) -> int:
     payload = {
         "schema": BENCH_SCHEMA,
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),
-        "rollouts": bench_rollouts(cfg, seed=args.seed, repeats=args.repeats),
-        "evaluation": bench_evaluation(cfg, seed=args.seed, repeats=args.repeats),
-        "stacks": bench_stacks(cfg, seed=args.seed, repeats=args.repeats),
+        **bench_stacks(cfg, seed=args.seed, repeats=args.repeats),
         "retention": bench_retention(cfg),
     }
     _emit(payload, out_dir, "bench.json")

@@ -22,7 +22,9 @@ them, of near-equal size: 64 key-value samples evaluate as 32 and 32, not
 one.  ``STACK_ROWS`` was set from ``bench_stacks``, a sweep of step time
 against peak storage over stack sizes (``BENCH_3.json``): at 512 rows a
 256-row segment stacks two samples, which pays the per-op cost half as
-often for about twice the storage of one.
+often for about twice the storage of one.  The sweep is also the bench of
+training and evaluation: one of its rows is the run's own stack size, so
+it times the same calls ``train_run`` and ``eval_run`` make.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_file
 from .config import RunConfig, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
 from .model import ModelConfig, SegmentModel, stack_batches
@@ -54,8 +56,10 @@ from .trainer import (
 RECORD_SCHEMA = 1
 # Version of ``astroseq bench``'s payload.  2 added this key and each
 # rollout row's ``tracemalloc_peak_bytes``; 3 added the stack sweep and
-# each timed row's median beside its best.
-BENCH_SCHEMA = 3
+# each timed row's median beside its best; 4 folded the one-sample rollout
+# and evaluation rows into the sweep, which gained the run's own stack size
+# as a row, named at the top as ``stack_samples``.
+BENCH_SCHEMA = 4
 
 # Attention rows per stack.  At 512, the README key-value config (10 rows
 # a call) stacks 51 samples, ListOps with 64-token segments and 4 memory
@@ -66,7 +70,7 @@ BENCH_SCHEMA = 3
 STACK_ROWS = 512
 
 # Samples per stack in ``bench_stacks``'s sweep, each capped at
-# ``batch_size``.
+# ``batch_size``; the sweep adds the run's own ``stack_samples``.
 SWEEP_STACKS = (1, 2, 4, 8, 16)
 
 
@@ -243,13 +247,16 @@ def train_run(
 
 def _write_artifacts(out_path: Path, record: dict, model: SegmentModel):
     import csv
+    import io
     import json
 
-    (out_path / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    with (out_path / "curve.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "val_acc", "seconds"])
-        writer.writeheader()
-        writer.writerows(record["epochs"])
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    write_file(out_path / "run.json", text.encode())
+    curve = io.StringIO(newline="")
+    writer = csv.DictWriter(curve, fieldnames=["epoch", "train_loss", "val_acc", "seconds"])
+    writer.writeheader()
+    writer.writerows(record["epochs"])
+    write_file(out_path / "curve.csv", curve.getvalue().encode())
     save_checkpoint(
         out_path / "model.ckpt",
         {"run": record["config"], "seed": record["seed"]},
@@ -400,86 +407,44 @@ def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     return rows
 
 
-def _traced_rollout(model, rollout, batch, schedule, loss_mode) -> dict:
-    """The storage report of one rollout of ``batch``, with the real peak
-    bytes ``tracemalloc`` saw during it (``tracemalloc_peak_bytes``)."""
-    loss_fn = classification_loss(model, batch, mode=loss_mode)
-    reports = []
-    peak = _traced_peak(lambda: reports.append(rollout(model, batch, schedule, loss_fn)))
-    return {"tracemalloc_peak_bytes": peak, **reports[0].memory_report()}
-
-
-def bench_rollouts(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
-    """Compare the two gradient algorithms: time and storage.
-
-    Per algorithm, best and median of ``repeats`` after a warm-up (CPU time
-    their mean): ``seconds`` for the rollout of one sample, a one-sample
-    stack, whose counted storage the row reports, and ``step_seconds`` for
-    the gradients of one optimizer step of ``batch_size`` samples, stacked
-    as ``train_run`` stacks them.  ``tracemalloc_peak_bytes`` is the real
-    peak of the one-sample rollout, taken in one more, untimed, repeat,
-    beside the counted floats of its storage report.
-    No update is made, so every repeat sees the same parameters.
-    """
-    task, model = setup_run(cfg, seed)
-    schedule = resolve_schedule(cfg)
-    samples = task.dataset(cfg.batch_size, seed)
-    batch = samples[0]
-    per_stack = stack_samples(model.config)
-    out = {}
-    for name, rollout in (("amrb", amrb_rollout), ("bptt", bptt_rollout)):
-        loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
-
-        def one():
-            rollout(model, batch, schedule, loss_fn)
-
-        def step():
-            _train_step(model, rollout, samples, schedule, cfg.loss_mode, None, per_stack)
-
-        one()  # warm-up
-        step()
-        timed = _best(one, repeats)
-        step_timed = _best(step, repeats)
-        out[name] = {
-            **_timing(timed),
-            "step_samples": len(samples),
-            **_timing(step_timed, "step_"),
-            **_traced_rollout(model, rollout, batch, schedule, cfg.loss_mode),
-        }
-    return out
-
-
-def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> list[dict]:
-    """Time against storage as the stack size varies: the sweep that sets
-    ``STACK_ROWS``.
+def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
+    """Both gradient algorithms and evaluation, timed against storage as the
+    stack size varies: the sweep that sets ``STACK_ROWS``.
 
     One row per stack size in ``SWEEP_STACKS``, each capped at
-    ``batch_size``.  Per algorithm, a row gives ``step_seconds``, the
-    gradients of one optimizer step of ``batch_size`` samples in stacks of
-    at most that size (best and median of ``repeats`` after a warm-up, CPU
-    time their mean), and the storage report and real peak bytes of one
+    ``batch_size``, and one at ``stack_samples``, the size a run trains and
+    evaluates at, which the result names as its ``stack_samples``.  Per
+    algorithm, a row gives ``step_seconds``, the gradients of one optimizer
+    step of ``batch_size`` samples in stacks of at most that size (best and
+    median of ``repeats`` after a warm-up, CPU time their mean), and the
+    storage report and real peak bytes (``tracemalloc_peak_bytes``) of one
     rollout of such a stack, taken untimed.  Its ``evaluation`` times
-    ``evaluate_accuracy`` over ``val_samples`` samples in stacks of at
-    most that size.  No update is made, so every repeat sees the same parameters.
+    ``evaluate_accuracy`` over ``val_samples`` samples in stacks of at most
+    that size.  No update is made, so every repeat sees the same parameters.
     """
     task, model = setup_run(cfg, seed)
     schedule = resolve_schedule(cfg)
     samples = task.dataset(cfg.batch_size, seed)
     data = task.dataset(cfg.val_samples, seed, split=1)
+    run_stack = stack_samples(model.config)
     rows = []
-    for per_stack in sorted({min(size, cfg.batch_size) for size in SWEEP_STACKS}):
+    for per_stack in sorted({min(size, cfg.batch_size) for size in SWEEP_STACKS} | {run_stack}):
         row = {"stack_samples": per_stack}
+        batch = stack_batches(samples[:per_stack])
         for name, rollout in (("amrb", amrb_rollout), ("bptt", bptt_rollout)):
 
             def step():
                 _train_step(model, rollout, samples, schedule, cfg.loss_mode, None, per_stack)
 
             step()  # warm-up
+            timed = _best(step, repeats)
+            loss_fn = classification_loss(model, batch, mode=cfg.loss_mode)
+            reports = []
+            peak = _traced_peak(lambda: reports.append(rollout(model, batch, schedule, loss_fn)))
             row[name] = {
-                **_timing(_best(step, repeats), "step_"),
-                **_traced_rollout(
-                    model, rollout, stack_batches(samples[:per_stack]), schedule, cfg.loss_mode
-                ),
+                **_timing(timed, "step_"),
+                "tracemalloc_peak_bytes": peak,
+                **reports[0].memory_report(),
             }
 
         def evaluate():
@@ -489,21 +454,4 @@ def bench_stacks(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> list[dict]:
         timed = _best(evaluate, repeats)
         row["evaluation"] = {**_timing(timed), "samples_per_s": len(data) / timed[0]}
         rows.append(row)
-    return rows
-
-
-def bench_evaluation(cfg: RunConfig, seed: int = 0, repeats: int = 3) -> dict:
-    """Evaluation throughput: ``evaluate_accuracy`` over ``val_samples``
-    validation samples, best and median of ``repeats`` after a warm-up (CPU
-    time their mean)."""
-    task, model = setup_run(cfg, seed)
-    schedule = resolve_schedule(cfg)
-    data = task.dataset(cfg.val_samples, seed, split=1)
-    evaluate_accuracy(model, data, schedule)  # warm-up
-    timed = _best(lambda: evaluate_accuracy(model, data, schedule), repeats)
-    return {
-        "samples": len(data),
-        "stack_samples": stack_samples(model.config),
-        **_timing(timed),
-        "samples_per_s": len(data) / timed[0],
-    }
+    return {"stack_samples": run_stack, "stacks": rows}

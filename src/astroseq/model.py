@@ -53,6 +53,13 @@ from .errors import InvalidArgumentError, NumericalOverflowError, ShapeError
 from .retention import RetentionSchedule
 from .seeding import STREAM_DROPOUT, STREAM_INIT, spawn
 
+# The most rows or columns one axis of a model may have.  Every array a
+# model builds has at most two such axes (a stack's rows stay near
+# STACK_ROWS, and seg_len + mem_tokens is at most twice this), so numpy can
+# address it, and one too large for memory raises MemoryError when it is
+# allocated, which the CLI reports with exit 2.
+MAX_AXIS = 2**28
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -87,6 +94,13 @@ class ModelConfig:
         for name in ("d_model", "m_hidden", "ffn_dim", "n_layers", "seg_len", "n_segments"):
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(f"{name} must be positive")
+        for name in ("vocab_size", "n_classes", "d_model", "m_hidden", "ffn_dim", "seg_len",
+                     "n_segments", "mem_tokens"):
+            if getattr(self, name) > MAX_AXIS:
+                raise InvalidArgumentError(
+                    f"{name} = {getattr(self, name)} is too large: a model axis holds at most "
+                    f"{MAX_AXIS}"
+                )
         if self.mem_tokens < 0:
             raise InvalidArgumentError("mem_tokens must be non-negative")
         if self.n_heads < 1:

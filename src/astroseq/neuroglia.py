@@ -290,8 +290,16 @@ class SimTrace:
     cycle_ends: tuple[int, ...]
 
 
+# Step k of an experiment starts at k * dt, computed from k, which a float64
+# holds exactly only up to 2**53; a run that would pass it is refused before
+# anything is allocated for it.
+MAX_STEPS = 2**53
+
+
 def steps_per_cycle(cycle_duration: float, dt: float) -> int:
     ratio = cycle_duration / dt
+    if not ratio <= MAX_STEPS:
+        raise InvalidArgumentError(f"a cycle of {cycle_duration} s is over 2**53 steps of dt {dt}")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
         raise InvalidArgumentError(
@@ -304,6 +312,8 @@ def step_times(first_step: int, n_steps: int, dt: float) -> np.ndarray:
     """Start times of steps ``first_step`` .. ``first_step + n_steps - 1``:
     step k starts at k * dt, computed from k rather than accumulated, so a
     drive keeps its phase over any number of steps."""
+    if first_step + n_steps > MAX_STEPS:
+        raise InvalidArgumentError(f"the run passes step 2**53 of dt {dt}: too many cycles")
     return (first_step + np.arange(n_steps)) * dt
 
 

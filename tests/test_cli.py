@@ -391,6 +391,31 @@ def test_run_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, named, command",
+    [
+        pytest.param(text, named, command, id=f"{case}-{command}")
+        for case, text, named, commands in [
+            ("cycle_seconds_1e300", "[retention]\nmode = derived\ncycle_seconds = 1e300\n",
+             "cycle", ("retention", "train", "simulate", "gradcheck")),
+            ("seg_len_1e18", f"[task]\nseg_len = {10**18}\n", "seg_len", ("train", "gradcheck")),
+            ("seg_len_1e20", f"[task]\nseg_len = {10**20}\n", "seg_len", ("train", "gradcheck")),
+            ("d_model_1e20", f"[model]\nd_model = {10**20}\n", "d_model", ("train", "gradcheck")),
+        ]
+        for command in commands
+    ],
+)
+def test_setting_too_large_to_build_exits_2(tmp_path, capsys, text, named, command):
+    """A setting whose arrays numpy could not even size is refused, naming
+    it, before anything is built from it."""
+    path = tmp_path / "huge.ini"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[training]\nmomentum = 0.9\n")
@@ -407,9 +432,10 @@ def test_bench_tiny_sizes(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"schema", "attention", "stack_samples", "stacks", "retention"}
     assert [r["n_tokens"] for r in payload["attention"]] == [8, 16]
-    assert set(payload["rollouts"]) == {"amrb", "bptt"}
-    assert payload["evaluation"]["samples"] == 12
+    assert payload["stack_samples"] == harness.STACK_ROWS // 6
+    assert [r["stack_samples"] for r in payload["stacks"]] == [1, 2, 4, 8, harness.STACK_ROWS // 6]
     retention = payload["retention"]
     assert [r["n_segments"] for r in retention] == [2, 4, 8, 16]
     for row in retention:
@@ -422,8 +448,8 @@ def test_bench_tiny_sizes(tmp_path, capsys):
 
 
 def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
-    """--repeats sets the attention, rollout, evaluation and stack-sweep
-    timings; each retention row times one derivation."""
+    """--repeats sets the attention and stack-sweep timings; each retention
+    row times one derivation."""
     seen = []
     best = harness._best
 
@@ -434,35 +460,34 @@ def test_bench_repeats_reach_every_best_of_row(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "_best", recording)
     cfg = write_tiny_config(tmp_path)
     assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "2"]) == 0
-    # attention: linear block and softmax; rollouts: one sample and one step,
-    # per algorithm; evaluation; the stack sweep: a step per algorithm and
-    # an evaluation at each of 1, 2, 4 and 8 samples a stack (batch_size 8);
-    # then four retention rows.
-    assert seen == [2, 2] + [2, 2] * 2 + [2] + [2, 2, 2] * 4 + [1] * 4
+    # attention: linear block and softmax; the stack sweep: a step per
+    # algorithm and an evaluation at each of 1, 2, 4 and 8 samples a stack
+    # (batch_size 8) and at the run's own STACK_ROWS // 6; then four
+    # retention rows.
+    assert seen == [2, 2] + [2, 2, 2] * 5 + [1] * 4
 
 
 def test_bench_payload_names_its_schema(tmp_path, capsys):
-    """The payload carries its schema version, each rollout row the real
-    peak bytes beside the counted floats, every timed row its median wall
-    time beside its best, and the stack sweep one row per stack size."""
+    """The payload carries its schema version and the run's stack_samples,
+    each stack row per algorithm the real peak bytes beside the counted
+    floats, every timed row its median wall time beside its best, and the
+    stack sweep one row per stack size, the run's own included."""
     from astroseq.harness import BENCH_SCHEMA
 
     cfg = write_tiny_config(tmp_path)
     assert main(["bench", "--config", str(cfg), "--sizes", "8", "--repeats", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == BENCH_SCHEMA == 3
-    for row in payload["rollouts"].values():
-        assert row["tracemalloc_peak_bytes"] > 0
-        assert row["median_seconds"] >= row["seconds"]
-        assert row["step_median_seconds"] >= row["step_seconds"]
+    assert payload["schema"] == BENCH_SCHEMA == 4
     for row in payload["attention"]:
         assert row["astro_median_seconds"] >= row["astro_seconds"]
         assert row["softmax_median_seconds"] >= row["softmax_seconds"]
-    assert payload["evaluation"]["median_seconds"] >= payload["evaluation"]["seconds"]
     stacks = payload["stacks"]
-    assert [row["stack_samples"] for row in stacks] == [1, 2, 4, 8]
+    assert [row["stack_samples"] for row in stacks] == [1, 2, 4, 8, payload["stack_samples"]]
     for row in stacks:
         assert set(row) == {"stack_samples", "amrb", "bptt", "evaluation"}
+        for name in ("amrb", "bptt"):
+            assert row[name]["tracemalloc_peak_bytes"] > 0
+            assert row[name]["step_median_seconds"] >= row[name]["step_seconds"]
         assert row["evaluation"]["median_seconds"] >= row["evaluation"]["seconds"]
 
 
@@ -487,13 +512,42 @@ def test_out_of_range_option_exits_2(argv, capsys):
     assert argv[-1].split("=")[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["retention", "train"])
-def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        pytest.param(command, taken, id=command if taken is None else f"{command}-{taken}")
+        for command, taken in [
+            ("retention", None),
+            ("train", None),
+            ("train", "run.json"),
+            ("train", "model.ckpt"),
+            ("retention", "retention.json"),
+            ("simulate", "trace.csv"),
+            ("gradcheck", "gradcheck.json"),
+            ("eval", "eval.json"),
+        ]
+    ],
+)
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, command, taken):
+    """An --out-dir that is a file, or where the command's file is a
+    directory, exits 2 with one error line naming the path, and leaves no
+    .tmp file."""
     cfg = write_tiny_config(tmp_path)
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    assert main([command, "--config", str(cfg), "--out-dir", str(taken)]) == 2
-    assert "--out-dir" in capsys.readouterr().err
+    argv = [command, "--config", str(cfg)]
+    if command == "eval":
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+        argv += ["--checkpoint", str(tmp_path / "run" / "model.ckpt")]
+    out = tmp_path / "out"
+    if taken is None:
+        out.write_text("")
+    else:
+        (out / taken).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--out-dir" if taken is None else str(out / taken)) in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_unknown_command_exits_2(capsys):

@@ -13,8 +13,6 @@ from astroseq.config import RunConfig, parse_run_config
 from astroseq.errors import InvalidArgumentError
 from astroseq.harness import (
     bench_attention,
-    bench_evaluation,
-    bench_rollouts,
     bench_stacks,
     eval_run,
     evaluate_accuracy,
@@ -205,22 +203,9 @@ def test_bench_attention_rows():
         assert row["astro_cpu_seconds"] >= 0 and row["softmax_cpu_seconds"] >= 0
 
 
-def test_bench_rollouts_reports_both_algorithms():
-    out = bench_rollouts(tiny_run_config(), seed=0, repeats=1)
-    assert set(out) == {"amrb", "bptt"}
-    assert out["amrb"]["seconds"] > 0
-    assert out["amrb"]["replay_buffer_bytes"] > 0
-    assert out["bptt"]["replay_buffer_bytes"] == 0
-    assert out["bptt"]["backward_peak_floats"] > out["amrb"]["backward_peak_floats"] / 2
-    for row in out.values():
-        assert row["step_samples"] == 8
-        assert row["step_seconds"] > 0
-        assert row["cpu_seconds"] >= 0 and row["step_cpu_seconds"] >= 0
-
-
-def test_bench_rollouts_take_the_real_peak_untimed(monkeypatch):
-    """Each rollout row gives the tracemalloc peak of one rollout, taken
-    outside every timed call."""
+def test_bench_stacks_take_the_real_peak_untimed(monkeypatch):
+    """Each sweep row gives, per algorithm, the tracemalloc peak of one
+    rollout, taken outside every timed call."""
     import tracemalloc
 
     traced = []
@@ -231,11 +216,14 @@ def test_bench_rollouts_take_the_real_peak_untimed(monkeypatch):
         return best(fn, repeats)
 
     monkeypatch.setattr(harness, "_best", recording)
-    out = bench_rollouts(tiny_run_config(), seed=0, repeats=1)
-    assert traced == [False] * 4
-    for row in out.values():
-        # Real bytes exceed the counted floats' bytes: closures hold more.
-        assert row["tracemalloc_peak_bytes"] > 8 * row["backward_peak_floats"]
+    rows = bench_stacks(tiny_run_config(), seed=0, repeats=1)["stacks"]
+    assert [row["stack_samples"] for row in rows] == [1, 2, 4, 8, harness.STACK_ROWS // 6]
+    # Per row: a step per algorithm, then an evaluation.
+    assert traced == [False] * 3 * len(rows)
+    for row in rows:
+        for name in ("amrb", "bptt"):
+            # Real bytes exceed the counted floats' bytes: closures hold more.
+            assert row[name]["tracemalloc_peak_bytes"] > 8 * row[name]["backward_peak_floats"]
 
 
 def test_best_reports_the_least_and_the_median_wall_time(monkeypatch):
@@ -250,26 +238,63 @@ def test_best_reports_the_least_and_the_median_wall_time(monkeypatch):
 
 
 def test_bench_stacks_sweep_stack_sizes_up_to_the_batch():
-    """One row per stack size up to batch_size, each with both algorithms;
-    replay stores less than full backprop at every size, and the
-    one-sample row counts what bench_rollouts' one-sample row counts."""
+    """One row per stack size up to batch_size, and one at the run's own
+    stack_samples, each with both algorithms; replay stores less than full
+    backprop at every size, and only replay keeps a replay buffer."""
     cfg = tiny_run_config(batch_size=12)
-    rows = bench_stacks(cfg, seed=0, repeats=1)
-    assert [row["stack_samples"] for row in rows] == [1, 2, 4, 8, 12]
-    storage = ("forward_peak_floats", "backward_peak_floats", "replay_buffer_bytes")
+    result = bench_stacks(cfg, seed=0, repeats=1)
+    assert result["stack_samples"] == harness.STACK_ROWS // 6
+    rows = result["stacks"]
+    assert [row["stack_samples"] for row in rows] == [1, 2, 4, 8, 12, harness.STACK_ROWS // 6]
     for row in rows:
         assert row["amrb"]["backward_peak_floats"] < row["bptt"]["backward_peak_floats"]
+        assert row["amrb"]["replay_buffer_bytes"] > 0 and row["bptt"]["replay_buffer_bytes"] == 0
         for name in ("amrb", "bptt"):
             timing = row[name]
             assert timing["step_seconds"] > 0 and timing["step_cpu_seconds"] >= 0
-            assert timing["step_median_seconds"] >= timing["step_seconds"]
+            assert timing["step_median_seconds"] == timing["step_seconds"]  # one repeat
             assert timing["tracemalloc_peak_bytes"] > 8 * timing["backward_peak_floats"]
-        assert row["evaluation"]["samples_per_s"] == pytest.approx(12 / row["evaluation"]["seconds"])
+        evaluation = row["evaluation"]
+        assert evaluation["seconds"] > 0 and evaluation["cpu_seconds"] >= 0
+        assert evaluation["median_seconds"] == evaluation["seconds"]
+        assert evaluation["samples_per_s"] == pytest.approx(12 / evaluation["seconds"])
     peaks = [row["bptt"]["backward_peak_floats"] for row in rows]
     assert peaks == sorted(peaks) and peaks[0] < peaks[-1]
-    single = bench_rollouts(cfg, seed=0, repeats=1)
-    for name in ("amrb", "bptt"):
-        assert {k: rows[0][name][k] for k in storage} == {k: single[name][k] for k in storage}
+
+
+@pytest.mark.parametrize("stack_rows", [harness.STACK_ROWS, 18])
+def test_bench_stacks_time_the_stacks_a_run_uses(monkeypatch, stack_rows):
+    """The sweep's row at the run's stack_samples (STACK_ROWS // 6 on the
+    tiny config) steps in the stacks train_run steps in, and evaluates in
+    the stacks evaluate_accuracy cuts by default."""
+    calls = []
+    rollout, predict = harness.amrb_rollout, SegmentModel.predict
+
+    def recording_rollout(model, batch, *args):
+        calls.append(("step", len(batch.ids)))
+        return rollout(model, batch, *args)
+
+    def recording_predict(self, batch, *args):
+        calls.append(("eval", len(batch.ids)))
+        return predict(self, batch, *args)
+
+    monkeypatch.setattr(harness, "amrb_rollout", recording_rollout)
+    monkeypatch.setattr(SegmentModel, "predict", recording_predict)
+    monkeypatch.setattr(harness, "STACK_ROWS", stack_rows)
+    cfg = tiny_run_config(epochs=1, train_samples=8)
+    train_run(cfg, seed=0)  # one optimizer step, then an evaluation
+    steps = [call for call in calls if call[0] == "step"]
+    evals = [call for call in calls if call[0] == "eval"]
+    assert calls == steps + evals
+    calls.clear()
+    monkeypatch.setattr(harness, "SWEEP_STACKS", ())  # the run's row alone
+    result = bench_stacks(cfg, seed=0, repeats=1)
+    per_stack = stack_rows // 6
+    assert result["stack_samples"] == per_stack
+    assert [row["stack_samples"] for row in result["stacks"]] == [per_stack]
+    # A warm-up and a timed step, one traced stack, then a warm-up and a
+    # timed evaluation.
+    assert calls == steps * 2 + [("step", min(per_stack, 8))] + evals * 2
 
 
 def test_bench_stacks_step_in_stacks_of_each_size(monkeypatch):
@@ -285,8 +310,9 @@ def test_bench_stacks_step_in_stacks_of_each_size(monkeypatch):
     monkeypatch.setattr(harness, "amrb_rollout", recording)
     monkeypatch.setattr(harness, "SWEEP_STACKS", (3, 20))
     bench_stacks(tiny_run_config(), seed=0, repeats=1)
-    # Per size: a warm-up step, one timed step, then one traced stack.
-    assert sizes == [2, 3, 3] * 2 + [3] + [8] * 3
+    # Per size (3, 8, and the run's STACK_ROWS // 6): a warm-up step, one
+    # timed step, then one traced stack.
+    assert sizes == [2, 3, 3] * 2 + [3] + [8] * 3 + [8] * 3
 
 
 def test_traced_peak_leaves_tracing_that_was_already_on():
@@ -305,14 +331,6 @@ def test_traced_peak_leaves_tracing_that_was_already_on():
     assert 800_000 <= peak < 2_000_000
     assert harness._traced_peak(lambda: bytearray(800_000)) >= 800_000
     assert not tracemalloc.is_tracing()
-
-
-def test_bench_evaluation_reports_throughput():
-    row = bench_evaluation(tiny_run_config(), seed=0, repeats=1)
-    assert row["samples"] == 12 and row["stack_samples"] == harness.STACK_ROWS // 6
-    assert row["seconds"] > 0 and row["cpu_seconds"] >= 0
-    assert row["median_seconds"] == row["seconds"]  # one repeat
-    assert row["samples_per_s"] == pytest.approx(12 / row["seconds"])
 
 
 # ---------------------------------------------------------------------------
