@@ -43,11 +43,15 @@ Design points that the rest of the package relies on:
   across sweeps, so one leaf may serve several tapes.  Intermediate
   gradients are transient per sweep.
 * ``Tape.stored_floats`` counts the float64 entries of recorded
-  intermediate values.  Leaves are excluded: they are the model, not
-  activations.  So are views: ``slice_rows``, ``slice_cols`` and
+  intermediate values.  Inputs are excluded: leaves are the model, not
+  activations, and constants (masks, the positional decay profile) are
+  fixed data.  So are views: ``slice_rows``, ``slice_cols`` and
   ``transpose`` re-index their operand's value without copying it, which
   is safe because no op writes into a ``value`` (parameter updates
-  replace the array).  The trainer uses this counter for its memory
+  replace the array).  A vjp keeps nothing else but per-row statistics
+  (``layer_norm``'s mean and inverse deviation, one float per row, also
+  uncounted): a mask such as ``relu``'s is derived again from the values
+  in the backward pass.  The trainer uses this counter for its memory
   accounting.
 """
 
@@ -430,16 +434,14 @@ def embedding_rows(table, ids) -> ValueNode:
 def elu_plus_one(a) -> ValueNode:
     """The strictly positive feature map x >= 0 -> x + 1, x < 0 -> exp(x)."""
     x = a.value
-    pos = x >= 0
-    out = np.where(pos, x + 1.0, np.exp(np.minimum(x, 0.0)))
-    # For x < 0 the output equals the derivative, so reuse it.
-    return _emit(out, (a,), lambda g: (g * np.where(pos, 1.0, out),))
+    out = np.where(x >= 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    # The derivative is 1 where out >= 1 (x >= 0) and out itself elsewhere.
+    return _emit(out, (a,), lambda g: (g * np.minimum(out, 1.0),))
 
 
 def relu(a) -> ValueNode:
     x = a.value
-    mask = (x > 0).astype(np.float64)
-    return _emit(x * mask, (a,), lambda g: (g * mask,))
+    return _emit(x * (x > 0), (a,), lambda g: (g * (x > 0),))
 
 
 def power(a, exponent: float) -> ValueNode:
@@ -462,14 +464,16 @@ def reciprocal(a) -> ValueNode:
     x = a.value
     if np.any(x <= 0.0):
         raise DomainError("reciprocal: inputs must be strictly positive")
-    clamped = np.maximum(x, RECIPROCAL_FLOOR)
-    out = 1.0 / clamped
-    live = (x >= RECIPROCAL_FLOOR).astype(np.float64)
-    return _emit(out, (a,), lambda g: (-g * out * out * live,))
+    out = 1.0 / np.maximum(x, RECIPROCAL_FLOOR)
+    return _emit(out, (a,), lambda g: (-g * out * out * (x >= RECIPROCAL_FLOOR),))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
-    """Row-wise layer normalization with learnable (1, c) gain and bias."""
+    """Row-wise layer normalization with learnable (1, c) gain and bias.
+
+    The backward pass recomputes the normalized rows from ``x`` and the
+    per-row mean and inverse deviation, so it keeps no (r, c) array of its
+    own."""
     c = x.value.shape[-1]
     if gain.value.shape != (1, c) or bias.value.shape != (1, c):
         raise ShapeError(
@@ -479,10 +483,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
     centered = x.value - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.value + bias.value
+    out = centered * inv_std * gain.value + bias.value
 
     def vjp(g):
+        xhat = (x.value - mu) * inv_std
         d_gain = _unbroadcast(g * xhat, (1, c))
         d_bias = _unbroadcast(g, (1, c))
         d_xhat = g * gain.value

@@ -112,9 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is None:
-        return RunConfig()
-    return load_run_config(args.config)
+    """The run ``--config`` describes (the defaults if none), refused here,
+    before any ``--out-dir`` is made, unless its task and its model build."""
+    cfg = RunConfig() if args.config is None else load_run_config(args.config)
+    spec = cfg.build_task().spec
+    cfg.model_config(spec.vocab_size, spec.n_classes)
+    return cfg
 
 
 def _out_dir(args) -> Path | None:

@@ -109,7 +109,7 @@ def uniform_schedule(n_segments: int) -> RetentionSchedule:
     """Ablation schedule: every factor exactly 1.0, memory unscaled."""
     return RetentionSchedule(
         n_segments=n_segments,
-        factors=tuple(1.0 for _ in range(n_segments)),
+        factors=(1.0,) * n_segments,
         source={"kind": "uniform"},
     )
 

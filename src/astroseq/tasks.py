@@ -127,12 +127,13 @@ class KVRetrievalTask(_TaskBase):
             raise InvalidArgumentError("kv_retrieval needs at least 2 keys and 2 values")
         if n_distractors < 0:
             raise InvalidArgumentError("n_distractors must be non-negative")
-        # Each pair needs two adjacent slots inside one of segments 2..T.
-        slots_per_segment = seg_len // 2
-        if (n_segments - 1) * slots_per_segment < 1 + n_distractors:
+        # Each pair takes a slot of two adjacent tokens inside one of
+        # segments 2..T, which hold seg_len // 2 slots each.
+        self.n_slots = (n_segments - 1) * (seg_len // 2)
+        if self.n_slots < 1 + n_distractors:
             raise InvalidArgumentError(
                 f"{n_distractors} distractors plus the target pair do not fit "
-                f"in {n_segments - 1} segments of {slots_per_segment} pair slots"
+                f"in {n_segments - 1} segments of {seg_len // 2} pair slots"
             )
         self.n_keys = n_keys
         self.n_distractors = n_distractors
@@ -159,33 +160,23 @@ class KVRetrievalTask(_TaskBase):
         tokens[0] = self.ANNOUNCE
         tokens[1] = self.key_id(key)
 
-        # Pair slots: (segment, even offset) so pairs stay inside a segment.
-        slots_per_segment = S // 2
-        second_half_start = 1 + (T + 1) // 2  # 1-based segment index
-        target_slots = [
-            (t, 2 * s)
-            for t in range(second_half_start, T + 1)
-            for s in range(slots_per_segment)
-        ]
-        all_slots = [
-            (t, 2 * s) for t in range(2, T + 1) for s in range(slots_per_segment)
-        ]
-        target = target_slots[int(rng.integers(len(target_slots)))]
-        remaining = [slot for slot in all_slots if slot != target]
-        picks = rng.choice(len(remaining), size=self.n_distractors, replace=False)
+        # Slot j opens at offset 2 * (j % half) of segment 2 + j // half.
+        half = S // 2
 
-        def place(slot, k_id, v_id):
-            t, off = slot
-            base = (t - 1) * S + off
-            tokens[base] = k_id
-            tokens[base + 1] = v_id
+        def place(slot, k, v):
+            base = S * (1 + slot // half) + 2 * (slot % half)
+            tokens[base] = self.key_id(k)
+            tokens[base + 1] = self.value_id(v)
 
-        place(target, self.key_id(key), self.value_id(label))
-        other_keys = [k for k in range(self.n_keys) if k != key]
-        for p in picks:
-            dk = other_keys[int(rng.integers(len(other_keys)))]
+        # The target lies in the second half of the segments.  Each
+        # distractor draw skips the target's slot and the announced key.
+        target = int(rng.integers(((T + 1) // 2 - 1) * half, self.n_slots))
+        picks = rng.choice(self.n_slots - 1, size=self.n_distractors, replace=False)
+        place(target, key, label)
+        for p in picks.tolist():
+            dk = int(rng.integers(self.n_keys - 1))
             dv = int(rng.integers(spec.n_classes))
-            place(remaining[int(p)], self.key_id(dk), self.value_id(dv))
+            place(p + (p >= target), dk + (dk >= key), dv)
         return tokens, label
 
 

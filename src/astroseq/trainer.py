@@ -48,7 +48,10 @@ AMRB), and the peak alive during the backward phase (retained storage
 plus transient gradient matrices; for AMRB, the buffer plus one segment's
 tape; for both, the step's R build and R's gradient).  Parameter values,
 their gradient accumulators, and optimizer moments are identical between
-the two algorithms and are not counted.
+the two algorithms and are not counted.  The counts hold recorded values
+(``Tape.stored_floats``); they leave out inputs, leaves and constants, of
+which the n x n decay profile of each layer's R build is the largest, and
+per-row statistics, so a rollout's real peak sits somewhat above them.
 """
 
 from __future__ import annotations

@@ -295,6 +295,27 @@ def test_stored_floats_counts_intermediates_not_leaves():
         assert tape.stored_floats == 32
 
 
+
+@pytest.mark.parametrize("op", ["relu", "elu_plus_one", "reciprocal", "layer_norm"])
+def test_backward_keeps_only_what_the_tape_counts(op):
+    """A vjp closes over no activation-sized array that ``stored_floats``
+    misses: each ndarray it holds is an operand's value, the node's own
+    value, or per-row (last axis 1)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 4))
+    with ad.Tape():
+        if op == "layer_norm":
+            node = ad.layer_norm(ad.leaf(x), ad.leaf(np.ones((1, 4))), ad.leaf(np.zeros((1, 4))))
+        elif op == "reciprocal":
+            node = ad.reciprocal(ad.leaf(np.abs(x) + 1e-7))
+        else:
+            node = getattr(ad, op)(ad.leaf(x))
+    held = [c.cell_contents for c in node._vjp.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    counted = [p.value for p in node._parents] + [node.value]
+    for a in arrays:
+        assert any(a is v for v in counted) or a.shape[-1] == 1, (op, a.shape)
+
 # ---------------------------------------------------------------------------
 # error contracts
 

@@ -74,8 +74,8 @@ def test_retention_degenerate_system_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["retention", "simulate"])
 def test_unknown_task_exits_2(tmp_path, capsys, command):
-    """Commands that never build the task still refuse a task name the
-    config does not know, with one error line naming it."""
+    """Commands that train no model still refuse a task name the config
+    does not know, with one error line naming it."""
     cfg = write_tiny_config(tmp_path)
     cfg.write_text(cfg.read_text().replace("name = copy", "name = sorting"))
     code = main([command, "--config", str(cfg)])
@@ -84,6 +84,28 @@ def test_unknown_task_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "'sorting'" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["retention", "simulate", "train", "gradcheck", "bench"])
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param("[model]\nd_model = -5\n", "d_model", id="d_model_-5"),
+        pytest.param("[model]\ndropout = 3\n", "dropout", id="dropout_3"),
+        pytest.param("[task]\nseg_len = 0\n", "copy task", id="seg_len_0"),
+    ],
+)
+def test_every_command_refuses_what_train_refuses(tmp_path, capsys, text, named, command):
+    """A config whose task or model cannot be built exits 2 with one error
+    line, before any ``--out-dir`` is made, whatever the command."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 def test_simulate_writes_trace_and_boundaries(tmp_path, capsys):
@@ -391,29 +413,39 @@ def test_run_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+EVERY = ("retention", "train", "simulate", "gradcheck")
+
+
 @pytest.mark.parametrize(
     "text, named, command",
     [
         pytest.param(text, named, command, id=f"{case}-{command}")
         for case, text, named, commands in [
             ("cycle_seconds_1e300", "[retention]\nmode = derived\ncycle_seconds = 1e300\n",
-             "cycle", ("retention", "train", "simulate", "gradcheck")),
-            ("seg_len_1e18", f"[task]\nseg_len = {10**18}\n", "seg_len", ("train", "gradcheck")),
-            ("seg_len_1e20", f"[task]\nseg_len = {10**20}\n", "seg_len", ("train", "gradcheck")),
-            ("d_model_1e20", f"[model]\nd_model = {10**20}\n", "d_model", ("train", "gradcheck")),
+             "cycle", EVERY),
+            ("seg_len_1e18", f"[task]\nseg_len = {10**18}\n", "seg_len", EVERY),
+            ("seg_len_1e20", f"[task]\nseg_len = {10**20}\n", "seg_len", EVERY),
+            ("d_model_1e20", f"[model]\nd_model = {10**20}\n", "d_model", EVERY),
+            ("n_segments_1e20", f"[retention]\nmode = uniform\n[task]\nn_segments = {10**20}\n",
+             "n_segments", EVERY),
         ]
         for command in commands
     ],
 )
-def test_setting_too_large_to_build_exits_2(tmp_path, capsys, text, named, command):
+def test_setting_too_large_to_build_exits_2(tmp_path, text, named, command):
     """A setting whose arrays numpy could not even size is refused, naming
-    it, before anything is built from it."""
+    it, before anything is built from it.  Each case runs in its own
+    process under a timeout, so a command that sets out to build it fails
+    the test instead of stalling the suite."""
     path = tmp_path / "huge.ini"
     path.write_text(text)
-    assert main([command, "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert named in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", command, "--config", str(path)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert named in proc.stderr
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

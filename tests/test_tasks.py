@@ -7,6 +7,7 @@ import pytest
 
 from astroseq.config import RunConfig
 from astroseq.errors import ConfigError, InvalidArgumentError
+from astroseq.seeding import STREAM_DATA, spawn
 from astroseq.tasks import (
     CopyTask,
     KVRetrievalTask,
@@ -107,6 +108,87 @@ def test_kv_rejects_impossible_layouts():
         KVRetrievalTask(seg_len=2, n_segments=2, n_distractors=5)
     with pytest.raises(InvalidArgumentError):
         KVRetrievalTask(seg_len=6, n_segments=1)
+
+
+def listed_kv_sample(task, rng):
+    """The sampler that lists every pair slot, kept as the oracle for the
+    slot arithmetic of ``KVRetrievalTask.sample``."""
+    spec = task.spec
+    T, S = spec.n_segments, spec.seg_len
+    label = int(rng.integers(spec.n_classes))
+    key = int(rng.integers(task.n_keys))
+    tokens = np.full(spec.capacity, task.FILLER, dtype=np.int64)
+    tokens[0] = task.ANNOUNCE
+    tokens[1] = task.key_id(key)
+
+    # Pair slots: (segment, even offset) so pairs stay inside a segment.
+    slots_per_segment = S // 2
+    second_half_start = 1 + (T + 1) // 2  # 1-based segment index
+    target_slots = [
+        (t, 2 * s)
+        for t in range(second_half_start, T + 1)
+        for s in range(slots_per_segment)
+    ]
+    all_slots = [
+        (t, 2 * s) for t in range(2, T + 1) for s in range(slots_per_segment)
+    ]
+    target = target_slots[int(rng.integers(len(target_slots)))]
+    remaining = [slot for slot in all_slots if slot != target]
+    picks = rng.choice(len(remaining), size=task.n_distractors, replace=False)
+
+    def place(slot, k_id, v_id):
+        t, off = slot
+        base = (t - 1) * S + off
+        tokens[base] = k_id
+        tokens[base + 1] = v_id
+
+    place(target, task.key_id(key), task.value_id(label))
+    other_keys = [k for k in range(task.n_keys) if k != key]
+    for p in picks:
+        dk = other_keys[int(rng.integers(len(other_keys)))]
+        dv = int(rng.integers(spec.n_classes))
+        place(remaining[int(p)], task.key_id(dk), task.value_id(dv))
+    return tokens, label
+
+
+def dataset_bytes(data):
+    return b"".join(b.ids.tobytes() + b.mask.tobytes() + b.label.tobytes() for b in data)
+
+
+@pytest.mark.parametrize("seg_len", [2, 3, 5, 6, 7])
+@pytest.mark.parametrize("n_segments", [2, 3, 4, 7])
+@pytest.mark.parametrize("n_keys", [2, 6])
+def test_kv_slot_arithmetic_matches_the_listed_slots(seg_len, n_segments, n_keys):
+    """Each dataset equals, byte for byte, the one the listing sampler
+    draws from the same stream: with an odd ``seg_len`` (the last token of
+    each segment unused), with no distractors and with as many as fit."""
+    n_slots = (n_segments - 1) * (seg_len // 2)
+    for n_distractors in sorted({0, min(3, n_slots - 1), n_slots - 1}):
+        task = KVRetrievalTask(
+            seg_len, n_segments, n_classes=3, n_keys=n_keys, n_distractors=n_distractors
+        )
+        for seed, split in ((0, 0), (1, 1)):
+            rng = spawn(seed, STREAM_DATA, split)
+            listed = [task._segmented(*listed_kv_sample(task, rng)) for _ in range(25)]
+            assert dataset_bytes(task.dataset(25, seed, split)) == dataset_bytes(listed)
+
+
+def test_kv_datasets_are_unchanged():
+    """Both splits at the benchmark workloads' layouts (digests pinned from
+    the sampler that listed every pair slot)."""
+    pinned = {
+        (6, 8): "b2bc35a247ed0e324d3fcdb2ee5b2d803dba5b4e71fa209b95e94800f08ff915",
+        (252, 4): "c15723b0b24f84b39b50d0fba0e05eadaf4aa5cf87402f0747ecf1c637ab9ee3",
+    }
+    for (seg_len, n_segments), digest in pinned.items():
+        task = KVRetrievalTask(seg_len, n_segments)
+        h = hashlib.sha256()
+        for split in (0, 1):
+            for b in task.dataset(40, 0, split=split):
+                h.update(b.ids.tobytes())
+                h.update(b.mask.tobytes())
+                h.update(str(int(b.label[0])).encode())
+        assert h.hexdigest() == digest, (seg_len, n_segments)
 
 
 # ---------------------------------------------------------------------------
