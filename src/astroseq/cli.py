@@ -48,6 +48,7 @@ from .harness import (
     setup_run,
     train_run,
 )
+from .model import MAX_AXIS
 from .retention import ltp_levels, simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
 
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(bench)
     bench.add_argument(
         "--sizes", default="128,256,512,1024",
-        help="comma-separated token counts for the attention timing",
+        help="comma-separated token counts (at most 2**28) for the attention timing",
     )
     bench.add_argument("--repeats", type=int, default=5, help="best-of repetitions of the "
                        "attention and stack-sweep rows (retention: one derivation each)")
@@ -253,8 +254,10 @@ def cmd_bench(args) -> int:
         raise InvalidArgumentError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
         ) from exc
-    if not sizes or min(sizes) < 1:
-        raise InvalidArgumentError(f"--sizes must name positive token counts, got {args.sizes!r}")
+    if not sizes or min(sizes) < 1 or max(sizes) > MAX_AXIS:
+        raise InvalidArgumentError(
+            f"--sizes must name token counts from 1 to {MAX_AXIS}, got {args.sizes!r}"
+        )
     if args.repeats < 1:
         raise InvalidArgumentError(f"--repeats must be positive, got {args.repeats}")
     payload = {

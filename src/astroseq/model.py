@@ -12,14 +12,12 @@ it, so the retention factor is applied in one place.
 Only the memory rows cross a segment boundary, so a segment's token rows
 matter only where a loss or a prediction reads them.  Every block but the
 last runs on all rows, because the next block's write reads them all; the
-last block reads them in one of three row modes (``segment_forward``):
-``"all"``, in one piece; ``"split"``, the memory rows and the token rows
-as two row blocks; ``"memory"``, the memory block alone.  The memory
-block's rows are the same bits under the last two.  A walk runs every
-segment it covers in one mode, and a caller that needs another mode at
-segment T resumes the walk there: prediction walks 1..T-1 under
-``"memory"`` and T under ``"split"``.  The trainer picks the rollouts'
-modes from the loss's.
+last block reads the memory rows as one row block, then the token rows as
+another only where they are wanted (``segment_forward``).  The memory
+block reads on its own either way, so every walk yields the same memory
+bits whatever token rows it runs.  A walk runs the token rows of the
+segments from ``tokens_from`` on: prediction those of T alone, and the
+trainer those its loss reads.
 
 A :class:`SegmentBatch` is always a stack of B sequences; one sample is a
 stack of one (``split_segments``), and ``stack_batches`` joins stacks.
@@ -40,7 +38,6 @@ parameter version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -342,7 +339,8 @@ class SegmentModel:
         memory: ValueNode,
         pos: tuple[ValueNode, ...],
         drop_rng=None,
-        rows: str = "all",
+        *,
+        tokens: bool = True,
     ) -> tuple[ValueNode | None, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
@@ -358,21 +356,16 @@ class SegmentModel:
         forward reproduces the same masks.
 
         Every block but the last runs on all rows, because the next
-        block's write reads them all.  The last block writes all rows;
-        ``rows`` says how it reads them and runs its tail.  ``"all"``: in
-        one piece.  ``"split"``: as two row blocks, the memory rows, then
-        the token rows.  ``"memory"``: the memory block alone, and the
-        token rows come back None.  The memory block is computed on its
-        own under both of the last two, so its rows come out bit for bit
-        the same whether or not the token rows run; under ``"all"`` they
-        can differ from those at rounding level, since numpy's products
-        over 4 rows do not round like those over 10.  The memory block
-        runs first: the reverse sweep then holds its small gradient, not
-        the token block's, while it sweeps the other block.  With no
-        memory rows nothing crosses the boundary, so ``"memory"`` runs no
-        block and returns ``memory`` as given; the other two run the token
-        rows in one piece, and the memory returned is an empty view of
-        them.
+        block's write reads them all.  The last block writes all rows,
+        then reads them and runs its tail as row blocks: the memory rows,
+        then, if ``tokens``, the token rows; without ``tokens`` the token
+        rows come back None.  The memory block reads on its own, so its
+        rows come out bit for bit the same whether or not the token rows
+        run.  It runs first: the reverse sweep then holds its small
+        gradient, not the token block's, while it sweeps the other block.
+        With no memory rows the memory block is empty and nothing crosses
+        the boundary, so without ``tokens`` no block runs and ``memory``
+        comes back as given.
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64)
@@ -387,15 +380,10 @@ class SegmentModel:
             raise ShapeError(
                 f"memory must be {(cfg.mem_tokens, cfg.d_model)} per sample, got {memory.shape}"
             )
-        if rows not in ("all", "split", "memory"):
-            raise InvalidArgumentError(f"rows must be 'all', 'split' or 'memory', got {rows!r}")
-        if rows == "memory" and not cfg.mem_tokens:
+        if not (tokens or cfg.mem_tokens):
             return None, memory
         n, s, last = cfg.n_tokens, cfg.seg_len, len(self.attn) - 1
-        if rows == "all" or not cfg.mem_tokens:
-            blocks = [(0, n)]
-        else:
-            blocks = [(s, n)] + ([(0, s)] if rows == "split" else [])
+        blocks = [(s, n), (0, s)] if tokens else [(s, n)]
         h = ad.concat_rows(ad.embedding_rows(self.params["embed"], ids), memory)
         full_mask = self._with_memory(mask)
         for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
@@ -406,9 +394,7 @@ class SegmentModel:
             reads = astro_attention(h, attn_params, r, mask=full_mask, blocks=spans)
             outs = [self._tail(i, a, keep, *span) for a, span in zip(reads, spans)]
             h = outs[0]
-        if blocks == [(0, n)]:
-            return ad.slice_rows(h, 0, s), ad.slice_rows(h, s, n)
-        return (outs[1] if len(outs) > 1 else None), outs[0]
+        return (outs[1] if tokens else None), outs[0]
 
     def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
         """Logits (B, 1, n_classes) from mean-pooling each sample's valid
@@ -433,7 +419,7 @@ class SegmentModel:
         drop_seed=None,
         start: int = 1,
         memory: ValueNode | None = None,
-        rows: str = "all",
+        tokens_from: int = 1,
     ) -> Iterator[tuple[int, ValueNode | None, ValueNode]]:
         """Walk segments ``start..T``; yields (t, token rows, memory rows
         scaled by segment t's retention factor).
@@ -442,10 +428,10 @@ class SegmentModel:
         ``pos`` holds each block's R.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
         the memory yielded at t-1 repeats the full walk's segment t.
-        ``drop_seed`` is a list of one seed per stacked sample.  Every
-        segment runs in the row mode ``rows`` (see ``segment_forward``);
-        under ``"memory"`` the token rows come back None.  Ops record on
-        the active tape, if any.
+        ``drop_seed`` is a list of one seed per stacked sample.  Segments
+        from ``tokens_from`` on run their token rows (see
+        ``segment_forward``); before it they come back None.  Ops record
+        on the active tape, if any.
         """
         T = batch.n_segments
         if schedule.n_segments != T:
@@ -464,7 +450,7 @@ class SegmentModel:
                     "no row to attend over; set mem_tokens > 0 or fewer segments"
                 )
             out, mem_raw = self.segment_forward(
-                ids, mask, mem, pos, _segment_rng(drop_seed, t), rows
+                ids, mask, mem, pos, _segment_rng(drop_seed, t), tokens=t >= tokens_from
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem
@@ -474,13 +460,8 @@ class SegmentModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free rollout over all segments under ``schedule``, with R
         from ``positional``; returns (B,) labels and (B, 1, n_classes)
-        logits.  Only segment T's token rows are read, so segments
-        1..T-1 run under ``"memory"`` and T under ``"split"``."""
-        T = batch.n_segments
-        mem = None
-        for _, _, mem in islice(self.segments(batch, schedule, pos, rows="memory"), T - 1):
-            pass
-        _, out, mem = next(self.segments(batch, schedule, pos, start=T, memory=mem, rows="split"))
+        logits.  Only segment T's token rows are read, so only they run."""
+        *_, (_, out, mem) = self.segments(batch, schedule, pos, tokens_from=batch.n_segments)
         logits = self.classify(out, mem, batch.mask[:, -1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")

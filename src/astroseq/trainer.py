@@ -29,18 +29,21 @@ straight into ``model.params[...].grad``.  Replay visits the
 operations in the order the single BPTT sweep does, so the two give the
 same gradients bit for bit.
 
-Both take their loss from ``classification_loss``, and its ``mode`` sets
-the rows each walk runs (``SegmentModel.segments`` takes one row mode per
-walk).  Under ``final`` only segment T's token
-rows are read: replay runs its tape-free forward and its replays of
-1..T-1 under ``"memory"``, and replays T under ``"split"``; BPTT runs
-every segment under ``"split"``.  BPTT walks every row because it is
-replay's oracle and the storage baseline replay is measured against (the
-gate's C2); in replay's row blocks its sweep never reaches an unread
-token block, and the memory rows are their own row block on every pass,
-so the skip changes no gradient bit.  The ``per_segment`` loss reads
-every segment, so both run ``"all"``: two row blocks where nothing is
-skipped cost about a fifth more step time on the key-value workload.
+Both take their loss from ``classification_loss``.  Replay runs the
+token rows only where the loss reads them: its tape-free forward never
+does, and its replays run them from the loss's ``tokens_from`` on (T
+under ``final``, every segment under ``per_segment``).  BPTT walks every
+row of every segment and never reads the loss for it: it is replay's
+oracle and the storage baseline replay is measured against (the gate's
+C2).  The last block reads a segment's memory rows as their own row
+block on every walk, so they come out the same bits whether or not the
+token rows run, and replay's sweep never reaches a token block BPTT ran
+and replay skipped: the skip changes no gradient bit.  Under
+``per_segment`` the two row blocks add ops against reading all rows in
+one piece, as the model once did, while replay's forward no longer runs
+token rows.  A 16-sample step, median of 5 alternating pairs (2 cores,
+single-threaded BLAS), took for replay +9% on 6-token segments, -6% on
+64-token ones and -5% on 252-token ones, and for BPTT +11%, +5% and +16%.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
@@ -110,7 +113,7 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
         logits = model.classify(out, mem, batch.mask[:, t - 1])
         return ad.cross_entropy(logits, batch.label)
 
-    loss_fn.mode = mode
+    loss_fn.tokens_from = T if mode == "final" else 1
     return loss_fn
 
 
@@ -140,15 +143,13 @@ def bptt_rollout(
     step: PositionalStep | None = None,
 ) -> GradReport:
     """Exact reference: one tape across all segments, one reverse sweep,
-    over every row of every segment: under ``"split"``, replay's row
-    blocks, for the ``final`` loss, and ``"all"`` for ``per_segment``."""
+    over every row of every segment, whatever rows the loss reads."""
     T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
     seg_losses = [0.0] * T
-    rows = "split" if loss_fn.mode == "final" else "all"
     with ad.Tape() as tape:
         total = None
-        for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed, rows=rows):
+        for t, out, mem in model.segments(batch, schedule, step.leaves, drop_seed):
             node = loss_fn(t, out, mem)
             if node is not None:
                 seg_losses[t - 1] = float(node.value.sum())
@@ -178,11 +179,10 @@ def amrb_rollout(
     T = batch.n_segments
     own_step, step = step is None, step or PositionalStep(model)
     walk = partial(model.segments, batch, schedule, step.leaves, drop_seed)
-    early, last = ("memory", "split") if loss_fn.mode == "final" else ("all", "all")
 
     # Forward, tape-free: remember only what enters each segment.
     replay = [model.params["mem_init"].value.copy()]
-    replay += [mem.value for _, _, mem in islice(walk(rows=early), T - 1)]
+    replay += [mem.value for _, _, mem in islice(walk(tokens_from=T + 1), T - 1)]
     replay_floats = sum(mem.size for mem in replay)
 
     # Backward, last segment first, one tape per segment.
@@ -192,7 +192,7 @@ def amrb_rollout(
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
             mem_in = ad.leaf(replay[t - 1])
-            _, out, mem_scaled = next(walk(start=t, memory=mem_in, rows=last if t == T else early))
+            _, out, mem_scaled = next(walk(start=t, memory=mem_in, tokens_from=loss_fn.tokens_from))
             loss_node = loss_fn(t, out, mem_scaled)
         roots = []
         if loss_node is not None:

@@ -448,6 +448,20 @@ def test_setting_too_large_to_build_exits_2(tmp_path, text, named, command):
     assert named in proc.stderr
 
 
+@pytest.mark.parametrize("size", [2**28 + 1, 10**11])
+def test_bench_size_too_large_to_build_exits_2(size):
+    """A ``--sizes`` token count past ``model.MAX_AXIS`` is refused before
+    the attention timing sizes an array for it, in its own process under
+    a timeout, as above."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", "bench", "--sizes", f"8,{size}", "--repeats", "1"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "--sizes" in proc.stderr
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[training]\nmomentum = 0.9\n")

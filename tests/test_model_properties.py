@@ -1,7 +1,7 @@
-"""Properties of the segment walk over random small models: a walk that
-skips token rows repeats the memory rows of the walk that runs them in
-its own row blocks bit for bit, and a walk in one piece agrees with both
-to rounding."""
+"""Properties of the segment walk over random small models: whatever
+segment a walk starts its token rows at, and wherever it resumes, its
+memory rows equal those of the walk that runs every token row, bit for
+bit, and so does every token row it runs."""
 
 import numpy as np
 import pytest
@@ -13,66 +13,62 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
-@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
 @hypothesis.given(
     n_layers=st.integers(1, 2),
     n_heads=st.integers(1, 2),
-    dropout=st.sampled_from([0.0, 0.3]),
-    mem_tokens=st.integers(0, 3),
     T=st.integers(1, 4),
-    stack=st.integers(1, 3),
+    stack=st.sampled_from([1, 2, 5]),
     data=st.data(),
 )
-def test_skipping_token_rows_keeps_every_row_it_computes(
-    n_layers, n_heads, dropout, mem_tokens, T, stack, data
-):
-    """Over random models, stacks, dropout seeds and a row mode drawn for
-    each segment, resuming the walk there as prediction and replay do:
-    every memory row equals that of the ``"split"`` walk bit for bit, and
-    so do the token rows of a segment run under ``"split"``; one run under
-    ``"memory"`` yields None for them, with or without memory rows.  The
-    ``"all"`` walk differs from the ``"split"`` walk at rounding level
-    only."""
+def test_skipping_token_rows_keeps_every_row_it_computes(n_layers, n_heads, T, stack, data):
+    """Over random models, stacks and dropout seeds, with and without
+    memory rows and dropout, for every ``tokens_from`` in 1..T+1 and every
+    segment a walk resumes at, from the memory the full walk yielded
+    before it, as prediction and replay do: each memory row equals that of
+    the ``tokens_from=1`` walk bit for bit, and each segment from
+    ``tokens_from`` on yields the token rows of that walk bit for bit,
+    while those before it yield None."""
     seg_len = data.draw(st.integers(2, 4), label="seg_len")
-    cfg = ModelConfig(
-        vocab_size=9, n_classes=3, d_model=4, m_hidden=4, n_heads=n_heads, ffn_dim=6,
-        n_layers=n_layers, seg_len=seg_len, n_segments=T, mem_tokens=mem_tokens,
-        dropout=dropout,
-    )
     seed = data.draw(st.integers(0, 2**16), label="seed")
-    model = SegmentModel(cfg, seed=seed)
-    rng = np.random.default_rng(seed)
-    # With no memory rows an all-padding segment has nothing to attend.
-    shortest = 1 if mem_tokens else seg_len * (T - 1) + 1
-    samples = [
-        split_segments(
-            rng.integers(1, 9, size=data.draw(st.integers(shortest, seg_len * T))), seg_len, T
-        )
-        for _ in range(stack)
-    ]
-    batch = stack_batches(samples)
     factors = data.draw(st.lists(st.floats(0.01, 1.0), min_size=T, max_size=T), label="factors")
     schedule = RetentionSchedule(n_segments=T, factors=tuple(factors), source={"kind": "drawn"})
-    modes = data.draw(
-        st.lists(st.sampled_from(["memory", "split"]), min_size=T, max_size=T), label="modes"
-    )
-    drop_seed = [(seed, 1, i) for i in range(stack)] if dropout else None
-    pos = model.positional()
+    for mem_tokens, dropout in [(0, 0.0), (0, 0.3), (2, 0.0), (2, 0.3)]:
+        # m_hidden 8, not 4: at 4, numpy's read products round alike over
+        # any number of rows, so reading all rows in one piece passes.
+        cfg = ModelConfig(
+            vocab_size=9, n_classes=3, d_model=4, m_hidden=8, n_heads=n_heads, ffn_dim=6,
+            n_layers=n_layers, seg_len=seg_len, n_segments=T, mem_tokens=mem_tokens,
+            dropout=dropout,
+        )
+        model = SegmentModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        # With no memory rows an all-padding segment has nothing to attend.
+        shortest = 1 if mem_tokens else seg_len * (T - 1) + 1
+        lengths = data.draw(
+            st.lists(st.integers(shortest, seg_len * T), min_size=stack, max_size=stack)
+        )
+        batch = stack_batches([split_segments(rng.integers(1, 9, n), seg_len, T) for n in lengths])
+        drop_seed = [(seed, 1, i) for i in range(stack)] if dropout else None
+        pos = model.positional()
 
-    split = list(model.segments(batch, schedule, pos, drop_seed, rows="split"))
-    whole = list(model.segments(batch, schedule, pos, drop_seed, rows="all"))
-    assert [t for t, _, _ in split] == list(range(1, T + 1))
-    memory = None
-    for (t, out, mem), (_, out_w, mem_w), rows in zip(split, whole, modes):
-        walk = model.segments(batch, schedule, pos, drop_seed, start=t, memory=memory, rows=rows)
-        t_r, out_r, memory = next(walk)
-        assert t_r == t
-        # Without memory rows there is nothing to compare: "memory" passes
-        # on the empty memory it was given, "split" an empty view.
-        assert not mem_tokens or np.array_equal(memory.value, mem.value)
-        if rows == "memory":
-            assert out_r is None
-        else:
-            assert np.array_equal(out_r.value, out.value)
-        np.testing.assert_allclose(mem_w.value, mem.value, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out_w.value, out.value, rtol=1e-12, atol=1e-12)
+        full = list(model.segments(batch, schedule, pos, drop_seed))
+        assert [t for t, _, _ in full] == list(range(1, T + 1))
+        for tokens_from in range(1, T + 2):
+            for start in range(1, T + 1):
+                memory = full[start - 2][2] if start > 1 else None
+                walk = list(
+                    model.segments(batch, schedule, pos, drop_seed, start, memory, tokens_from)
+                )
+                assert [t for t, _, _ in walk] == list(range(start, T + 1))
+                for (t, out, mem), (_, out_full, mem_full) in zip(walk, full[start - 1:]):
+                    if mem_tokens:
+                        assert np.array_equal(mem.value, mem_full.value)
+                    else:
+                        # Nothing crosses the boundary: an empty memory, as
+                        # given where no block runs, or the empty memory block.
+                        assert mem.value.size == 0
+                    if t < tokens_from:
+                        assert out is None
+                    else:
+                        assert np.array_equal(out.value, out_full.value)

@@ -204,11 +204,12 @@ def test_step_builds_positional_summary_once_per_layer(monkeypatch):
 @pytest.mark.parametrize(
     "mode,taped",
     [
-        # Before T only the memory rows run (2 of them), taped or not; at T
-        # the memory rows, then the token rows (3).  Reading every segment,
-        # all 5 rows run in one piece.
+        # The tape-free forward runs only the memory rows (2 of them).  A
+        # replay runs the memory rows, then, where the loss reads them,
+        # the token rows (3): at T under ``final``, everywhere under
+        # ``per_segment``.
         ("final", [(True, 2), (True, 3), (True, 2), (True, 2)]),
-        ("per_segment", [(True, 5)] * 3),
+        ("per_segment", [(True, 2), (True, 3)] * 3),
     ],
 )
 def test_replay_runs_only_the_token_rows_its_loss_reads(monkeypatch, mode, taped):
@@ -218,13 +219,12 @@ def test_replay_runs_only_the_token_rows_its_loss_reads(monkeypatch, mode, taped
     loss_fn = classification_loss(model, batch, mode=mode)
     seen = last_ffn_rows(monkeypatch, model)
     amrb_rollout(model, batch, skewed_schedule(3), loss_fn)
-    free = [(False, 2)] * 2 if mode == "final" else [(False, 5)] * 2
-    assert seen == free + taped
+    assert seen == [(False, 2)] * 2 + taped
 
 
 def test_full_backprop_and_unscoped_losses_run_every_token_row(monkeypatch):
-    """BPTT walks every row: in replay's two row blocks under the ``final``
-    loss, in one piece under ``per_segment``, which reads them all."""
+    """BPTT walks every row in replay's two row blocks, the memory rows,
+    then the token rows, whichever segments its loss reads."""
     from test_model import last_ffn_rows
 
     model, batch = build_setup(0)
@@ -234,21 +234,22 @@ def test_full_backprop_and_unscoped_losses_run_every_token_row(monkeypatch):
     seen.clear()
     per_segment = classification_loss(model, batch, mode="per_segment")
     bptt_rollout(model, batch, skewed_schedule(3), per_segment)
-    assert seen == [(True, 5)] * 3
+    assert seen == [(True, 2), (True, 3)] * 3
 
 
 def test_segments_without_memory_rows_run_only_where_read(monkeypatch):
     """With no memory rows nothing crosses a segment boundary, so replay
-    under ``final`` and prediction run no layer before segment T."""
+    under ``final`` and prediction run no layer before segment T; at T the
+    memory block is empty and the token block runs."""
     from test_model import last_ffn_rows
 
     model, batch = build_setup(0, mem_tokens=0)
     seen = last_ffn_rows(monkeypatch, model)
     amrb_rollout(model, batch, skewed_schedule(3), classification_loss(model, batch))
-    assert seen == [(True, 3)]
+    assert seen == [(True, 0), (True, 3)]
     seen.clear()
     model.predict(batch, skewed_schedule(3), model.positional())
-    assert seen == [(False, 3)]
+    assert seen == [(False, 0), (False, 3)]
 
 
 def test_replay_matches_full_backprop_single_segment():
