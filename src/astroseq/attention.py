@@ -3,11 +3,17 @@
 The mechanism never forms a token-by-token score matrix.  A *write* pass
 compresses the sequence into fixed-size summaries:
 
-* ``H``       (m, d): sum of outer products (phi(k_t) + phi(r_t)) v_t / m,
+* ``H``       (m, d): sum of outer products (phi(k_t) + phi(r_t)) c_t v_t / m,
   the content pathway (keys) and the positional one (rows r_t of a learned
-  positional summary R) written by one product, (phi(K) + phi(R))^T V / m;
-* ``presyn``  (1, m): (sum_t phi(k_t)) ** alpha, a compressive record of
+  positional summary R) written by one product,
+  (phi(K) + phi(R))^T (V * c) / m;
+* ``presyn``  (1, m): (c^T phi(K)) ** alpha, a compressive record of
   total key mass.
+
+``c`` is the (n, 1) validity column: 1 for a row that is written, 0 for
+one that is not, and all ones when the caller passes no mask.  It weights
+V once, with the 1/m scale folded in, so a masked row writes nothing
+through either pathway.
 
 A *read* pass then queries the summaries: each output row is
 ``phi(q_n) H . P_n + x_n`` where ``P_n = 1 / (phi(q_n) presyn^T)``
@@ -171,7 +177,7 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
     return ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
 
 
-def _mask_col(mask, n_rows: int) -> ValueNode:
+def _mask_col(mask, n_rows: int) -> np.ndarray:
     """A (n_rows,) mask, or a (B, n_rows) stack of them, as a column
     (..., n_rows, 1) that broadcasts across any width."""
     mask = np.asarray(mask, dtype=np.float64)
@@ -179,7 +185,7 @@ def _mask_col(mask, n_rows: int) -> ValueNode:
         raise ShapeError(f"mask of shape {mask.shape} does not cover {n_rows} rows")
     if not mask.any(axis=-1).all():
         raise InvalidArgumentError("mask excludes every row; nothing to write")
-    return ad.constant(mask[..., None])
+    return mask[..., None]
 
 
 def _head_cols(a: ValueNode, h: int, n_heads: int) -> ValueNode:
@@ -218,21 +224,19 @@ def astro_attention(
         raise ShapeError(f"x has width {d}, parameters expect {params.d_model}")
     heads = params.n_heads
     m_h = params.m_hidden // heads
+    col = _mask_col(np.ones(n) if mask is None else mask, n)
     k = ad.matmul(x, params.w_key)
-    v = ad.matmul(x, params.w_value)
+    # V weighted once by c / m: every head writes both pathways through it.
+    v = ad.hadamard(ad.matmul(x, params.w_value), ad.constant(col / m_h))
+    valid = ad.constant(col.swapaxes(-1, -2))
     r = positional_matrix(n, params) if pos is None else pos
-    col = _mask_col(mask, n) if mask is not None else None
     summaries = []
     for h in range(heads):
         phi_k = phi(_head_cols(k, h, heads))
-        phi_r = phi(_head_cols(r, h, heads))
-        if col is not None:
-            phi_k = ad.hadamard(phi_k, col)
-            phi_r = ad.hadamard(phi_r, col)
-        # Both pathways share V, so one product writes them.
-        written = ad.matmul(ad.transpose(ad.add(phi_k, phi_r)), _head_cols(v, h, heads))
-        key_norm = ad.power(ad.col_sum(phi_k), params.alpha)
-        summaries.append((ad.scalar_mul(written, 1.0 / m_h), key_norm))
+        written = ad.matmul(
+            ad.transpose(ad.add(phi_k, phi(_head_cols(r, h, heads)))), _head_cols(v, h, heads)
+        )
+        summaries.append((written, ad.power(ad.matmul(valid, phi_k), params.alpha)))
     if blocks is None:
         return _read(x, params, summaries, 0, n)
     return tuple(_read(x, params, summaries, start, stop) for start, stop in blocks)

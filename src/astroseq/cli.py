@@ -282,7 +282,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # The program's own finite checks report a numerical failure, in one
+        # line; numpy's warnings would only print ahead of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

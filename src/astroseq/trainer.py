@@ -41,9 +41,7 @@ token rows run, and replay's sweep never reaches a token block BPTT ran
 and replay skipped: the skip changes no gradient bit.  Under
 ``per_segment`` the two row blocks add ops against reading all rows in
 one piece, as the model once did, while replay's forward no longer runs
-token rows.  A 16-sample step, median of 5 alternating pairs (2 cores,
-single-threaded BLAS), took for replay +9% on 6-token segments, -6% on
-64-token ones and -5% on 252-token ones, and for BPTT +11%, +5% and +16%.
+token rows.
 
 Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for

@@ -136,6 +136,44 @@ def test_fully_masked_input_rejected():
         at.astro_attention(ad.constant(x), params, mask=np.zeros(4))
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("stack", [None, 3], ids=["matrix", "stacked"])
+def test_no_mask_equals_all_ones_mask(stack, n_heads):
+    """A call with no mask writes through an all-ones validity column, so
+    it equals, bit for bit, the same call given that mask: values, and
+    under a tape the gradients of x and of every parameter."""
+    x, arrays, _ = fresh(29, n=7, d=8, m=8, n_heads=n_heads)
+    if stack is not None:
+        x = np.random.default_rng(3).standard_normal((stack, 7, 8))
+    results = []
+    for mask in (None, np.ones(x.shape[:-1])):
+        params = at.make_attention_params(arrays, n_heads=n_heads)
+        leaf = ad.leaf(x)
+        with ad.Tape():
+            out = at.astro_attention(leaf, params, mask=mask)
+        ad.backward(out, seed=np.cos(out.value))
+        names = sorted(arrays)
+        results.append([out.value, leaf.grad] + [getattr(params, k).grad for k in names])
+    for got, expected in zip(*results):
+        assert np.array_equal(got, expected)
+
+
+def test_masked_call_records_the_weighted_write():
+    """One single-head masked call, R given, records 18 ops: the write
+    takes 10 (K, V, V * c / m, phi(K), phi(R), their sum, its transpose,
+    the written product, c^T phi(K) and its power) and the read 8.  They
+    store 6nm + 5nd + md + 2m + 2n floats; the transpose is a view."""
+    n, d, m = 10, 8, 6
+    x, _, params = fresh(47, n=n, d=d, m=m)
+    pos = ad.leaf(np.random.default_rng(2).standard_normal((n, m)))
+    mask = np.ones(n)
+    mask[6:] = 0.0
+    with ad.Tape() as tape:
+        at.astro_attention(ad.leaf(x), params, pos, mask=mask)
+    assert len(tape._ops) == 18
+    assert tape.stored_floats == 6 * n * m + 5 * n * d + m * d + 2 * m + 2 * n == 840
+
+
 def test_head_permutation_is_identity():
     x, arrays, params = fresh(13, n=8, d=8, m=8, n_heads=2)
     m_h, d_h = 4, 4

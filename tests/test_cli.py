@@ -462,6 +462,24 @@ def test_bench_size_too_large_to_build_exits_2(size):
     assert "--sizes" in proc.stderr
 
 
+def test_numerical_failure_prints_only_its_message(tmp_path):
+    """A learning rate that overflows the weights exits 3 with the one
+    ``numerical failure:`` line and no numpy warning ahead of it.  It runs
+    in its own process, so stderr holds everything the run printed."""
+    path = tmp_path / "overflow.ini"
+    path.write_text(
+        "[model]\nd_model = 8\nm_hidden = 4\nffn_dim = 8\n"
+        "[training]\nepochs = 1\ntrain_samples = 16\nval_samples = 8\n"
+        "lr = 1e300\ngrad_clip = none\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", "train", "--config", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[training]\nmomentum = 0.9\n")

@@ -156,16 +156,20 @@ def test_train_run_replay_and_backprop_give_one_digest():
 
 
 def test_eval_run_round_trip(tmp_path):
+    """Eval of the unchanged checkpoint, at the training seed, scores the
+    validation split training scored, with the same model and schedule:
+    the run's final accuracy, exactly."""
     cfg = tiny_run_config()
-    train_run(cfg, seed=0, out_dir=tmp_path)
-    record = eval_run(tmp_path / "model.ckpt", cfg, seed=0)
-    assert record["kind"] == "eval"
-    assert 0.0 <= record["val_acc"] <= 1.0
-    assert record["n_samples"] == cfg.val_samples
+    for seed in (0, 3, 7):
+        trained = train_run(cfg, seed=seed, out_dir=tmp_path / str(seed))
+        record = eval_run(tmp_path / str(seed) / "model.ckpt", cfg, seed=seed)
+        assert record["kind"] == "eval"
+        assert record["val_acc"] == trained["final"]["val_acc"]
+        assert record["n_samples"] == cfg.val_samples
 
     mismatched = tiny_run_config(n_classes=5)
     with pytest.raises(InvalidArgumentError):
-        eval_run(tmp_path / "model.ckpt", mismatched, seed=0)
+        eval_run(tmp_path / "0" / "model.ckpt", mismatched, seed=0)
 
 
 def test_evaluate_accuracy_rejects_empty_data():
