@@ -3,10 +3,10 @@
 The mechanism never forms a token-by-token score matrix.  A *write* pass
 compresses the sequence into fixed-size summaries:
 
-* ``H``       (m, d): sum of outer products (phi(k_t) + phi(r_t)) c_t v_t / m,
-  the content pathway (keys) and the positional one (rows r_t of a learned
-  positional summary R) written by one product,
-  (phi(K) + phi(R))^T (V * c) / m;
+* ``H``       (m, d): sum of outer products (phi(k_t) + p_t) c_t v_t / m,
+  the content pathway (keys) and the positional one (rows p_t of the
+  positional features P = phi(R), R a learned positional summary) written
+  by one product, (phi(K) + P)^T (V * c) / m;
 * ``presyn``  (1, m): (c^T phi(K)) ** alpha, a compressive record of
   total key mass.
 
@@ -16,7 +16,7 @@ V once, with the 1/m scale folded in, so a masked row writes nothing
 through either pathway.
 
 A *read* pass then queries the summaries: each output row is
-``phi(q_n) H . P_n + x_n`` where ``P_n = 1 / (phi(q_n) presyn^T)``
+``phi(q_n) H . s_n + x_n`` where ``s_n = 1 / (phi(q_n) presyn^T)``
 normalizes per token.  All intermediates are (n, m), (n, d) or (m, d);
 cost grows linearly with token count.
 ``astro_attention`` writes every head's summaries over all rows, then
@@ -31,10 +31,11 @@ memory tokens appended after the sequence occupy the positions right after
 it.  R = mix (profile (mix^T read)) is built right to left, so every
 product is (n, n) x (n, m) and the build costs O(n^2 m), taped or not; at
 n == n_max its only (n, n) intermediate is mix^T.  That is the floor here:
-``pos_mix`` is itself an (n_max, n_max) parameter.  R depends on nothing
-but ``pos_mix``/``pos_read``, so whoever owns a parameter version builds
-it once with ``positional_matrix`` and hands it to every
-``astro_attention`` call; the per-call work is then linear in n.
+``pos_mix`` is itself an (n_max, n_max) parameter.  ``positional_matrix``
+builds R and applies phi to it, returning P.  P depends on nothing but
+``pos_mix``/``pos_read``, so whoever owns a parameter version builds it
+once and hands it to every ``astro_attention`` call, which writes it as
+given; the per-call work is then linear in n.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .autodiff import ValueNode
 from .errors import CapacityError, InvalidArgumentError, ShapeError
 
 phi = ad.elu_plus_one
-"""Strictly positive feature map applied to keys, queries, and positions."""
+"""Strictly positive feature map applied to keys, queries, and the
+positional summary."""
 
 
 @dataclass
@@ -157,7 +159,8 @@ def _decay_profile(n_tokens: int, pos_scale: float) -> np.ndarray:
 
 
 def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
-    """The (n_tokens, m) positional summary R.
+    """The (n_tokens, m) positional features P = phi(R) of the positional
+    summary R, which is all the positional pathway feeds the write.
 
     Differentiable through ``pos_mix``/``pos_read`` when a tape is active.
     """
@@ -174,7 +177,7 @@ def positional_matrix(n_tokens: int, params: AttentionParams) -> ValueNode:
         mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
         read = ad.slice_rows(params.pos_read, 0, n_tokens)
     # Right to left, so every product is (n, n) x (n, m).
-    return ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read)))
+    return phi(ad.matmul(mix, ad.matmul(profile, ad.matmul(ad.transpose(mix), read))))
 
 
 def _mask_col(mask, n_rows: int) -> np.ndarray:
@@ -205,8 +208,9 @@ def astro_attention(
 ) -> ValueNode | tuple[ValueNode, ...]:
     """Full attention block: per head, write the summaries, then read them.
 
-    ``pos`` is the block's positional summary R for x's token count, as
-    ``positional_matrix`` builds it; without it the block builds its own.
+    ``pos`` is the block's positional features P = phi(R) for x's token
+    count, as ``positional_matrix`` builds them, and is written as given;
+    without it the block builds its own.
     ``mask`` marks valid rows with 1; masked rows contribute nothing to any
     summary.  Several heads split the m and d axes evenly and ``w_out``
     recombines them.  A (B, n, d) stack ``x`` takes a (B, n) stack of masks
@@ -226,15 +230,16 @@ def astro_attention(
     m_h = params.m_hidden // heads
     col = _mask_col(np.ones(n) if mask is None else mask, n)
     k = ad.matmul(x, params.w_key)
-    # V weighted once by c / m: every head writes both pathways through it.
+    # V weighted once by c / m: every head writes both pathways through it,
+    # H = (phi(K) + P)^T (V * c) / m.
     v = ad.hadamard(ad.matmul(x, params.w_value), ad.constant(col / m_h))
     valid = ad.constant(col.swapaxes(-1, -2))
-    r = positional_matrix(n, params) if pos is None else pos
+    p = positional_matrix(n, params) if pos is None else pos
     summaries = []
     for h in range(heads):
         phi_k = phi(_head_cols(k, h, heads))
         written = ad.matmul(
-            ad.transpose(ad.add(phi_k, phi(_head_cols(r, h, heads)))), _head_cols(v, h, heads)
+            ad.transpose(ad.add(phi_k, _head_cols(p, h, heads))), _head_cols(v, h, heads)
         )
         summaries.append((written, ad.power(ad.matmul(valid, phi_k), params.alpha)))
     if blocks is None:

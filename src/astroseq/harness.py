@@ -113,7 +113,7 @@ def evaluate_accuracy(
 ) -> float:
     """Share of ``data`` predicted right, walked in the fewest stacks of at
     most ``per_stack`` samples (default ``stack_samples``), of near-equal
-    size, with R built once for all of them."""
+    size, with the positional features built once for all of them."""
     if not data:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     correct = 0
@@ -130,7 +130,7 @@ def _train_step(
 ) -> list[GradReport]:
     """Gradients of one optimizer step's ``samples``, summed into the
     parameters: one rollout per stack, in the fewest stacks of at most
-    ``per_stack`` samples, of near-equal size, sharing one R build.
+    ``per_stack`` samples, of near-equal size, sharing one positional build.
     ``drop_seeds`` holds one dropout seed per sample, or is None."""
     step = PositionalStep(model)
     reports = []
@@ -315,9 +315,9 @@ def bench_attention(
     softmax.
 
     Each row times a tape-free forward at one token count (best and median
-    of ``repeats``, CPU time their mean), given R built before timing.  The
-    softmax reference is timed on precomputed Q, K, V so it measures only
-    the quadratic mixing.
+    of ``repeats``, CPU time their mean), given the positional features
+    built before timing.  The softmax reference is timed on precomputed
+    Q, K, V so it measures only the quadratic mixing.
     """
     from . import attention as at, autodiff as ad
 

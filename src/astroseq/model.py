@@ -31,8 +31,8 @@ Each parameter is itself an autodiff leaf (:class:`Parameter`).  A leaf
 belongs to no tape, so one parameter set serves every tape the trainer
 records, and each reverse sweep adds straight into the parameters'
 gradients, in the order the sweep visits them.  ``segment_forward`` takes
-each block's positional summary R from its caller, who builds it once per
-parameter version.
+each block's positional features P = phi(R), R being its positional
+summary, from its caller, who builds them once per parameter version.
 """
 
 from __future__ import annotations
@@ -329,7 +329,8 @@ class SegmentModel:
         return np.concatenate([mask, ones], axis=-1)
 
     def positional(self) -> tuple[ValueNode, ...]:
-        """Each block's positional summary R (taped when a tape is active)."""
+        """Each block's positional features P = phi(R) (taped when a tape is
+        active)."""
         return tuple(attention.positional_matrix(self.config.n_tokens, a) for a in self.attn)
 
     def segment_forward(
@@ -349,7 +350,7 @@ class SegmentModel:
         entering this segment, (mem_tokens, d) shared by the stack or
         (B, mem_tokens, d); the returned memory is unscaled (``segments``
         applies the retention factor).
-        ``pos`` holds each block's R, as ``positional`` builds it.
+        ``pos`` holds each block's P, as ``positional`` builds it.
         Memory rows are always valid in the attention mask.  Dropout is
         applied only when ``drop_rng`` is given (training): a list of B
         generators, one per sample, seeded per segment so a replayed
@@ -425,7 +426,7 @@ class SegmentModel:
         scaled by segment t's retention factor).
 
         ``memory`` enters segment ``start`` (default: ``mem_init``) and
-        ``pos`` holds each block's R.  Segment t's dropout generator is
+        ``pos`` holds each block's P.  Segment t's dropout generator is
         seeded from ``drop_seed`` and t alone, so a walk resumed at t from
         the memory yielded at t-1 repeats the full walk's segment t.
         ``drop_seed`` is a list of one seed per stacked sample.  Segments
@@ -458,7 +459,7 @@ class SegmentModel:
     def predict(
         self, batch: SegmentBatch, schedule: RetentionSchedule, pos
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free rollout over all segments under ``schedule``, with R
+        """Tape-free rollout over all segments under ``schedule``, with P
         from ``positional``; returns (B,) labels and (B, 1, n_classes)
         logits.  Only segment T's token rows are read, so only they run."""
         *_, (_, out, mem) = self.segments(batch, schedule, pos, tokens_from=batch.n_segments)

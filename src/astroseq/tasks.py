@@ -192,9 +192,15 @@ class ListOpsTask(_TaskBase):
     MIN, MAX, MED, SUMMOD, OPEN, CLOSE = 11, 12, 13, 14, 15, 16
     OPS = ("MIN", "MAX", "MED", "SUMMOD")
 
+    # ``_gen_expr`` recurses once per nesting level, at two Python frames a
+    # level on Python 3.11, so a draw some 500 levels deep overruns the
+    # interpreter's default recursion limit of 1000.  100 leaves room for the
+    # caller's frames and is ten times LRA's ListOps depth of 10.
+    MAX_DEPTH = 100
+
     def __init__(self, seg_len: int, n_segments: int, max_depth: int = 2, max_args: int = 4):
-        if max_depth < 1 or max_args < 2:
-            raise InvalidArgumentError("listops needs max_depth >= 1 and max_args >= 2")
+        if not 1 <= max_depth <= self.MAX_DEPTH or max_args < 2:
+            raise InvalidArgumentError(f"listops needs max_depth 1..{self.MAX_DEPTH}, max_args >= 2")
         # The shortest expression is OPEN op digit digit CLOSE.
         if seg_len * n_segments < 5:
             raise InvalidArgumentError("listops needs room for one bracketed operation")
@@ -207,9 +213,6 @@ class ListOpsTask(_TaskBase):
             seg_len=seg_len,
             n_segments=n_segments,
         )
-
-    def digit_id(self, d: int) -> int:
-        return 1 + d
 
     @classmethod
     def apply_op(cls, op: str, args: list[int]) -> int:
@@ -231,7 +234,7 @@ class ListOpsTask(_TaskBase):
         argument leaves one token for every later argument and the CLOSE."""
         if depth >= self.max_depth or (depth > 0 and rng.random() < 0.4) or room < 5:
             d = int(rng.integers(10))
-            tokens.append(self.digit_id(d))
+            tokens.append(1 + d)
             return d
         op_index = int(rng.integers(4))
         n_args = min(int(rng.integers(2, self.max_args + 1)), room - 3)

@@ -18,9 +18,10 @@ stack of one).  A stack's loss is the sum of its samples' losses, so its
 gradients are the sum of its samples' one-sample gradients, and a step
 of B samples can run as one stacked rollout instead of B.
 
-Both take each block's positional summary R as a leaf from a
-:class:`PositionalStep`, built once per optimizer step (a rollout called
-without one is a step of one sample), so no segment tape rebuilds it.
+Both take each block's positional features P = phi(R), R being its
+positional summary, as a leaf from a :class:`PositionalStep`, built once per
+optimizer step (a rollout called without one is a step of one sample), so
+no segment tape rebuilds R or applies phi to it.
 
 Replay's forward and each replayed segment, like BPTT's forward, walk
 ``SegmentModel.segments``, which applies the retention factor.  The
@@ -47,7 +48,7 @@ Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
 AMRB), and the peak alive during the backward phase (retained storage
 plus transient gradient matrices; for AMRB, the buffer plus one segment's
-tape; for both, the step's R build and R's gradient).  Parameter values,
+tape; for both, the step's P build and P's gradient).  Parameter values,
 their gradient accumulators, and optimizer moments are identical between
 the two algorithms and are not counted.  The counts hold recorded values
 (``Tape.stored_floats``); they leave out inputs, leaves and constants, of
@@ -116,19 +117,20 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
 
 
 class PositionalStep:
-    """Each block's R, built on its own tape once per optimizer step; the
-    step's rollouts add into the ``leaves``' gradients, and ``backward``
-    sweeps their sums through the build, once, into the parameters."""
+    """Each block's P = phi(R), built on its own tape once per optimizer
+    step; the step's rollouts add into the ``leaves``' gradients, and
+    ``backward`` sweeps their sums through the build, phi included, once,
+    into the parameters."""
 
     def __init__(self, model: SegmentModel):
         with ad.Tape() as tape:
             self._built = model.positional()
-        self.leaves = tuple(ad.leaf(r.value) for r in self._built)
-        # Alive from the build to its sweep: its tape plus R's gradients.
-        self.floats = tape.stored_floats + sum(r.value.size for r in self._built)
+        self.leaves = tuple(ad.leaf(p.value) for p in self._built)
+        # Alive from the build to its sweep: its tape plus P's gradients.
+        self.floats = tape.stored_floats + sum(p.value.size for p in self._built)
 
     def backward(self) -> None:
-        roots = [(r, leaf.grad) for r, leaf in zip(self._built, self.leaves)]
+        roots = [(p, leaf.grad) for p, leaf in zip(self._built, self.leaves)]
         ad.backward(*roots[0], more=roots[1:])
 
 

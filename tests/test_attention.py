@@ -159,10 +159,10 @@ def test_no_mask_equals_all_ones_mask(stack, n_heads):
 
 
 def test_masked_call_records_the_weighted_write():
-    """One single-head masked call, R given, records 18 ops: the write
-    takes 10 (K, V, V * c / m, phi(K), phi(R), their sum, its transpose,
-    the written product, c^T phi(K) and its power) and the read 8.  They
-    store 6nm + 5nd + md + 2m + 2n floats; the transpose is a view."""
+    """One single-head masked call, P = phi(R) given, records 17 ops: the
+    write takes 9 (K, V, V * c / m, phi(K), phi(K) + P, its transpose, the
+    written product, c^T phi(K) and its power) and the read 8.  They store
+    5nm + 5nd + md + 2m + 2n floats; the transpose is a view."""
     n, d, m = 10, 8, 6
     x, _, params = fresh(47, n=n, d=d, m=m)
     pos = ad.leaf(np.random.default_rng(2).standard_normal((n, m)))
@@ -170,8 +170,8 @@ def test_masked_call_records_the_weighted_write():
     mask[6:] = 0.0
     with ad.Tape() as tape:
         at.astro_attention(ad.leaf(x), params, pos, mask=mask)
-    assert len(tape._ops) == 18
-    assert tape.stored_floats == 6 * n * m + 5 * n * d + m * d + 2 * m + 2 * n == 840
+    assert len(tape._ops) == 17
+    assert tape.stored_floats == 5 * n * m + 5 * n * d + m * d + 2 * m + 2 * n == 780
 
 
 def test_head_permutation_is_identity():
@@ -236,12 +236,13 @@ def test_given_positional_summary_equals_built_one(n_heads):
 
 
 def _left_to_right_positional(n_tokens, params):
-    """R as ((mix . profile) . mix^T) . read, with two (n, n, n) products."""
+    """phi(R), R as ((mix . profile) . mix^T) . read, with two (n, n, n)
+    products."""
     profile = ad.constant(at._decay_profile(n_tokens, params.pos_scale))
     mix = ad.slice_cols(ad.slice_rows(params.pos_mix, 0, n_tokens), 0, n_tokens)
     read = ad.slice_rows(params.pos_read, 0, n_tokens)
     mixed = ad.matmul(ad.matmul(mix, profile), ad.transpose(mix))
-    return ad.matmul(mixed, read)
+    return at.phi(ad.matmul(mixed, read))
 
 
 @pytest.mark.parametrize("n,n_max", [(11, 16), (16, 16)], ids=["sliced", "full"])
@@ -260,8 +261,9 @@ def test_taped_positional_matrix_matches_left_to_right_product(n, n_max):
 
 
 def test_taped_positional_matrix_records_one_square_node():
-    """At the model's token count (n == n_max) the only (n, n) node is mix^T,
-    a view that stores nothing; everything else the build records is (n, m)."""
+    """At the model's token count (n == n_max) the build records 5 ops: mix^T,
+    its only (n, n) node, a view that stores nothing, then three products
+    and phi, each (n, m)."""
     n, m = 20, 6
     _, _, params = fresh(37, n=n, d=4, m=m)
     with ad.Tape() as tape:
@@ -272,18 +274,19 @@ def test_taped_positional_matrix_records_one_square_node():
     assert np.shares_memory(square[0].value, params.pos_mix.value)
     assert np.array_equal(square[0].value, params.pos_mix.value.T)
     assert all(node.shape == (n, m) for node in tape._ops if node is not square[0])
-    assert tape.stored_floats == 3 * n * m
+    assert len(tape._ops) == 5
+    assert tape.stored_floats == 4 * n * m
 
 
 def test_sliced_taped_positional_matrix_stores_what_the_full_one_does():
     """Below capacity the build reads the leading blocks of ``pos_mix`` and
-    ``pos_read`` as views, so it stores the 3nm floats of the n == n_max
+    ``pos_read`` as views, so it stores the 4nm floats of the n == n_max
     build, not an (n, n_max) slice."""
     n, n_max, m = 64, 256, 6
     _, _, params = fresh(43, n=n, d=4, m=m, n_max=n_max)
     with ad.Tape() as tape:
         at.positional_matrix(n, params)
-    assert tape.stored_floats == 3 * n * m
+    assert tape.stored_floats == 4 * n * m
 
 
 @pytest.mark.parametrize("op", [ad.matmul, ad.hadamard])

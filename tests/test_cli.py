@@ -462,6 +462,28 @@ def test_bench_size_too_large_to_build_exits_2(size):
     assert "--sizes" in proc.stderr
 
 
+def test_listops_depth_past_the_generator_bound_exits_2(tmp_path):
+    """A ListOps depth the expression generator cannot recurse to is refused
+    with one line, before any draw and before ``--out-dir`` is made, in its
+    own process under a timeout, as above."""
+    path = tmp_path / "deep.ini"
+    path.write_text(
+        "[task]\nname = listops\nseg_len = 1000\nn_segments = 100\n"
+        "max_depth = 1000000\nmax_args = 3\n"
+        "[training]\ntrain_samples = 1\nval_samples = 1\nepochs = 1\n"
+    )
+    out_dir = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", "train", "--config", str(path),
+         "--out-dir", str(out_dir)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "max_depth" in proc.stderr
+    assert not out_dir.exists()
+
+
 def test_numerical_failure_prints_only_its_message(tmp_path):
     """A learning rate that overflows the weights exits 3 with the one
     ``numerical failure:`` line and no numpy warning ahead of it.  It runs

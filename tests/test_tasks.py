@@ -282,6 +282,19 @@ def test_listops_datasets_that_always_fit_are_unchanged():
         assert h.hexdigest() == digest, (seg_len, n_segments)
 
 
+def test_listops_depth_is_bounded_by_what_the_generator_can_recurse_to():
+    """One level past ``MAX_DEPTH`` is refused; a draw at the bound with
+    100,000 tokens of capacity nests that deep and still evaluates."""
+    with pytest.raises(InvalidArgumentError, match="max_depth"):
+        ListOpsTask(1000, 100, max_depth=ListOpsTask.MAX_DEPTH + 1)
+    task = ListOpsTask(1000, 100, max_depth=ListOpsTask.MAX_DEPTH, max_args=3)
+    tokens, label = task.sample(np.random.default_rng(0))
+    nesting = np.cumsum((tokens == task.OPEN).astype(int) - (tokens == task.CLOSE))
+    assert nesting.max() == ListOpsTask.MAX_DEPTH
+    assert len(tokens) <= task.spec.capacity == 100_000
+    assert eval_listops_tokens(tokens) == label
+
+
 def test_listops_small_capacities_still_build():
     """At 5 to 8 tokens most default draws are capped by the capacity; every
     sample still parses and keeps its label."""

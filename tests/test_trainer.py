@@ -201,6 +201,31 @@ def test_step_builds_positional_summary_once_per_layer(monkeypatch):
     assert taped == [True, True]
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_segments_apply_no_feature_map_to_the_step_positional_leaves(monkeypatch, n_heads):
+    """The step's leaves hold the positional features phi(R), built once,
+    so no segment of either rollout applies phi to a leaf or its heads."""
+    from astroseq import attention
+
+    model, batch = build_setup(0, n_heads=n_heads, n_layers=2)
+    step = PositionalStep(model)
+    assert all((leaf.value > 0).all() for leaf in step.leaves)
+    operands = []
+    original = attention.phi
+
+    def recording(a):
+        # Head columns are views, so a phi of any head shares the leaf's memory.
+        operands.append(any(np.shares_memory(a.value, leaf.value) for leaf in step.leaves))
+        return original(a)
+
+    monkeypatch.setattr(attention, "phi", recording)
+    loss_fn = classification_loss(model, batch, mode="per_segment")
+    for rollout in (amrb_rollout, bptt_rollout):
+        rollout(model, batch, skewed_schedule(3), loss_fn, drop_seed=[1], step=step)
+    step.backward()
+    assert operands and not any(operands)
+
+
 @pytest.mark.parametrize(
     "mode,taped",
     [
