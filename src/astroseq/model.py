@@ -19,8 +19,12 @@ bits whatever token rows it runs.  A walk runs the token rows of the
 segments from ``tokens_from`` on: prediction those of T alone, and the
 trainer those its loss reads.
 
-A :class:`SegmentBatch` is always a stack of B sequences; one sample is a
-stack of one (``split_segments``), and ``stack_batches`` joins stacks.
+A :class:`SegmentBatch` is always a stack of B labeled sequences, ids
+(B, T, seg_len) and labels (B,); one sample is a stack of one
+(``split_segments``), and ``stack_batches`` joins stacks.  Id ``PAD_ID``
+(0) pads a sequence to the segments' capacity and no sequence holds it, so
+a row is a real token exactly where its id is not ``PAD_ID``: the model
+reads validity from the ids.
 Every autodiff primitive acts on the last two axes and carries leading
 ones along, so a stack walks the segments as one (B, rows, d) graph: each
 sample attends, pools and is scored within its own matrix, while the
@@ -56,6 +60,9 @@ from .seeding import STREAM_DROPOUT, STREAM_INIT, spawn
 # address it, and one too large for memory raises MemoryError when it is
 # allocated, which the CLI reports with exit 2.
 MAX_AXIS = 2**28
+
+# The id that pads a sequence out to its segments; no sequence may hold it.
+PAD_ID = 0
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,11 @@ class Parameter(ValueNode):
 
 @dataclass(frozen=True)
 class SegmentBatch:
-    """A stack of B sequences, each split into per-segment id and
-    validity-mask rows, with one label per sample or none."""
+    """A stack of B sequences, each split into per-segment id rows padded
+    with ``PAD_ID``, with one label per sample."""
 
-    ids: np.ndarray          # (B, n_segments, seg_len) int64
-    mask: np.ndarray         # (B, n_segments, seg_len) float64, 1 = real token
-    label: np.ndarray | None = None  # (B,) int64
+    ids: np.ndarray    # (B, n_segments, seg_len) int64
+    label: np.ndarray  # (B,) int64
 
     @property
     def n_segments(self) -> int:
@@ -161,36 +167,26 @@ class SegmentBatch:
 
 def stack_batches(batches: Sequence[SegmentBatch]) -> SegmentBatch:
     """Join stacks along the sample axis.  They must share (n_segments,
-    seg_len), and be all labeled or all unlabeled."""
+    seg_len)."""
     if not batches:
         raise InvalidArgumentError("cannot stack zero sequences")
     shapes = sorted({b.ids.shape[1:] for b in batches})
     if len(shapes) > 1:
         raise InvalidArgumentError(f"cannot stack samples of (n_segments, seg_len) {shapes}")
-    labeled = {b.label is not None for b in batches}
-    if len(labeled) > 1:
-        raise InvalidArgumentError("cannot stack labeled samples with unlabeled ones")
     return SegmentBatch(
         ids=np.concatenate([b.ids for b in batches]),
-        mask=np.concatenate([b.mask for b in batches]),
-        label=np.concatenate([b.label for b in batches]) if labeled == {True} else None,
+        label=np.concatenate([b.label for b in batches]),
     )
 
 
-def split_segments(
-    tokens,
-    seg_len: int,
-    n_segments: int,
-    pad_id: int = 0,
-    label: int | None = None,
-) -> SegmentBatch:
-    """Right-pad a token sequence and cut it into ``n_segments`` rows: a
-    stack of one, ids and mask (1, n_segments, seg_len), label (1,) or None.
+def split_segments(tokens, seg_len: int, n_segments: int, label: int) -> SegmentBatch:
+    """Right-pad a token sequence with ``PAD_ID`` and cut it into
+    ``n_segments`` rows: a stack of one, ids (1, n_segments, seg_len) and
+    label (1,).
 
-    The validity mask is positional (derived from the original length), so
-    the pad id never needs to appear in the data alphabet.  Sequences
-    longer than ``seg_len * n_segments`` are rejected rather than
-    truncated.
+    A sequence holding ``PAD_ID`` is rejected, so the padding is exactly
+    the positions past the sequence's length.  Sequences longer than
+    ``seg_len * n_segments`` are rejected rather than truncated.
     """
     tokens = np.asarray(tokens, dtype=np.int64).ravel()
     if seg_len < 1 or n_segments < 1:
@@ -202,15 +198,13 @@ def split_segments(
         raise InvalidArgumentError(
             f"sequence of {tokens.size} tokens exceeds capacity {capacity}"
         )
-    if np.any(tokens == pad_id):
-        raise InvalidArgumentError(f"sequence contains the pad id {pad_id}")
-    ids = np.full(capacity, pad_id, dtype=np.int64)
-    mask = np.zeros(capacity, dtype=np.float64)
+    if np.any(tokens == PAD_ID):
+        raise InvalidArgumentError(f"sequence contains the pad id {PAD_ID}")
+    ids = np.full(capacity, PAD_ID, dtype=np.int64)
     ids[: tokens.size] = tokens
-    mask[: tokens.size] = 1.0
-    shape = (1, n_segments, seg_len)
-    label = None if label is None else np.array([label], dtype=np.int64)
-    return SegmentBatch(ids=ids.reshape(shape), mask=mask.reshape(shape), label=label)
+    return SegmentBatch(
+        ids=ids.reshape(1, n_segments, seg_len), label=np.array([label], dtype=np.int64)
+    )
 
 
 def _segment_rng(drop_seed, t: int):
@@ -323,10 +317,11 @@ class SegmentModel:
             ad.add(h1, f), p[f"block{i}.norm_ffn.gain"], p[f"block{i}.norm_ffn.bias"]
         )
 
-    def _with_memory(self, mask: np.ndarray) -> np.ndarray:
-        """A segment's token ``mask`` followed by 1 for each memory row."""
-        ones = np.ones(mask.shape[:-1] + (self.config.mem_tokens,))
-        return np.concatenate([mask, ones], axis=-1)
+    def _with_memory(self, ids: np.ndarray) -> np.ndarray:
+        """A segment's validity: 1 for each of its ``ids`` that is not
+        ``PAD_ID``, then 1 for each memory row."""
+        ones = np.ones(ids.shape[:-1] + (self.config.mem_tokens,))
+        return np.concatenate([ids != PAD_ID, ones], axis=-1)
 
     def positional(self) -> tuple[ValueNode, ...]:
         """Each block's positional features P = phi(R) (taped when a tape is
@@ -336,7 +331,6 @@ class SegmentModel:
     def segment_forward(
         self,
         ids,
-        mask,
         memory: ValueNode,
         pos: tuple[ValueNode, ...],
         drop_rng=None,
@@ -345,16 +339,15 @@ class SegmentModel:
     ) -> tuple[ValueNode | None, ValueNode]:
         """Run one segment; returns (token rows, raw memory rows).
 
-        ``ids`` and ``mask`` are (B, seg_len), one row per stacked sample,
-        and the rows come back (B, ·, d).  ``memory`` is the carried state
-        entering this segment, (mem_tokens, d) shared by the stack or
-        (B, mem_tokens, d); the returned memory is unscaled (``segments``
-        applies the retention factor).
-        ``pos`` holds each block's P, as ``positional`` builds it.
-        Memory rows are always valid in the attention mask.  Dropout is
-        applied only when ``drop_rng`` is given (training): a list of B
-        generators, one per sample, seeded per segment so a replayed
-        forward reproduces the same masks.
+        ``ids`` are (B, seg_len), one row per stacked sample, and the rows
+        come back (B, ·, d).  ``memory`` is the carried state entering this
+        segment, (mem_tokens, d) shared by the stack or (B, mem_tokens, d);
+        the returned memory is unscaled (``segments`` applies the retention
+        factor).  ``pos`` holds each block's P, as ``positional`` builds
+        it.  The attention mask is 1 where an id is not ``PAD_ID`` and on
+        every memory row.  Dropout is applied only when ``drop_rng`` is
+        given (training): a list of B generators, one per sample, seeded
+        per segment so a replayed forward reproduces the same masks.
 
         Every block but the last runs on all rows, because the next
         block's write reads them all.  The last block writes all rows,
@@ -370,12 +363,8 @@ class SegmentModel:
         """
         cfg = self.config
         ids = np.asarray(ids, dtype=np.int64)
-        mask = np.asarray(mask, dtype=np.float64)
-        if ids.ndim != 2 or ids.shape[1] != cfg.seg_len or mask.shape != ids.shape:
-            raise ShapeError(
-                f"segment needs (B, {cfg.seg_len}) ids and mask, "
-                f"got shapes {ids.shape} and {mask.shape}"
-            )
+        if ids.ndim != 2 or ids.shape[1] != cfg.seg_len:
+            raise ShapeError(f"segment needs (B, {cfg.seg_len}) ids, got shape {ids.shape}")
         lead = memory.shape[:-2]
         if memory.shape[-2:] != (cfg.mem_tokens, cfg.d_model) or lead not in ((), ids.shape[:-1]):
             raise ShapeError(
@@ -386,7 +375,7 @@ class SegmentModel:
         n, s, last = cfg.n_tokens, cfg.seg_len, len(self.attn) - 1
         blocks = [(s, n), (0, s)] if tokens else [(s, n)]
         h = ad.concat_rows(ad.embedding_rows(self.params["embed"], ids), memory)
-        full_mask = self._with_memory(mask)
+        full_mask = self._with_memory(ids)
         for i, (attn_params, r) in enumerate(zip(self.attn, pos, strict=True)):
             # Each mask is drawn over all rows, so the generator advances
             # alike whichever rows run.
@@ -397,17 +386,18 @@ class SegmentModel:
             h = outs[0]
         return (outs[1] if tokens else None), outs[0]
 
-    def classify(self, out_rows: ValueNode, memory: ValueNode, mask) -> ValueNode:
+    def classify(self, out_rows: ValueNode, memory: ValueNode, ids) -> ValueNode:
         """Logits (B, 1, n_classes) from mean-pooling each sample's valid
-        final-segment rows and memory rows; ``mask`` is (B, seg_len)."""
+        rows of the segment whose ``ids`` (B, seg_len) made ``out_rows``,
+        and its memory rows."""
         cfg = self.config
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.ndim != 2 or mask.shape[1] != cfg.seg_len:
-            raise ShapeError(f"mask must be (B, {cfg.seg_len}), got {mask.shape}")
-        weights = self._with_memory(mask)
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.shape[1] != cfg.seg_len:
+            raise ShapeError(f"ids must be (B, {cfg.seg_len}), got {ids.shape}")
+        weights = self._with_memory(ids)
         total = weights.sum(axis=-1, keepdims=True)
         if (total <= 0).any():
-            raise InvalidArgumentError("nothing to pool: empty mask and no memory rows")
+            raise InvalidArgumentError("nothing to pool: only padding and no memory rows")
         pool = ad.constant((weights / total)[..., None, :])
         pooled = ad.matmul(pool, ad.concat_rows(out_rows, memory))
         return ad.add_bias(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
@@ -444,14 +434,14 @@ class SegmentModel:
             raise InvalidArgumentError(f"a stack of {B} samples takes a list of {B} dropout seeds")
         mem = self.params["mem_init"] if memory is None else memory
         for t in range(start, T + 1):
-            ids, mask = batch.ids[:, t - 1], batch.mask[:, t - 1]
-            if not self.config.mem_tokens and not mask.any(axis=-1).all():
+            ids = batch.ids[:, t - 1]
+            if not self.config.mem_tokens and (ids == PAD_ID).all(axis=-1).any():
                 raise InvalidArgumentError(
                     f"segment {t} holds only padding and mem_tokens = 0 leaves it "
                     "no row to attend over; set mem_tokens > 0 or fewer segments"
                 )
             out, mem_raw = self.segment_forward(
-                ids, mask, mem, pos, _segment_rng(drop_seed, t), tokens=t >= tokens_from
+                ids, mem, pos, _segment_rng(drop_seed, t), tokens=t >= tokens_from
             )
             mem = ad.scalar_mul(mem_raw, schedule.factor(t))
             yield t, out, mem
@@ -463,7 +453,7 @@ class SegmentModel:
         from ``positional``; returns (B,) labels and (B, 1, n_classes)
         logits.  Only segment T's token rows are read, so only they run."""
         *_, (_, out, mem) = self.segments(batch, schedule, pos, tokens_from=batch.n_segments)
-        logits = self.classify(out, mem, batch.mask[:, -1]).value
+        logits = self.classify(out, mem, batch.ids[:, -1]).value
         if not np.isfinite(logits).all():
             raise NumericalOverflowError("logits")
         return logits.argmax(axis=-1)[:, 0], logits.copy()

@@ -132,11 +132,23 @@ class SimParams:
             _activation(getattr(self, name))
 
 
+# The most synapses (n_neurons**2) a network may have.  The (n^2, n^2)
+# coupling matrix then has two axes of at most 2**28, as a model array does,
+# so numpy can size it, and one too large for memory raises MemoryError when
+# it is allocated, which the CLI reports with exit 2.
+MAX_SYNAPSES = 2**28
+
+
 def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
     """The (n^2, n^2) distances between synapse midpoints, with neurons at
     0, spacing, 2*spacing, ...; synapse (i, j) is row-major entry i*n + j."""
     if n_neurons < 1:
         raise InvalidArgumentError("n_neurons must be at least 1")
+    if n_neurons * n_neurons > MAX_SYNAPSES:
+        raise InvalidArgumentError(
+            f"n_neurons = {n_neurons} is too large: a network holds at most "
+            f"{MAX_SYNAPSES} synapses (n_neurons**2)"
+        )
     if spacing <= 0:
         raise InvalidArgumentError("spacing must be positive")
     positions = np.arange(n_neurons, dtype=np.float64) * spacing

@@ -2,8 +2,9 @@
 
 All three tasks emit token sequences that exactly fill
 ``seg_len * n_segments`` positions, so every segment contains real tokens
-even when the model runs without memory rows.  Token id 0 is reserved for
-padding and never appears in a sequence.
+even when the model runs without memory rows.  Token id 0 is
+``model.PAD_ID``: it pads a sequence to its segments and never appears
+in one, so it marks the padding by itself.
 
 * ``copy``: a payload symbol shown at the very start must be reported
   when a query token arrives at the very end.  With more than one
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import SegmentBatch, split_segments
+from .model import PAD_ID, SegmentBatch, split_segments
 from .seeding import STREAM_DATA, spawn
-
-PAD_ID = 0
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class _TaskBase:
 
     def _segmented(self, tokens, label: int) -> SegmentBatch:
         spec = self.spec
-        return split_segments(tokens, spec.seg_len, spec.n_segments, pad_id=PAD_ID, label=label)
+        return split_segments(tokens, spec.seg_len, spec.n_segments, label)
 
 
 class CopyTask(_TaskBase):
@@ -197,10 +196,15 @@ class ListOpsTask(_TaskBase):
     # interpreter's default recursion limit of 1000.  100 leaves room for the
     # caller's frames and is ten times LRA's ListOps depth of 10.
     MAX_DEPTH = 100
+    # ``_gen_expr`` draws an argument count below max_args + 1, and numpy
+    # takes an exclusive int64 bound of at most 2**63.
+    MAX_ARGS = 2**63 - 1
 
     def __init__(self, seg_len: int, n_segments: int, max_depth: int = 2, max_args: int = 4):
-        if not 1 <= max_depth <= self.MAX_DEPTH or max_args < 2:
-            raise InvalidArgumentError(f"listops needs max_depth 1..{self.MAX_DEPTH}, max_args >= 2")
+        if not (1 <= max_depth <= self.MAX_DEPTH and 2 <= max_args <= self.MAX_ARGS):
+            raise InvalidArgumentError(
+                f"listops needs max_depth 1..{self.MAX_DEPTH}, max_args 2..{self.MAX_ARGS}"
+            )
         # The shortest expression is OPEN op digit digit CLOSE.
         if seg_len * n_segments < 5:
             raise InvalidArgumentError("listops needs room for one bracketed operation")
@@ -248,7 +252,7 @@ class ListOpsTask(_TaskBase):
         return self.apply_op(self.OPS[op_index], values)
 
     def sample(self, rng):
-        # One draw within the capacity; segmentation masks the tail.
+        # One draw within the capacity; segmentation pads the tail.
         tokens: list[int] = []
         value = self._gen_expr(rng, 0, tokens, self.spec.capacity)
         return np.asarray(tokens, dtype=np.int64), value

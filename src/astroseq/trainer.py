@@ -102,14 +102,12 @@ def classification_loss(model: SegmentModel, batch: SegmentBatch, mode: str = "f
     """
     if mode not in ("final", "per_segment"):
         raise InvalidArgumentError(f"unknown loss mode {mode!r}")
-    if batch.label is None:
-        raise InvalidArgumentError("batch has no label to train against")
     T = batch.n_segments
 
     def loss_fn(t, out, mem):
         if mode == "final" and t < T:
             return None
-        logits = model.classify(out, mem, batch.mask[:, t - 1])
+        logits = model.classify(out, mem, batch.ids[:, t - 1])
         return ad.cross_entropy(logits, batch.label)
 
     loss_fn.tokens_from = T if mode == "final" else 1

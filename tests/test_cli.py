@@ -428,6 +428,8 @@ EVERY = ("retention", "train", "simulate", "gradcheck")
             ("d_model_1e20", f"[model]\nd_model = {10**20}\n", "d_model", EVERY),
             ("n_segments_1e20", f"[retention]\nmode = uniform\n[task]\nn_segments = {10**20}\n",
              "n_segments", EVERY),
+            ("n_neurons_1e20", f"[retention]\nmode = derived\nn_neurons = {10**20}\n",
+             "n_neurons", EVERY),
         ]
         for command in commands
     ],
@@ -481,6 +483,27 @@ def test_listops_depth_past_the_generator_bound_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "max_depth" in proc.stderr
+    assert not out_dir.exists()
+
+
+def test_listops_args_past_the_generator_bound_exits_2(tmp_path):
+    """A ListOps ``max_args`` past the int64 bound of the argument-count draw
+    is refused with one line, before any draw and before ``--out-dir`` is
+    made, in its own process under a timeout, as above."""
+    path = tmp_path / "wide.ini"
+    path.write_text(
+        f"[task]\nname = listops\nseg_len = 8\nn_segments = 2\nmax_args = {10**20}\n"
+        "[training]\ntrain_samples = 1\nval_samples = 1\nepochs = 1\n"
+    )
+    out_dir = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "astroseq", "train", "--config", str(path),
+         "--out-dir", str(out_dir)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "max_args" in proc.stderr
     assert not out_dir.exists()
 
 

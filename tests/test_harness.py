@@ -20,7 +20,7 @@ from astroseq.harness import (
     stack_samples,
     train_run,
 )
-from astroseq.model import SegmentModel, stack_batches
+from astroseq.model import PAD_ID, SegmentModel, stack_batches
 from astroseq.retention import RetentionSchedule, uniform_schedule
 from astroseq.trainer import amrb_rollout, bptt_rollout, classification_loss
 
@@ -366,8 +366,8 @@ def test_stacked_prediction_matches_per_sample_predictions():
     schedule = RetentionSchedule(n_segments=3, factors=(0.5, 0.3, 0.2), source={"kind": "drawn"})
     data = task.dataset(7, 0, split=1)
     rng = np.random.default_rng(0)
-    for sample in data[::2]:  # shorten some sequences, so masks differ within the stack
-        sample.mask[0, -1, rng.integers(1, 4):] = 0.0
+    for sample in data[::2]:  # shorten some sequences, so padding differs within the stack
+        sample.ids[0, -1, rng.integers(1, 4):] = PAD_ID
     pos = model.positional()
     singles = [model.predict(sample, schedule, pos) for sample in data]  # one-sample stacks
     single_labels = np.concatenate([label for label, _ in singles])

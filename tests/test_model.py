@@ -10,6 +10,7 @@ from astroseq import autodiff as ad
 from astroseq.config import RunConfig, read_stored_run
 from astroseq.errors import ConfigError, InvalidArgumentError, ShapeError
 from astroseq.model import (
+    PAD_ID,
     ModelConfig,
     Parameter,
     SegmentModel,
@@ -45,49 +46,46 @@ def tiny_config(**overrides):
 
 
 def test_split_segments_pads_and_masks():
-    """A sample is a stack of one."""
-    batch = split_segments([3, 4, 5, 6, 1], seg_len=3, n_segments=2, pad_id=0, label=1)
+    """A sample is a stack of one, ids and a label; PAD_ID (0) pads it."""
+    batch = split_segments([3, 4, 5, 6, 1], seg_len=3, n_segments=2, label=1)
+    assert PAD_ID == 0
     assert batch.ids.shape == (1, 2, 3)
     assert batch.ids.tolist() == [[[3, 4, 5], [6, 1, 0]]]
-    assert batch.mask.tolist() == [[[1, 1, 1], [1, 1, 0]]]
+    assert (batch.ids != PAD_ID).tolist() == [[[1, 1, 1], [1, 1, 0]]]
     assert batch.label.tolist() == [1] and batch.label.dtype == np.int64
-    assert int(batch.mask.sum()) == 5
+    assert int((batch.ids != PAD_ID).sum()) == 5
     assert batch.n_segments == 2
 
 
 def test_split_segments_exact_fit_has_full_mask():
-    batch = split_segments([1, 2, 3, 4], seg_len=2, n_segments=2)
-    assert batch.mask.all()
+    batch = split_segments([1, 2, 3, 4], seg_len=2, n_segments=2, label=0)
+    assert (batch.ids != PAD_ID).all()
 
 
 def test_split_segments_rejects_overflow_empty_and_pad_collision():
     with pytest.raises(InvalidArgumentError):
-        split_segments([1] * 7, seg_len=3, n_segments=2)
+        split_segments([1] * 7, seg_len=3, n_segments=2, label=0)
     with pytest.raises(InvalidArgumentError):
-        split_segments([], seg_len=3, n_segments=2)
-    with pytest.raises(InvalidArgumentError):
-        split_segments([1, 0, 2], seg_len=3, n_segments=1, pad_id=0)
+        split_segments([], seg_len=3, n_segments=2, label=0)
+    with pytest.raises(InvalidArgumentError, match="pad id 0"):
+        split_segments([1, PAD_ID, 2], seg_len=3, n_segments=1, label=0)
 
 
-def test_stack_batches_joins_stacks_labeled_or_not():
+def test_stack_batches_joins_stacks():
     a = split_segments([1, 2, 3], 3, 1, label=2)
     b = stack_batches([split_segments([4], 3, 1, label=0), split_segments([5, 6], 3, 1, label=1)])
     joined = stack_batches([a, b])
     assert joined.ids.tolist() == [[[1, 2, 3]], [[4, 0, 0]], [[5, 6, 0]]]
-    assert joined.mask.sum(axis=(1, 2)).tolist() == [3, 1, 2]
+    assert (joined.ids != PAD_ID).sum(axis=(1, 2)).tolist() == [3, 1, 2]
     assert joined.label.tolist() == [2, 0, 1]
-    unlabeled = stack_batches([split_segments([1, 2, 3], 3, 1), split_segments([1, 2], 3, 1)])
-    assert unlabeled.ids.shape == (2, 1, 3) and unlabeled.label is None
 
 
-def test_stack_batches_rejects_mixed_labels_and_segment_shapes():
-    labeled, unlabeled = split_segments([1, 2], 2, 2, label=1), split_segments([1, 2], 2, 2)
-    with pytest.raises(InvalidArgumentError, match="unlabeled"):
-        stack_batches([labeled, unlabeled])
+def test_stack_batches_rejects_mixed_segment_shapes():
+    sample = split_segments([1, 2], 2, 2, label=1)
     for seg_len, n_segments in ((4, 1), (2, 3)):
         other = split_segments([1, 2], seg_len, n_segments, label=1)
         with pytest.raises(InvalidArgumentError) as info:
-            stack_batches([labeled, other])
+            stack_batches([sample, other])
         assert "(2, 2)" in str(info.value) and f"({n_segments}, {seg_len})" in str(info.value)
     with pytest.raises(InvalidArgumentError):
         stack_batches([])
@@ -161,10 +159,9 @@ def test_segment_forward_shapes_and_determinism():
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
     ids = np.array([[1, 2, 3]])
-    mask = np.ones((1, 3))
     pos = model.positional()
-    out1, mem1 = model.segment_forward(ids, mask, mem, pos)
-    out2, mem2 = model.segment_forward(ids, mask, mem, pos)
+    out1, mem1 = model.segment_forward(ids, mem, pos)
+    out2, mem2 = model.segment_forward(ids, mem, pos)
     assert out1.shape == (1, cfg.seg_len, cfg.d_model)
     assert mem1.shape == (1, cfg.mem_tokens, cfg.d_model)
     assert np.array_equal(out1.value, out2.value)
@@ -175,24 +172,24 @@ def test_segment_forward_rejects_bad_shapes():
     model = SegmentModel(tiny_config(), seed=0)
     mem, pos = model.params["mem_init"], model.positional()
     with pytest.raises(ShapeError):
-        model.segment_forward([[1, 2]], np.ones((1, 3)), mem, pos)
+        model.segment_forward([[1, 2]], mem, pos)
     with pytest.raises(ShapeError):
-        model.segment_forward([[1, 2, 3]], np.ones((1, 3)), ad.constant(np.zeros((1, 4))), pos)
+        model.segment_forward([[1, 2, 3]], ad.constant(np.zeros((1, 4))), pos)
     with pytest.raises(ShapeError):  # memory stacked for 2 samples, ids for 1
-        model.segment_forward([[1, 2, 3]], np.ones((1, 3)), ad.constant(np.zeros((2, 2, 4))), pos)
+        model.segment_forward([[1, 2, 3]], ad.constant(np.zeros((2, 2, 4))), pos)
 
 
 def test_single_sequence_inputs_are_rejected():
-    """Only stacks are taken: 1-D ids or a 1-D pooling mask raise ShapeError,
+    """Only stacks are taken: 1-D ids, to run or to pool, raise ShapeError,
     and a bare seed where a list of one per sample belongs raises
     InvalidArgumentError before a segment runs."""
     model, batch, schedule = walk_setup()
     mem, pos = model.params["mem_init"], model.positional()
     with pytest.raises(ShapeError):
-        model.segment_forward(np.array([1, 2, 3]), np.ones(3), mem, pos)
-    out, mem_out = model.segment_forward(batch.ids[:, 0], batch.mask[:, 0], mem, pos)
+        model.segment_forward(np.array([1, 2, 3]), mem, pos)
+    out, mem_out = model.segment_forward(batch.ids[:, 0], mem, pos)
     with pytest.raises(ShapeError):
-        model.classify(out, mem_out, np.ones(3))
+        model.classify(out, mem_out, batch.ids[0, 0])
     with pytest.raises(InvalidArgumentError, match="dropout seeds"):
         next(model.segments(batch, schedule, pos, (7, 1, 0)))
 
@@ -202,11 +199,10 @@ def test_memory_carries_information_between_segments():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=0)
     ids = np.array([[1, 2, 3]])
-    mask = np.ones((1, 3))
     pos = model.positional()
-    out_a, _ = model.segment_forward(ids, mask, model.params["mem_init"], pos)
+    out_a, _ = model.segment_forward(ids, model.params["mem_init"], pos)
     shifted = ad.constant(model.params["mem_init"].value + 0.37)
-    out_b, _ = model.segment_forward(ids, mask, shifted, pos)
+    out_b, _ = model.segment_forward(ids, shifted, pos)
     assert np.abs(out_a.value - out_b.value).max() > 1e-8
 
 
@@ -226,8 +222,8 @@ def test_classify_matches_manual_pooling():
     rng = np.random.default_rng(0)
     out = ad.constant(rng.normal(size=(1, cfg.seg_len, cfg.d_model)))
     mem = ad.constant(rng.normal(size=(1, cfg.mem_tokens, cfg.d_model)))
-    mask = np.array([[1.0, 1.0, 0.0]])
-    logits = model.classify(out, mem, mask)
+    ids = np.array([[4, 5, PAD_ID]])
+    logits = model.classify(out, mem, ids)
     rows = np.concatenate([out.value[0, :2], mem.value[0]])
     pooled = rows.mean(axis=0, keepdims=True)
     expected = pooled @ model.params["head.w"].value + model.params["head.b"].value
@@ -240,7 +236,7 @@ def test_classify_rejects_all_empty_pool():
     out = ad.constant(np.zeros((1, cfg.seg_len, cfg.d_model)))
     mem = ad.constant(np.zeros((1, 0, cfg.d_model)))
     with pytest.raises(InvalidArgumentError):
-        model.classify(out, mem, np.zeros((1, cfg.seg_len)))
+        model.classify(out, mem, np.full((1, cfg.seg_len), PAD_ID))
 
 
 def test_predict_respects_schedule_length():
@@ -312,8 +308,8 @@ def scored_logits(model):
     """Records the logits of each ``model.classify`` call, in call order."""
     scored, classify = [], model.classify
 
-    def recording(out, mem, mask):
-        logits = classify(out, mem, mask)
+    def recording(out, mem, ids):
+        logits = classify(out, mem, ids)
         scored.append(logits.value.copy())
         return logits
 
@@ -368,11 +364,11 @@ def test_dropout_replays_identically_with_same_generator_seed():
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
-    ids, mask = np.array([[1, 2, 3]]), np.ones((1, 3))
+    ids = np.array([[1, 2, 3]])
     pos = model.positional()
-    out_a, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 1)])
-    out_b, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 1)])
-    out_c, _ = model.segment_forward(ids, mask, mem, pos, drop_rng=[spawn(9, 2, 2)])
+    out_a, _ = model.segment_forward(ids, mem, pos, drop_rng=[spawn(9, 2, 1)])
+    out_b, _ = model.segment_forward(ids, mem, pos, drop_rng=[spawn(9, 2, 1)])
+    out_c, _ = model.segment_forward(ids, mem, pos, drop_rng=[spawn(9, 2, 2)])
     assert np.array_equal(out_a.value, out_b.value)
     assert np.abs(out_a.value - out_c.value).max() > 1e-9
 
@@ -381,8 +377,8 @@ def test_dropout_inactive_outside_training():
     cfg = tiny_config(dropout=0.4)
     model = SegmentModel(cfg, seed=0)
     mem = model.params["mem_init"]
-    ids, mask = np.array([[1, 2, 3]]), np.ones((1, 3))
+    ids = np.array([[1, 2, 3]])
     pos = model.positional()
-    out_a, _ = model.segment_forward(ids, mask, mem, pos)
-    out_b, _ = model.segment_forward(ids, mask, mem, pos)
+    out_a, _ = model.segment_forward(ids, mem, pos)
+    out_b, _ = model.segment_forward(ids, mem, pos)
     assert np.array_equal(out_a.value, out_b.value)

@@ -1,12 +1,13 @@
 """Properties of the segment walk over random small models: whatever
 segment a walk starts its token rows at, and wherever it resumes, its
 memory rows equal those of the walk that runs every token row, bit for
-bit, and so does every token row it runs."""
+bit, and so does every token row it runs.  And the validity the model
+reads from the ids is the positional mask of the sequence's length."""
 
 import numpy as np
 import pytest
 
-from astroseq.model import ModelConfig, SegmentModel, split_segments, stack_batches
+from astroseq.model import PAD_ID, ModelConfig, SegmentModel, split_segments, stack_batches
 from astroseq.retention import RetentionSchedule
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -48,7 +49,9 @@ def test_skipping_token_rows_keeps_every_row_it_computes(n_layers, n_heads, T, s
         lengths = data.draw(
             st.lists(st.integers(shortest, seg_len * T), min_size=stack, max_size=stack)
         )
-        batch = stack_batches([split_segments(rng.integers(1, 9, n), seg_len, T) for n in lengths])
+        batch = stack_batches(
+            [split_segments(rng.integers(1, 9, n), seg_len, T, 0) for n in lengths]
+        )
         drop_seed = [(seed, 1, i) for i in range(stack)] if dropout else None
         pos = model.positional()
 
@@ -72,3 +75,24 @@ def test_skipping_token_rows_keeps_every_row_it_computes(n_layers, n_heads, T, s
                         assert out is None
                     else:
                         assert np.array_equal(out.value, out_full.value)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+@hypothesis.given(
+    seg_len=st.integers(1, 6),
+    T=st.integers(1, 5),
+    vocab=st.integers(2, 40),
+    data=st.data(),
+)
+def test_pad_id_marks_exactly_the_positions_past_the_sequence(seg_len, T, vocab, data):
+    """For any sequence of 1..capacity ids from 1..vocab-1, the ids that are
+    not PAD_ID are exactly the positions before the sequence's length: the
+    positional mask a batch once carried beside its ids."""
+    capacity = seg_len * T
+    tokens = data.draw(
+        st.lists(st.integers(1, vocab - 1), min_size=1, max_size=capacity), label="tokens"
+    )
+    batch = split_segments(tokens, seg_len, T, 0)
+    positional = (np.arange(capacity) < len(tokens)).reshape(T, seg_len)
+    assert np.array_equal(batch.ids[0] != PAD_ID, positional)
+    assert batch.ids[0][positional].tolist() == tokens

@@ -60,6 +60,10 @@ def test_geometry_validation():
         ng.build_geometry(0)
     with pytest.raises(InvalidArgumentError):
         ng.build_geometry(3, spacing=0.0)
+    # 2**14 neurons have 2**28 synapses; one more is refused before numpy
+    # is asked for the (n^2, n^2) matrix.
+    with pytest.raises(InvalidArgumentError, match="n_neurons"):
+        ng.build_geometry(2**14 + 1)
     with pytest.raises(InvalidArgumentError):
         ng.coupling_tensor(ng.build_geometry(2), scale=-1.0)
 

@@ -16,6 +16,12 @@ from astroseq.tasks import (
 )
 
 
+def validity(batch):
+    """1.0 on each real token and 0.0 on each pad, as the float64 mask a
+    batch once carried beside its ids, so pinned digests hash the same bytes."""
+    return (batch.ids != PAD_ID).astype(np.float64)
+
+
 def label_shares(batches, n_classes):
     counts = np.zeros(n_classes)
     for b in batches:
@@ -43,7 +49,7 @@ def test_copy_layout_and_label():
 def test_copy_fills_every_segment():
     task = CopyTask(seg_len=4, n_segments=2)
     for batch in task.dataset(20, seed=0):
-        assert batch.mask.all()
+        assert (batch.ids != PAD_ID).all()
 
 
 def test_copy_balance_and_determinism():
@@ -152,7 +158,7 @@ def listed_kv_sample(task, rng):
 
 
 def dataset_bytes(data):
-    return b"".join(b.ids.tobytes() + b.mask.tobytes() + b.label.tobytes() for b in data)
+    return b"".join(b.ids.tobytes() + validity(b).tobytes() + b.label.tobytes() for b in data)
 
 
 @pytest.mark.parametrize("seg_len", [2, 3, 5, 6, 7])
@@ -186,7 +192,7 @@ def test_kv_datasets_are_unchanged():
         for split in (0, 1):
             for b in task.dataset(40, 0, split=split):
                 h.update(b.ids.tobytes())
-                h.update(b.mask.tobytes())
+                h.update(validity(b).tobytes())
                 h.update(str(int(b.label[0])).encode())
         assert h.hexdigest() == digest, (seg_len, n_segments)
 
@@ -256,8 +262,8 @@ def test_listops_dataset_is_quota_balanced():
 def test_listops_segments_carry_expression():
     task = ListOpsTask(seg_len=4, n_segments=4)
     batch = task.dataset(1, seed=3)[0]
-    assert batch.mask[0, 0].all()
-    flat = batch.ids.reshape(-1)[: int(batch.mask.sum())]
+    assert (batch.ids[0, 0] != PAD_ID).all()
+    flat = batch.ids.reshape(-1)[: int((batch.ids != PAD_ID).sum())]
     assert [eval_listops_tokens(flat)] == batch.label.tolist()
 
 
@@ -277,7 +283,7 @@ def test_listops_datasets_that_always_fit_are_unchanged():
         for split in (0, 1):
             for b in task.dataset(40, 0, split=split):
                 h.update(b.ids.tobytes())
-                h.update(b.mask.tobytes())
+                h.update(validity(b).tobytes())
                 h.update(str(int(b.label[0])).encode())
         assert h.hexdigest() == digest, (seg_len, n_segments)
 
@@ -295,6 +301,20 @@ def test_listops_depth_is_bounded_by_what_the_generator_can_recurse_to():
     assert eval_listops_tokens(tokens) == label
 
 
+def test_listops_args_are_bounded_by_what_the_generator_can_draw():
+    """One past ``MAX_ARGS`` is refused; at the bound the argument-count draw
+    still runs, capped by the capacity, and the sample evaluates."""
+    assert ListOpsTask.MAX_ARGS == np.iinfo(np.int64).max
+    with pytest.raises(InvalidArgumentError, match="max_args"):
+        ListOpsTask(8, 2, max_args=ListOpsTask.MAX_ARGS + 1)
+    task = ListOpsTask(8, 2, max_args=ListOpsTask.MAX_ARGS)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        tokens, label = task.sample(rng)
+        assert len(tokens) <= task.spec.capacity
+        assert eval_listops_tokens(tokens) == label
+
+
 def test_listops_small_capacities_still_build():
     """At 5 to 8 tokens most default draws are capped by the capacity; every
     sample still parses and keeps its label."""
@@ -304,7 +324,7 @@ def test_listops_small_capacities_still_build():
             data = task.dataset(200, seed)
             assert len(data) == 200
             for b in data:
-                assert [eval_listops_tokens(b.ids[b.mask.astype(bool)])] == b.label.tolist()
+                assert [eval_listops_tokens(b.ids[b.ids != PAD_ID])] == b.label.tolist()
 
 
 # ---------------------------------------------------------------------------

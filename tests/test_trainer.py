@@ -147,7 +147,7 @@ def per_segment_build_grads(model, batches, schedule, mode, drop_seeds):
             mem, total = model.params["mem_init"], None
             for t in range(1, batch.n_segments + 1):
                 out, mem_raw = model.segment_forward(
-                    batch.ids[:, t - 1], batch.mask[:, t - 1], mem, model.positional(),
+                    batch.ids[:, t - 1], mem, model.positional(),
                     drop_rng=_segment_rng([drop_seed], t),
                 )
                 mem = ad.scalar_mul(mem_raw, schedule.factor(t))
@@ -294,7 +294,7 @@ def rollout_loss_value(model, batch, schedule, mode="final"):
     mem, pos = model.params["mem_init"], model.positional()
     total = 0.0
     for t in range(1, T + 1):
-        out, mem_raw = model.segment_forward(batch.ids[:, t - 1], batch.mask[:, t - 1], mem, pos)
+        out, mem_raw = model.segment_forward(batch.ids[:, t - 1], mem, pos)
         mem = ad.scalar_mul(mem_raw, schedule.factor(t))
         node = loss_fn(t, out, mem)
         if node is not None:
@@ -403,9 +403,6 @@ def test_classification_loss_guards():
     model, batch = build_setup(0)
     with pytest.raises(InvalidArgumentError):
         classification_loss(model, batch, mode="nope")
-    unlabeled = split_segments([1, 2, 3], 3, 3)
-    with pytest.raises(InvalidArgumentError):
-        classification_loss(model, unlabeled)
 
 
 # ---------------------------------------------------------------------------
