@@ -72,6 +72,9 @@ from .errors import (
 # argument to this value instead of dividing by something arbitrarily tiny.
 RECIPROCAL_FLOOR = 1e-6
 
+# Added to each row's variance in layer_norm before its inverse square root.
+LAYER_NORM_EPS = 1e-5
+
 _tape_stack: list["Tape"] = []
 
 
@@ -165,13 +168,14 @@ class ValueNode:
         return f"ValueNode(shape={self.value.shape}, {flags}, requires_grad={self.requires_grad})"
 
 
-def leaf(value, requires_grad: bool = True) -> ValueNode:
-    """Create a differentiation endpoint (parameter or input).
+def leaf(value) -> ValueNode:
+    """Create a differentiation endpoint (parameter or input); ``constant``
+    is the leaf that receives no gradient.
 
     A leaf belongs to no tape: its floats are not counted as activation
     storage, and every sweep that reaches it adds into its ``grad``.
     """
-    return ValueNode(value, requires_grad=requires_grad)
+    return ValueNode(value, requires_grad=True)
 
 
 def constant(value) -> ValueNode:
@@ -468,8 +472,9 @@ def reciprocal(a) -> ValueNode:
     return _emit(out, (a,), lambda g: (-g * out * out * (x >= RECIPROCAL_FLOOR),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
-    """Row-wise layer normalization with learnable (1, c) gain and bias.
+def layer_norm(x, gain, bias) -> ValueNode:
+    """Row-wise layer normalization with learnable (1, c) gain and bias,
+    over a variance offset by ``LAYER_NORM_EPS``.
 
     The backward pass recomputes the normalized rows from ``x`` and the
     per-row mean and inverse deviation, so it keeps no (r, c) array of its
@@ -482,7 +487,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> ValueNode:
     mu = x.value.mean(axis=-1, keepdims=True)
     centered = x.value - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     out = centered * inv_std * gain.value + bias.value
 
     def vjp(g):

@@ -5,12 +5,14 @@ Three formats feed the command-line tools:
 * A *run config*: INI sections ``[task]``, ``[model]``, ``[recurrence]``,
   ``[training]``, ``[retention]`` describing one training or evaluation
   run.  Every key has a default, so an empty file is a valid run.
-* A *simulator parameter file*: flat ``key = value`` lines for the
-  dynamical system.  Keys may use either the descriptive field names of
-  ``SimParams`` or the compact physics-style aliases (``tau_n``,
-  ``lambda``, ``gamma_s``, ...); the ``[retention]`` keys other than
-  ``mode`` and ``params_file`` may sit there too and describe the
-  surrounding experiment (grid size, drive rate, cycle length).
+* A *simulator parameter file*: flat ``key = value`` lines of the
+  dynamical system's numeric constants (its nonlinearities are fixed).
+  Keys may use either the descriptive field names of ``SimParams`` or the
+  compact physics-style aliases (``tau_n``, ``lambda``, ``gamma_s``, ...);
+  the ``[retention]`` keys other than ``mode`` and ``params_file`` may sit
+  there too and describe the surrounding experiment (grid size, drive
+  rate, cycle length).  A relative ``params_file`` names a file in the
+  working directory of ``load_run_config``, wherever the run is read back.
 * A *stored run*: ``asdict(RunConfig)`` as JSON, a checkpoint's ``run`` block.
 
 A setting's type is the annotation of its ``RunConfig`` or ``SimParams``
@@ -77,11 +79,6 @@ SIM_ALIASES = {
     "b": "bias",
     "c": "fac_input",
     "d": "stp_input",
-    "phi": "act_rate",
-    "theta": "act_hebb",
-    "psi": "act_astro",
-    "kappa": "act_ltp",
-    "g": "syn_gain",
 }
 
 _SIM_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
@@ -300,7 +297,13 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    return parse_run_config(_read(path, "run config"))
+    """The run config file ``path``; a relative ``params_file`` is stored as
+    the absolute path it names from the working directory, so a stored run
+    names the same file wherever it is read back."""
+    cfg = parse_run_config(_read(path, "run config"))
+    if cfg.sim_params_file is None:
+        return cfg
+    return dataclasses.replace(cfg, sim_params_file=str(Path(cfg.sim_params_file).absolute()))
 
 
 def read_stored_run(data) -> RunConfig:

@@ -17,6 +17,11 @@ State variables per step (n neurons, n x n synapses):
              distance-decay tensor
 * ``ltp``    slow astrocyte process, integrating a squashed copy of ``fac``
 
+The nonlinearities are fixed.  The rate, Hebbian and astrocyte terms pass
+through tanh; the slow process integrates sigmoid(fac) - 1/2, which is 0
+at fac = 0, so the all-zero state stays a fixed point; and the synaptic
+gain is the identity, so the current is ``fac`` times the spikes.
+
 The spatial coupling is a plain (n^2, n^2) matrix: ``build_geometry``
 gives the distances between synapse midpoints and ``coupling_tensor``
 their exp(-distance * scale) weights.  The state carries no clock: step k
@@ -31,7 +36,6 @@ or threshold crossings) arrive at the synapses at step k + 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -39,7 +43,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalOverflowError
 
+
 def _sigmoid(x):
+    """The logistic function, computed without overflow on either side."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -49,41 +55,9 @@ def _sigmoid(x):
     return out
 
 
-ACTIVATIONS = {
-    "tanh": np.tanh,
-    "sigmoid": _sigmoid,
-    "linear": lambda x: x,
-}
-
-
-def _activation(name: str):
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise InvalidArgumentError(
-            f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}"
-        ) from None
-
-
-@functools.cache
-def _centered(name: str):
-    """The named activation shifted so that f(0) = 0.
-
-    Keeps the all-zero state a fixed point even for sigmoid-style maps.
-    Cached per name, since ``step`` asks for it on every Euler step.
-    """
-    f = _activation(name)
-    offset = float(np.asarray(f(np.zeros(1)))[0])
-
-    def g(x):
-        return f(x) - offset
-
-    return g
-
-
 @dataclass(frozen=True)
 class SimParams:
-    """Integration constants and nonlinearity choices.
+    """Integration constants; the nonlinearities are fixed (module docstring).
 
     Defaults are the reference configuration used throughout the tests:
     membrane/facilitation/fast/slow time constants 0.5 / 0.75 / 1 / 6 s,
@@ -105,11 +79,6 @@ class SimParams:
     fac_input: float = 0.0
     stp_input: float = 0.0
     dt: float = 0.04
-    act_rate: str = "tanh"
-    act_hebb: str = "tanh"
-    act_astro: str = "tanh"
-    act_ltp: str = "sigmoid"
-    syn_gain: str = "linear"
 
     def __post_init__(self):
         for name in ("tau_mem", "tau_fac", "tau_stp", "tau_ltp", "dt"):
@@ -128,8 +97,6 @@ class SimParams:
             )
         if self.v_th <= self.v_reset:
             raise InvalidArgumentError("v_th must exceed v_reset")
-        for name in ("act_rate", "act_hebb", "act_astro", "act_ltp", "syn_gain"):
-            _activation(getattr(self, name))
 
 
 # The most synapses (n_neurons**2) a network may have.  The (n^2, n^2)
@@ -233,15 +200,9 @@ def step(
         raise InvalidArgumentError(f"spikes_in must have shape ({n},)")
     dt = params.dt
 
-    gain = _activation(params.syn_gain)
-    hebb = _activation(params.act_hebb)
-    astro = _activation(params.act_astro)
-    ltp_map = _centered(params.act_ltp)
-    rate_map = _activation(params.act_rate)
-
     # Membrane update: leak toward reset plus synaptic current from spikes
     # emitted at the previous step (delta semantics, hence the 1/dt).
-    current = gain(state.fac) @ (state.spikes / dt) + params.bias
+    current = state.fac @ (state.spikes / dt) + params.bias
     v_new = state.v + (dt / params.tau_mem) * (
         -params.leak * (state.v - params.v_reset) + current
     )
@@ -250,26 +211,26 @@ def step(
     v_new = np.where(emitted > 0, params.v_reset, v_new)
 
     # Activity estimate: EMA of the instantaneous spike rate over tau_mem,
-    # squashed to a bounded per-neuron activity used symmetrically for the
-    # pre- and postsynaptic side of the same step.
+    # squashed by tanh to a bounded per-neuron activity, whose tanh is the
+    # Hebbian factor of both the pre- and postsynaptic side of the step.
     rate_new = state.rate + (dt / params.tau_mem) * (emitted / dt - state.rate)
-    activity = rate_map(state.rate)
-    co_active = np.outer(hebb(activity), hebb(activity))
+    hebb = np.tanh(np.tanh(state.rate))
+    astro = np.tanh(state.stp)
 
     fac_new = state.fac + (dt / params.tau_fac) * (
         -params.fac_decay * state.fac
-        + co_active
-        + astro(state.stp)
+        + np.outer(hebb, hebb)
+        + astro
         + params.fac_input
     )
 
-    influence = (coupling @ astro(state.stp).ravel()).reshape(n, n)
+    influence = (coupling @ astro.ravel()).reshape(n, n)
     stp_new = state.stp + (dt / params.tau_stp) * (
         -params.stp_decay * state.stp + influence + params.stp_input
     )
 
     ltp_new = state.ltp + (dt / params.tau_ltp) * (
-        -params.ltp_decay * state.ltp + ltp_map(state.fac)
+        -params.ltp_decay * state.ltp + (_sigmoid(state.fac) - 0.5)
     )
 
     _check_finite("v", v_new)

@@ -35,9 +35,10 @@ constants and ``extras`` the six experiment keys ``n_neurons``,
 training, evaluation and ``simulate`` see the same system and the same
 initial state.
 
-Schedules are plain data: factors plus a provenance record that holds the
-experiment keys and a digest of everything that determines the factors.
-They are derived afresh by every run that asks for one.
+Schedules are plain data: factors plus a provenance record that holds A,
+the pattern gains, the experiment keys and a digest of everything that
+determines the factors.  They are derived afresh by every run that asks
+for one.
 """
 
 from __future__ import annotations
@@ -188,8 +189,11 @@ def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> Rete
     first cycle with that pattern; the levels then follow
     L_c = A L_{c-1} + B_c.
 
-    ``source`` records the experiment keys as given, ``dt``, and the sha256
-    of every input: ``n_segments``, all ``SimParams`` fields and ``extras``.
+    ``source`` records what determines the factors: the slow decay A
+    (``decay``), the number of drive patterns (``patterns``) and each
+    pattern's gain B in ``drive_patterns`` order (``gains``); and the inputs
+    they came from: the experiment keys as given, ``dt``, and the sha256 of
+    ``n_segments``, all ``SimParams`` fields and ``extras``.
     """
     first, which = drive_patterns(n_segments, params, extras)
     coupling, initial, drive = _experiment(params, extras)
@@ -222,6 +226,9 @@ def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> Rete
             "kind": "derived",
             "digest": hashlib.sha256(blob.encode()).hexdigest(),
             "dt": params.dt,
+            "decay": decay,
+            "gains": gains,
+            "patterns": len(gains),
             **extras,
         },
     )

@@ -349,6 +349,26 @@ def test_eval_config_may_change_training_keys(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n_samples"] == 7
 
 
+def test_eval_elsewhere_reads_the_params_file_training_read(tmp_path, monkeypatch, capsys):
+    """A relative ``params_file`` is stored as the file training read, so an
+    eval run from another directory scores the run under the same schedule."""
+    train_dir, eval_dir = tmp_path / "a", tmp_path / "b"
+    train_dir.mkdir()
+    eval_dir.mkdir()
+    (train_dir / "sim.params").write_text("tau_p_l = 7.0\n")
+    # A file of the same name where eval runs must not be the one read.
+    (eval_dir / "sim.params").write_text("tau_p_l = 9.0\n")
+    monkeypatch.chdir(train_dir)
+    _, out = train_tiny(train_dir, DERIVED + "params_file = sim.params\n")
+    trained = json.loads((out / "run.json").read_text())
+    monkeypatch.chdir(eval_dir)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["val_acc"] == trained["final"]["val_acc"]
+    assert record["retention"]["source"]["digest"] == trained["retention"]["source"]["digest"]
+
+
 @pytest.mark.parametrize(
     "payload", [{"seed": 0}, [1, 2], "run", None], ids=["no_run", "list", "string", "null"]
 )
@@ -531,6 +551,21 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     code = main(["retention", "--config", str(path)])
     assert code == 2
     assert "momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["act_ltp = sigmoid", "kappa = sigmoid"])
+def test_removed_nonlinearity_key_exits_2(tmp_path, capsys, line):
+    """The simulator's nonlinearities are fixed, so a parameter file that
+    still names one is refused with one line, before ``--out-dir`` is made."""
+    sim_file = tmp_path / "sim.params"
+    sim_file.write_text(line + "\n")
+    cfg = write_tiny_config(tmp_path, DERIVED + f"params_file = {sim_file}\n")
+    out = tmp_path / "out"
+    assert main(["retention", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(line.split()[0]) in captured.err
 
 
 def test_bench_tiny_sizes(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from astroseq.config import (
     _RUN_SCHEMA,
+    SIM_ALIASES,
     RunConfig,
     load_run_config,
     load_sim_params,
@@ -34,8 +35,6 @@ def test_sim_params_accepts_compact_aliases():
     lambda = 0.3
     gamma_s = 0.15
     b = 0.05
-    kappa = sigmoid
-    g = linear
     """
     params, extras = parse_sim_params(text)
     assert params.tau_mem == 0.6
@@ -43,7 +42,6 @@ def test_sim_params_accepts_compact_aliases():
     assert params.leak == 0.3
     assert params.stp_decay == 0.15
     assert params.bias == 0.05
-    assert params.act_ltp == "sigmoid"
     assert extras == {}
 
 
@@ -73,13 +71,13 @@ def test_sim_params_validation_errors_become_config_errors():
     with pytest.raises(ConfigError):
         parse_sim_params("dt = -0.1\n")
     with pytest.raises(ConfigError):
-        parse_sim_params("phi = sigmoidal\n")
+        parse_sim_params("tau_p_l = 0.5\n")  # not above tau_stp
 
 
 def test_sim_params_file_parses_to_values():
-    text = "tau_mem = 0.7\nleak = 0.3\nact_ltp = sigmoid\nn_neurons = 4\ndrive_hz = 12.5\n"
+    text = "tau_mem = 0.7\nleak = 0.3\nn_neurons = 4\ndrive_hz = 12.5\n"
     params, extras = parse_sim_params(text)
-    assert params == SimParams(tau_mem=0.7, leak=0.3, act_ltp="sigmoid")
+    assert params == SimParams(tau_mem=0.7, leak=0.3)
     assert extras == {"n_neurons": 4, "drive_hz": 12.5}
 
 
@@ -198,6 +196,18 @@ def test_readme_example_parses_and_sets_every_key():
     # ...and the schema names every RunConfig field once.
     fields = [name for keys in _RUN_SCHEMA.values() for name in keys.values()]
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_readme_simulator_file_sets_every_constant_once():
+    """The README's simulator file parses, sets each ``SimParams`` field once
+    (to its default), and names each field's alias as ``SIM_ALIASES`` does."""
+    block = re.search(r"```conf\n(.*?)```", README.read_text(), re.S).group(1)
+    params, extras = parse_sim_params(block)
+    assert params == SimParams() and extras == {}
+    keys = [line.split("=")[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SimParams))
+    aliases = dict(re.findall(r"^(\w+) = .*# alias (\w+)$", block, re.M))
+    assert aliases == {name: alias for alias, name in SIM_ALIASES.items()}
 
 
 def test_run_config_builds_task_and_model():

@@ -15,20 +15,18 @@ from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
 from astroseq.config import SIM_ALIASES, SIM_EXTRA_KEYS, RunConfig, parse_sim_params, read_stored_run
 from astroseq.errors import ConfigError, InvalidArgumentError
-from astroseq.neuroglia import ACTIVATIONS, SimParams
+from astroseq.neuroglia import SimParams
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 FIELDS = [f.name for f in dataclasses.fields(SimParams)]
-STRING_FIELDS = {name for name in FIELDS if isinstance(getattr(SimParams(), name), str)}
 KEYS = FIELDS + sorted(SIM_ALIASES) + sorted(SIM_EXTRA_KEYS)
 
 ANY_VALUE = st.one_of(
     st.floats(-1.0, 10.0).map(repr),
     st.integers(-2, 9).map(str),
     st.sampled_from(["nan", "-inf", "Infinity", "1e999", "none", ""]),
-    st.sampled_from(sorted(ACTIVATIONS) + ["Tanh", "sigmoidal"]),
     # Garbage: printable ASCII without the comment character.
     st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"), max_size=6),
 )
@@ -37,9 +35,7 @@ ANY_VALUE = st.one_of(
 def line(key):
     """A (key, value) pair whose value is mostly of the key's own type."""
     name = SIM_ALIASES.get(key, key)
-    if name in STRING_FIELDS:
-        typed = st.sampled_from(sorted(ACTIVATIONS))
-    elif name == "n_neurons":
+    if name == "n_neurons":
         typed = st.integers(1, 9).map(str)
     else:
         typed = st.floats(0.0, 10.0).map(repr)
@@ -55,9 +51,6 @@ def expected(lines):
     values, extras = {}, {}
     for name, (_, raw) in zip(names, lines):
         raw = raw.strip()
-        if name in STRING_FIELDS:
-            values[name] = raw
-            continue
         try:
             number = int(raw) if name == "n_neurons" else float(raw)
         except ValueError:

@@ -81,8 +81,6 @@ def test_params_validation():
         ng.SimParams(tau_ltp=0.5, tau_stp=1.0)
     with pytest.raises(InvalidArgumentError):
         ng.SimParams(v_th=-1.0, v_reset=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        ng.SimParams(act_hebb="softplus")
 
 
 def test_drive_spec_regular_spiking():

@@ -89,9 +89,7 @@ def test_derivation_is_byte_for_byte_reproducible():
 
 def _changed(value):
     """A different value of a SimParams field that keeps the parameters
-    valid: another activation, or a shifted constant."""
-    if isinstance(value, str):
-        return next(name for name in sorted(ng.ACTIVATIONS) if name != value)
+    valid: a shifted constant."""
     return value * 1.25 + 0.05
 
 
@@ -121,9 +119,10 @@ def test_digest_separates_distinct_macros():
 
 
 def test_source_records_the_experiment_as_given(tmp_path):
-    """``source`` holds kind, digest, dt and all six experiment keys; a
-    simulator file's values replace the config's."""
-    keys = {"kind", "digest", "dt", *SIM_EXTRA_KEYS}
+    """``source`` holds kind, digest, dt, the decay, gains and pattern count
+    and all six experiment keys; a simulator file's values replace the
+    config's."""
+    keys = {"kind", "digest", "dt", "decay", "gains", "patterns", *SIM_EXTRA_KEYS}
     cfg = RunConfig(
         n_segments=2, retention_mode="derived", n_neurons=2, cycle_seconds=4.0, spacing=1.5
     )
@@ -138,6 +137,29 @@ def test_source_records_the_experiment_as_given(tmp_path):
     assert set(source) == keys
     assert (source["spacing"], source["dt"]) == (2.5, 0.02)
     assert (source["n_neurons"], source["cycle_seconds"]) == (2, 4.0)
+
+
+@pytest.mark.parametrize(
+    "drive_hz,cycle_seconds,patterns", [(10.0, 4.0, 1), (3.3, 12.0, 5)],
+    ids=["periodic", "aperiodic"],
+)
+def test_source_states_what_determines_the_factors(drive_hz, cycle_seconds, patterns):
+    """The factors follow from ``source`` alone: levels L_c = A L_{c-1} + B_c
+    with A its ``decay`` and B_c the ``gains`` entry of cycle c's drive
+    pattern, normalized.  A is (1 - dt ltp_decay / tau_ltp) ** steps_per_cycle."""
+    params = ng.SimParams()
+    extras = dict(EXPERIMENT, n_neurons=2, drive_hz=drive_hz, cycle_seconds=cycle_seconds)
+    schedule = rt.retention_schedule(8, params, extras)
+    source = schedule.source
+    spc = ng.steps_per_cycle(cycle_seconds, params.dt)
+    assert source["decay"] == (1.0 - params.dt / params.tau_ltp * params.ltp_decay) ** spc
+    assert source["patterns"] == len(source["gains"]) == patterns
+    _, which = rt.drive_patterns(8, params, extras)
+    levels = [0.0]
+    for p in which:
+        levels.append(source["decay"] * levels[-1] + source["gains"][p])
+    increments = np.diff(levels)
+    assert schedule.factors == tuple(float(f) for f in increments / increments.sum())
 
 
 def oracle_increments(n_segments, params, extras):
