@@ -274,8 +274,8 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = None if args.config is None else load_run_config(args.config)
-    out_dir = _out_dir(args)
     record = eval_run(args.checkpoint, cfg, seed=args.seed)
+    out_dir = _out_dir(args)
     _emit(record, out_dir, "eval.json")
     return EXIT_OK
 

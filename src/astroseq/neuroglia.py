@@ -22,6 +22,11 @@ through tanh; the slow process integrates sigmoid(fac) - 1/2, which is 0
 at fac = 0, so the all-zero state stays a fixed point; and the synaptic
 gain is the identity, so the current is ``fac`` times the spikes.
 
+``rate``, ``fac``, ``stp`` and ``ltp`` are leaky integrators of one form,
+x + k (-d x + drive), so ``step`` updates them as one stacked buffer with
+per-element k and d (``_Integrators``); each float is the one its own
+equation gives.  ``v`` and its threshold are updated on their own.
+
 The spatial coupling is a plain (n^2, n^2) matrix: ``build_geometry``
 gives the distances between synapse midpoints and ``coupling_tensor``
 their exp(-distance * scale) weights.  The state carries no clock: step k
@@ -36,6 +41,7 @@ or threshold crossings) arrive at the synapses at step k + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,14 +51,10 @@ from .errors import InvalidArgumentError, NumericalOverflowError
 
 
 def _sigmoid(x):
-    """The logistic function, computed without overflow on either side."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function, computed without overflow on either side:
+    with e = exp(-|x|) <= 1 it is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere, and exp(min(x, 0)) is exactly 1 and e there."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,66 @@ def initial_state(n_neurons: int, params: SimParams, stp: float = 0.0) -> SimSta
     )
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalOverflowError(name)
+class _Integrators:
+    """The per-element constants of the four leaky integrators, stacked.
+
+    Each of ``rate``, ``fac``, ``stp`` and ``ltp`` is updated as
+    x + k (-d x + drive):
+
+        rate + dt/tau_mem (-rate + emitted / dt)
+        fac  + dt/tau_fac (-fac_decay fac + hebb hebb^T + tanh(stp) + fac_input)
+        stp  + dt/tau_stp (-stp_decay stp + coupling tanh(stp) + stp_input)
+        ltp  + dt/tau_ltp (-ltp_decay ltp + (sigmoid(fac) - 1/2))
+
+    so ``step`` updates them as one flat float64 buffer, in that order, with
+    per-element k (``gain``) and -d (``neg_decay``).  The slices name each
+    variable's span of the buffer, ``checked`` the span of the finite check
+    (every variable but ``rate``) and ``inputs`` the span of ``fac`` and
+    ``stp``, whose constant inputs are ``input``.  The arrays are read-only:
+    one instance serves every step with the same parameters and size.
+    """
+
+    def __init__(self, params: SimParams, n: int):
+        n2 = n * n
+        self.rate = slice(0, n)
+        self.fac = slice(n, n + n2)
+        self.stp = slice(n + n2, n + 2 * n2)
+        self.ltp = slice(n + 2 * n2, n + 3 * n2)
+        self.checked = slice(n, n + 3 * n2)
+        self.inputs = slice(n, n + 2 * n2)
+        sizes = [n, n2, n2, n2]
+        dt = params.dt
+        # -1.0 * rate is exactly -rate, so the rate keeps the bits of
+        # rate + k (emitted / dt - rate).
+        self.neg_decay = np.repeat(
+            [-1.0, -params.fac_decay, -params.stp_decay, -params.ltp_decay], sizes
+        )
+        self.gain = np.repeat(
+            [dt / params.tau_mem, dt / params.tau_fac, dt / params.tau_stp, dt / params.tau_ltp],
+            sizes,
+        )
+        self.input = np.repeat([params.fac_input, params.stp_input], n2)
+        for constant in (self.neg_decay, self.gain, self.input):
+            constant.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _integrators(params: SimParams, n: int) -> _Integrators:
+    return _Integrators(params, n)
+
+
+_CHECKED = ("fac", "stp", "ltp")
+
+
+def _check_finite(v: np.ndarray, checked: np.ndarray, n: int) -> None:
+    """Raise NumericalOverflowError naming the first non-finite variable in
+    the order v, fac, stp, ltp; ``checked`` holds the last three flat, in
+    that order, n * n values each."""
+    if not np.isfinite(v).all():
+        raise NumericalOverflowError("v")
+    finite = np.isfinite(checked)
+    if not finite.all():
+        raise NumericalOverflowError(_CHECKED[int(np.argmin(finite)) // (n * n)])
 
 
 def step(
@@ -188,7 +247,12 @@ def step(
     coupling: np.ndarray,
     spikes_in: np.ndarray,
 ) -> SimState:
-    """One forward-Euler update; all right-hand sides use the old state."""
+    """One forward-Euler update; all right-hand sides use the old state.
+
+    The new state's arrays are fresh: a state's own arrays are never
+    written.  ``v`` is updated on its own; ``rate``, ``fac``, ``stp`` and
+    ``ltp`` as one stacked buffer (``_Integrators``).
+    """
     n = state.v.shape[0]
     if coupling.shape != (n * n, n * n):
         raise InvalidArgumentError(
@@ -210,40 +274,35 @@ def step(
     emitted = np.maximum(crossed.astype(np.float64), spikes_in)
     v_new = np.where(emitted > 0, params.v_reset, v_new)
 
-    # Activity estimate: EMA of the instantaneous spike rate over tau_mem,
-    # squashed by tanh to a bounded per-neuron activity, whose tanh is the
-    # Hebbian factor of both the pre- and postsynaptic side of the step.
-    rate_new = state.rate + (dt / params.tau_mem) * (emitted / dt - state.rate)
+    c = _integrators(params, n)
+    x = np.concatenate((state.rate, state.fac, state.stp, state.ltp), axis=None)
+    new = np.empty(x.size)
+    # Each variable's first drive term, written in place.  The rate's is
+    # the instantaneous spike rate; tanh squashes the rate to a bounded
+    # activity, whose tanh is the Hebbian factor of both the pre- and
+    # postsynaptic side of the step.
+    np.divide(emitted, dt, out=new[c.rate])
     hebb = np.tanh(np.tanh(state.rate))
-    astro = np.tanh(state.stp)
+    np.multiply(hebb[:, None], hebb, out=new[c.fac].reshape(n, n))
+    astro = np.tanh(x[c.stp])
+    np.matmul(coupling, astro, out=new[c.stp])
+    np.subtract(_sigmoid(x[c.fac]), 0.5, out=new[c.ltp])
+    # Then -d x, the later terms of fac and stp in their equations' order,
+    # the gain and x.  IEEE addition and multiplication commute, so every
+    # float is that of the equation evaluated left to right.
+    new += x * c.neg_decay
+    new[c.fac] += astro
+    new[c.inputs] += c.input
+    new *= c.gain
+    new += x
 
-    fac_new = state.fac + (dt / params.tau_fac) * (
-        -params.fac_decay * state.fac
-        + np.outer(hebb, hebb)
-        + astro
-        + params.fac_input
-    )
-
-    influence = (coupling @ astro.ravel()).reshape(n, n)
-    stp_new = state.stp + (dt / params.tau_stp) * (
-        -params.stp_decay * state.stp + influence + params.stp_input
-    )
-
-    ltp_new = state.ltp + (dt / params.tau_ltp) * (
-        -params.ltp_decay * state.ltp + (_sigmoid(state.fac) - 0.5)
-    )
-
-    _check_finite("v", v_new)
-    _check_finite("fac", fac_new)
-    _check_finite("stp", stp_new)
-    _check_finite("ltp", ltp_new)
-
+    _check_finite(v_new, new[c.checked], n)
     return SimState(
         v=v_new,
-        fac=fac_new,
-        stp=stp_new,
-        ltp=ltp_new,
-        rate=rate_new,
+        fac=new[c.fac].reshape(n, n),
+        stp=new[c.stp].reshape(n, n),
+        ltp=new[c.ltp].reshape(n, n),
+        rate=new[c.rate],
         spikes=emitted,
     )
 

@@ -174,10 +174,23 @@ def drive_patterns(
     spc = steps_per_cycle(extras["cycle_seconds"], params.dt)
     drive = DriveSpec(rate_hz=extras["drive_hz"])
     fired = drive.fires(step_times(0, n_segments * spc, params.dt), params.dt)
-    _, first, which = np.unique(
-        fired.reshape(n_segments, spc), axis=0, return_index=True, return_inverse=True
-    )
-    return first, which.reshape(-1)
+    return unique_rows(fired.reshape(n_segments, spc))
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``'s
+    ``(first, which)`` for a boolean matrix, the inverse flat, keyed by each
+    row's bytes: bytes order as numpy orders boolean rows, lexicographically
+    with False first, so the distinct rows keep ``np.unique``'s order."""
+    keys = [row.tobytes() for row in rows]
+    first_of: dict[bytes, int] = {}
+    for index, key in enumerate(keys):
+        first_of.setdefault(key, index)
+    order = sorted(first_of)
+    rank = {key: p for p, key in enumerate(order)}
+    first = np.array([first_of[key] for key in order], dtype=np.intp)
+    which = np.array([rank[key] for key in keys], dtype=np.intp)
+    return first, which
 
 
 def retention_schedule(n_segments: int, params: SimParams, extras: dict) -> RetentionSchedule:

@@ -369,8 +369,27 @@ def test_eval_elsewhere_reads_the_params_file_training_read(tmp_path, monkeypatc
     assert record["retention"]["source"]["digest"] == trained["retention"]["source"]["digest"]
 
 
+def test_eval_with_deleted_params_file_exits_2_before_making_out_dir(
+    tmp_path, monkeypatch, capsys
+):
+    """Eval reads the checkpoint and the stored run's simulator file before
+    it makes ``--out-dir``, so a refused run leaves no directory behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.params").write_text("tau_p_l = 7.0\n")
+    _, out = train_tiny(tmp_path, DERIVED + "params_file = sim.params\n")
+    (tmp_path / "sim.params").unlink()
+    capsys.readouterr()
+    eval_dir = tmp_path / "evout"
+    code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--out-dir", str(eval_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not eval_dir.exists()
+
+
 @pytest.mark.parametrize(
-    "payload", [{"seed": 0}, [1, 2], "run", None], ids=["no_run", "list", "string", "null"]
+    "payload",[{"seed": 0}, [1, 2], "run", None], ids=["no_run", "list", "string", "null"]
 )
 def test_eval_checkpoint_without_run_block_exits_2(tmp_path, capsys, payload):
     cfg_path, _, arrays = tiny_checkpoint_inputs(tmp_path)

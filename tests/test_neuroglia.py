@@ -14,6 +14,79 @@ def default_setup(n=3, scale=2.0, **overrides):
 
 
 # ---------------------------------------------------------------------------
+# the reference Euler step: each variable's update composed on its own, the
+# form ``ng.step``'s stacked update must reproduce bit for bit
+
+
+def reference_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_check_finite(name, arr):
+    if not np.all(np.isfinite(arr)):
+        raise NumericalOverflowError(name)
+
+
+def reference_step(state, params, coupling, spikes_in):
+    n = state.v.shape[0]
+    spikes_in = np.asarray(spikes_in, dtype=np.float64)
+    dt = params.dt
+
+    current = state.fac @ (state.spikes / dt) + params.bias
+    v_new = state.v + (dt / params.tau_mem) * (
+        -params.leak * (state.v - params.v_reset) + current
+    )
+    crossed = v_new >= params.v_th
+    emitted = np.maximum(crossed.astype(np.float64), spikes_in)
+    v_new = np.where(emitted > 0, params.v_reset, v_new)
+
+    rate_new = state.rate + (dt / params.tau_mem) * (emitted / dt - state.rate)
+    hebb = np.tanh(np.tanh(state.rate))
+    astro = np.tanh(state.stp)
+
+    fac_new = state.fac + (dt / params.tau_fac) * (
+        -params.fac_decay * state.fac
+        + np.outer(hebb, hebb)
+        + astro
+        + params.fac_input
+    )
+
+    influence = (coupling @ astro.ravel()).reshape(n, n)
+    stp_new = state.stp + (dt / params.tau_stp) * (
+        -params.stp_decay * state.stp + influence + params.stp_input
+    )
+
+    ltp_new = state.ltp + (dt / params.tau_ltp) * (
+        -params.ltp_decay * state.ltp + (reference_sigmoid(state.fac) - 0.5)
+    )
+
+    reference_check_finite("v", v_new)
+    reference_check_finite("fac", fac_new)
+    reference_check_finite("stp", stp_new)
+    reference_check_finite("ltp", ltp_new)
+
+    return ng.SimState(
+        v=v_new, fac=fac_new, stp=stp_new, ltp=ltp_new, rate=rate_new, spikes=emitted
+    )
+
+
+STATE_FIELDS = ("v", "fac", "stp", "ltp", "rate", "spikes")
+
+
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # geometry and coupling
 
 
@@ -193,6 +266,27 @@ def test_non_finite_state_raises_with_variable_name():
         with pytest.raises(NumericalOverflowError) as err:
             ng.step(state, params, coupling, np.zeros(3))
     assert err.value.variable == "v"
+
+
+@pytest.mark.parametrize(
+    "field,variable", [("fac", "v"), ("stp", "stp"), ("ltp", "ltp"), ("rate", None)]
+)
+def test_first_non_finite_variable_is_named(field, variable):
+    """The first non-finite variable of v, fac, stp, ltp is named: an
+    infinite ``fac`` times silent spikes makes the current NaN, so ``v``
+    fails first.  ``rate`` is not checked: an infinite rate leaves a NaN
+    rate, which fails ``fac`` one step later."""
+    params, coupling = default_setup()
+    state = ng.initial_state(3, params)
+    getattr(state, field).flat[0] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        if variable is None:
+            state = ng.step(state, params, coupling, np.zeros(3))
+            assert np.isnan(state.rate[0])
+            variable = "fac"
+        with pytest.raises(NumericalOverflowError) as err:
+            ng.step(state, params, coupling, np.zeros(3))
+    assert err.value.variable == variable
 
 
 def test_step_rejects_mismatched_sizes():

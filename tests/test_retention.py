@@ -1,6 +1,7 @@
 """Schedule derivation: increments, normalization, monotonicity, degeneracy, digests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -85,6 +86,54 @@ def test_zero_drive_is_degenerate():
 def test_derivation_is_byte_for_byte_reproducible():
     a, b = derive(3), derive(3)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "n_segments,drive_hz,digest",
+    [
+        (2, 10.0, "a010ca211c42eb72923e19925e8b7fee3b7fe30c93561601f0edc592a50958f2"),
+        (8, 10.0, "2ced5c7ee64d31a601f89807a101e72d7cf39d64403e63ada94a5c299df9f6b3"),
+        (16, 10.0, "1e7d65bb6f9d539dcbc312ce8c7e392a2b13d1b78c82a5386af8b0da7d7fcdab"),
+        (8, 7.3, "dd0725916c1d7997f20b5ed7ff2ffc3c3dbed4d05a4beb10ed4f5d7003619fb4"),
+        (8, 7.37, "f525dcc94c651d39aeb6caba9940770bff7bd0e81cf5f1dcf103058cfb517425"),
+    ],
+)
+def test_derived_factors_are_pinned(n_segments, drive_hz, digest):
+    """The sha256 of the packed float64 factors on the default experiment,
+    as the per-variable Euler update derived them.  A 7.3 Hz drive fires
+    365 times in each 50 s cycle, so its cycles share one drive pattern; at
+    7.37 Hz the phase moves and T = 8 shows two."""
+    params, extras = RunConfig(drive_hz=drive_hz).sim_params()
+    schedule = rt.retention_schedule(n_segments, params, extras)
+    assert schedule.source["patterns"] == (2 if drive_hz == 7.37 else 1)
+    packed = np.asarray(schedule.factors, dtype=np.float64).tobytes()
+    assert hashlib.sha256(packed).hexdigest() == digest
+
+
+def test_unique_rows_matches_np_unique():
+    """Over random boolean (segments, steps) matrices, few distinct rows or
+    many, ``unique_rows`` gives ``np.unique(axis=0)``'s first indices and
+    flat inverse: the same values and the same sorted row order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(
+        segments=st.integers(1, 40),
+        steps=st.integers(1, 12),
+        distinct=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(segments, steps, distinct, seed):
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(size=(distinct, steps)) < rng.uniform()
+        rows = pool[rng.integers(distinct, size=segments)]
+        _, first, which = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        got_first, got_which = rt.unique_rows(rows)
+        assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
+        assert np.array_equal(got_which, which.reshape(-1))
+
+    check()
 
 
 def _changed(value):
