@@ -6,13 +6,11 @@ Three formats feed the command-line tools:
   ``[training]``, ``[retention]`` describing one training or evaluation
   run.  Every key has a default, so an empty file is a valid run.
 * A *simulator parameter file*: flat ``key = value`` lines of the
-  dynamical system's numeric constants (its nonlinearities are fixed).
-  Keys may use either the descriptive field names of ``SimParams`` or the
-  compact physics-style aliases (``tau_n``, ``lambda``, ``gamma_s``, ...);
-  the ``[retention]`` keys other than ``mode`` and ``params_file`` may sit
-  there too and describe the surrounding experiment (grid size, drive
-  rate, cycle length).  A relative ``params_file`` names a file in the
-  working directory of ``load_run_config``, wherever the run is read back.
+  dynamical system's numeric constants (its nonlinearities are fixed),
+  each key a ``SimParams`` field name.  The experiment around the system
+  (grid size, drive rate, cycle length, ...) is set in ``[retention]``
+  only.  A relative ``params_file`` names a file in the working directory
+  of ``load_run_config``, wherever the run is read back.
 * A *stored run*: ``asdict(RunConfig)`` as JSON, a checkpoint's ``run`` block.
 
 A setting's type is the annotation of its ``RunConfig`` or ``SimParams``
@@ -67,33 +65,16 @@ def _convert(annotation: str, raw: str, where: str):
 # ---------------------------------------------------------------------------
 # simulator parameter files
 
-SIM_ALIASES = {
-    "tau_n": "tau_mem",
-    "tau_s": "tau_fac",
-    "tau_p_s": "tau_stp",
-    "tau_p_l": "tau_ltp",
-    "lambda": "leak",
-    "beta": "fac_decay",
-    "gamma_s": "stp_decay",
-    "gamma_l": "ltp_decay",
-    "b": "bias",
-    "c": "fac_input",
-    "d": "stp_input",
-}
-
 _SIM_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
 
 
-def parse_sim_params(text: str) -> tuple[SimParams, dict]:
-    """Parse ``key = value`` lines into (SimParams, extras).
+def parse_sim_params(text: str) -> SimParams:
+    """Parse ``key = value`` lines into SimParams.
 
-    ``#`` starts a comment; blank lines are skipped; unknown or repeated
-    keys are errors.  Extras hold the experiment keys (``SIM_EXTRA_KEYS``),
-    typed like their ``RunConfig`` fields.
+    ``#`` starts a comment; blank lines are skipped; keys other than the
+    ``SimParams`` field names, and repeated keys, are errors.
     """
     values: dict = {}
-    extras: dict = {}
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,22 +83,15 @@ def parse_sim_params(text: str) -> tuple[SimParams, dict]:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        canonical = SIM_ALIASES.get(key, key)
-        if canonical in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(canonical)
-        where = f"line {lineno}: {key}"
-        if canonical in _SIM_TYPES:
-            values[canonical] = _convert(_SIM_TYPES[canonical], value, where)
-        elif canonical in SIM_EXTRA_KEYS:
-            extras[canonical] = _convert(_RUN_TYPES[SIM_EXTRA_KEYS[canonical]], value, where)
-        else:
+        if key not in _SIM_TYPES:
             raise ConfigError(f"line {lineno}: unknown simulator key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        values[key] = _convert(_SIM_TYPES[key], value, f"line {lineno}: {key}")
     try:
-        params = SimParams(**values)
+        return SimParams(**values)
     except InvalidArgumentError as exc:
         raise ConfigError(f"bad simulator parameters: {exc}") from exc
-    return params, extras
 
 
 def _read(path, what: str) -> str:
@@ -127,7 +101,7 @@ def _read(path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_sim_params(path) -> tuple[SimParams, dict]:
+def load_sim_params(path) -> SimParams:
     return parse_sim_params(_read(path, "simulator parameters"))
 
 
@@ -157,7 +131,8 @@ _RUN_SCHEMA: dict[str, dict[str, str]] = {
     }.items()
 }
 
-# Experiment keys a simulator parameter file may set -> RunConfig field.
+# The experiment keys of [retention] -> RunConfig field: the extras of
+# ``RunConfig.sim_params``.
 SIM_EXTRA_KEYS = {
     key: name
     for key, name in _RUN_SCHEMA["retention"].items()
@@ -262,13 +237,13 @@ class RunConfig:
         return ModelConfig(**{**shared, "vocab_size": vocab_size, "n_classes": n_classes})
 
     def sim_params(self) -> tuple[SimParams, dict]:
-        """Simulator parameters for derived retention, file overrides applied."""
+        """(SimParams, extras) for derived retention: the constants of
+        ``params_file`` (the defaults if none) and this config's six
+        experiment keys."""
         extras = {key: getattr(self, name) for key, name in SIM_EXTRA_KEYS.items()}
         if self.sim_params_file is None:
             return SimParams(), extras
-        params, file_extras = load_sim_params(self.sim_params_file)
-        extras.update(file_extras)
-        return params, extras
+        return load_sim_params(self.sim_params_file), extras
 
 
 _RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -14,7 +14,7 @@ import astroseq
 from astroseq import cli, harness, retention
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
-from astroseq.config import load_run_config
+from astroseq.config import SIM_EXTRA_KEYS, load_run_config
 from astroseq.model import SegmentModel
 from conftest import write_raw_checkpoint
 
@@ -355,9 +355,9 @@ def test_eval_elsewhere_reads_the_params_file_training_read(tmp_path, monkeypatc
     train_dir, eval_dir = tmp_path / "a", tmp_path / "b"
     train_dir.mkdir()
     eval_dir.mkdir()
-    (train_dir / "sim.params").write_text("tau_p_l = 7.0\n")
+    (train_dir / "sim.params").write_text("tau_ltp = 7.0\n")
     # A file of the same name where eval runs must not be the one read.
-    (eval_dir / "sim.params").write_text("tau_p_l = 9.0\n")
+    (eval_dir / "sim.params").write_text("tau_ltp = 9.0\n")
     monkeypatch.chdir(train_dir)
     _, out = train_tiny(train_dir, DERIVED + "params_file = sim.params\n")
     trained = json.loads((out / "run.json").read_text())
@@ -369,13 +369,35 @@ def test_eval_elsewhere_reads_the_params_file_training_read(tmp_path, monkeypatc
     assert record["retention"]["source"]["digest"] == trained["retention"]["source"]["digest"]
 
 
+def test_stored_config_names_the_experiment_the_schedule_ran(tmp_path, capsys):
+    """A simulator file sets constants only, so ``run.json``'s config and its
+    schedule's ``source`` agree on the six experiment keys; a file that also
+    sets one makes ``train`` exit 2 before ``--out-dir`` is made."""
+    sim_file = tmp_path / "sim.params"
+    sim_file.write_text("tau_ltp = 7.0\n")
+    cfg, out = train_tiny(tmp_path, DERIVED + f"params_file = {sim_file}\n")
+    run = json.loads((out / "run.json").read_text())
+    source = run["retention"]["source"]
+    assert {key: run["config"][name] for key, name in SIM_EXTRA_KEYS.items()} == {
+        key: source[key] for key in SIM_EXTRA_KEYS
+    }
+    sim_file.write_text("tau_ltp = 7.0\nn_neurons = 2\n")
+    refused = tmp_path / "refused"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out-dir", str(refused)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "'n_neurons'" in captured.err
+    assert not refused.exists()
+
+
 def test_eval_with_deleted_params_file_exits_2_before_making_out_dir(
     tmp_path, monkeypatch, capsys
 ):
     """Eval reads the checkpoint and the stored run's simulator file before
     it makes ``--out-dir``, so a refused run leaves no directory behind."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sim.params").write_text("tau_p_l = 7.0\n")
+    (tmp_path / "sim.params").write_text("tau_ltp = 7.0\n")
     _, out = train_tiny(tmp_path, DERIVED + "params_file = sim.params\n")
     (tmp_path / "sim.params").unlink()
     capsys.readouterr()
@@ -411,12 +433,12 @@ def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(retention, "run_stp_cycles", spy)
     sim_file = tmp_path / "sim.params"
-    sim_file.write_text("init_stp = 0.1\nn_neurons = 3\n")
+    sim_file.write_text("dt = 0.02\n")
     digests = []
     for init_stp, n_neurons, extra in (
         (0.2, 2, "init_stp = 0.2\n"),
         (0.0, 2, "init_stp = 0.0\n"),
-        (0.1, 3, f"init_stp = 0.0\nparams_file = {sim_file}\n"),
+        (0.0, 2, f"init_stp = 0.0\nparams_file = {sim_file}\n"),
     ):
         cfg = write_tiny_config(
             tmp_path,
@@ -572,10 +594,14 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["act_ltp = sigmoid", "kappa = sigmoid"])
+@pytest.mark.parametrize(
+    "line", ["act_ltp = sigmoid", "kappa = sigmoid", "tau_n = 0.5", "init_stp = 0.1"]
+)
 def test_removed_nonlinearity_key_exits_2(tmp_path, capsys, line):
-    """The simulator's nonlinearities are fixed, so a parameter file that
-    still names one is refused with one line, before ``--out-dir`` is made."""
+    """A parameter file takes only ``SimParams`` field names: one that still
+    names a nonlinearity (now fixed), a field's old alias or an experiment
+    key (set in ``[retention]`` only) is refused with one line, before
+    ``--out-dir`` is made."""
     sim_file = tmp_path / "sim.params"
     sim_file.write_text(line + "\n")
     cfg = write_tiny_config(tmp_path, DERIVED + f"params_file = {sim_file}\n")

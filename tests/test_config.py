@@ -9,7 +9,6 @@ import pytest
 
 from astroseq.config import (
     _RUN_SCHEMA,
-    SIM_ALIASES,
     RunConfig,
     load_run_config,
     load_sim_params,
@@ -27,42 +26,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # simulator parameter files
 
 
-def test_sim_params_accepts_compact_aliases():
-    text = """
-    # physics-style names
-    tau_n = 0.6
-    tau_p_l = 7.5
-    lambda = 0.3
-    gamma_s = 0.15
-    b = 0.05
-    """
-    params, extras = parse_sim_params(text)
-    assert params.tau_mem == 0.6
-    assert params.tau_ltp == 7.5
-    assert params.leak == 0.3
-    assert params.stp_decay == 0.15
-    assert params.bias == 0.05
-    assert extras == {}
-
-
-def test_sim_params_accepts_descriptive_names_and_extras():
-    text = "tau_mem = 0.9\nn_neurons = 5\nscale = 2.0\ninit_stp = 0.05\n"
-    params, extras = parse_sim_params(text)
-    assert params.tau_mem == 0.9
-    assert extras == {"n_neurons": 5, "scale": 2.0, "init_stp": 0.05}
-    assert isinstance(extras["n_neurons"], int)
-
-
-def test_sim_params_rejects_duplicates_even_across_aliases():
-    with pytest.raises(ConfigError):
-        parse_sim_params("tau_n = 0.5\ntau_mem = 0.6\n")
+def test_sim_params_rejects_duplicate_keys():
+    with pytest.raises(ConfigError, match="duplicate key 'tau_mem'"):
+        parse_sim_params("tau_mem = 0.5\ntau_mem = 0.6\n")
 
 
 def test_sim_params_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError):
         parse_sim_params("tau_q = 1.0\n")
     with pytest.raises(ConfigError):
-        parse_sim_params("tau_n = fast\n")
+        parse_sim_params("tau_mem = fast\n")
     with pytest.raises(ConfigError):
         parse_sim_params("just a line\n")
 
@@ -71,22 +44,18 @@ def test_sim_params_validation_errors_become_config_errors():
     with pytest.raises(ConfigError):
         parse_sim_params("dt = -0.1\n")
     with pytest.raises(ConfigError):
-        parse_sim_params("tau_p_l = 0.5\n")  # not above tau_stp
+        parse_sim_params("tau_ltp = 0.5\n")  # not above tau_stp
 
 
 def test_sim_params_file_parses_to_values():
-    text = "tau_mem = 0.7\nleak = 0.3\nn_neurons = 4\ndrive_hz = 12.5\n"
-    params, extras = parse_sim_params(text)
-    assert params == SimParams(tau_mem=0.7, leak=0.3)
-    assert extras == {"n_neurons": 4, "drive_hz": 12.5}
+    text = "tau_mem = 0.7\nleak = 0.3\n"
+    assert parse_sim_params(text) == SimParams(tau_mem=0.7, leak=0.3)
 
 
 def test_load_sim_params_from_file(tmp_path):
     path = tmp_path / "sim.params"
-    path.write_text("tau_n = 0.5\ndrive_hz = 8.0\n")
-    params, extras = load_sim_params(path)
-    assert params.tau_mem == 0.5
-    assert extras["drive_hz"] == 8.0
+    path.write_text("tau_mem = 0.5\ndt = 0.02\n")
+    assert load_sim_params(path) == SimParams(tau_mem=0.5, dt=0.02)
     with pytest.raises(ConfigError):
         load_sim_params(tmp_path / "missing.params")
 
@@ -199,15 +168,12 @@ def test_readme_example_parses_and_sets_every_key():
 
 
 def test_readme_simulator_file_sets_every_constant_once():
-    """The README's simulator file parses, sets each ``SimParams`` field once
-    (to its default), and names each field's alias as ``SIM_ALIASES`` does."""
+    """The README's simulator file parses and sets each ``SimParams`` field
+    once, to its default."""
     block = re.search(r"```conf\n(.*?)```", README.read_text(), re.S).group(1)
-    params, extras = parse_sim_params(block)
-    assert params == SimParams() and extras == {}
+    assert parse_sim_params(block) == SimParams()
     keys = [line.split("=")[0].strip() for line in block.splitlines()]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SimParams))
-    aliases = dict(re.findall(r"^(\w+) = .*# alias (\w+)$", block, re.M))
-    assert aliases == {name: alias for alias, name in SIM_ALIASES.items()}
 
 
 def test_run_config_builds_task_and_model():
@@ -230,10 +196,10 @@ def test_run_config_sim_params_defaults_and_file(tmp_path):
     assert extras["n_neurons"] == cfg.n_neurons
 
     sim_file = tmp_path / "sim.params"
-    sim_file.write_text("tau_n = 0.45\nn_neurons = 7\n")
-    cfg2 = RunConfig(sim_params_file=str(sim_file))
+    sim_file.write_text("tau_mem = 0.45\n")
+    cfg2 = RunConfig(n_neurons=7, sim_params_file=str(sim_file))
     params2, extras2 = cfg2.sim_params()
-    assert params2.tau_mem == 0.45
+    assert params2 == SimParams(tau_mem=0.45)
     assert extras2["n_neurons"] == 7
 
 
@@ -254,7 +220,7 @@ def test_run_config_rejects_non_finite_floats(section, key, value):
         parse_run_config(f"[{section}]\n{key} = {value}\n")
 
 
-@pytest.mark.parametrize("line", ["tau_mem = nan", "tau_n = inf", "scale = inf", "drive_hz = nan"])
+@pytest.mark.parametrize("line", ["tau_mem = nan", "tau_ltp = inf"])
 def test_sim_params_reject_non_finite_floats(line):
     with pytest.raises(ConfigError, match="not finite"):
         parse_sim_params(line + "\n")

@@ -13,7 +13,7 @@ import pytest
 
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
-from astroseq.config import SIM_ALIASES, SIM_EXTRA_KEYS, RunConfig, parse_sim_params, read_stored_run
+from astroseq.config import RunConfig, parse_sim_params, read_stored_run
 from astroseq.errors import ConfigError, InvalidArgumentError
 from astroseq.neuroglia import SimParams
 
@@ -21,7 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 FIELDS = [f.name for f in dataclasses.fields(SimParams)]
-KEYS = FIELDS + sorted(SIM_ALIASES) + sorted(SIM_EXTRA_KEYS)
+# Names a simulator file no longer takes: the compact aliases of SimParams
+# fields, and the experiment keys, which only [retention] sets.
+REMOVED = [
+    "tau_n", "tau_s", "tau_p_s", "tau_p_l", "lambda", "beta", "gamma_s", "gamma_l", "b", "c", "d",
+    "n_neurons", "spacing", "scale", "cycle_seconds", "drive_hz", "init_stp",
+]
+KEYS = FIELDS + REMOVED
 
 ANY_VALUE = st.one_of(
     st.floats(-1.0, 10.0).map(repr),
@@ -33,33 +39,27 @@ ANY_VALUE = st.one_of(
 
 
 def line(key):
-    """A (key, value) pair whose value is mostly of the key's own type."""
-    name = SIM_ALIASES.get(key, key)
-    if name == "n_neurons":
-        typed = st.integers(1, 9).map(str)
-    else:
-        typed = st.floats(0.0, 10.0).map(repr)
+    """A (key, value) pair whose value is mostly a float."""
+    typed = st.floats(0.0, 10.0).map(repr)
     value = st.integers(0, 3).flatmap(lambda i: typed if i else ANY_VALUE)
     return st.tuples(st.just(key), value)
 
 
 def expected(lines):
-    """(SimParams, extras) for these (key, value) lines, or None for a ConfigError."""
-    names = [SIM_ALIASES.get(key, key) for key, _ in lines]
-    if len(set(names)) < len(names):
+    """SimParams for these (key, value) lines, or None for a ConfigError."""
+    names = [key for key, _ in lines]
+    if len(set(names)) < len(names) or set(names) & set(REMOVED):
         return None
-    values, extras = {}, {}
+    values = {}
     for name, (_, raw) in zip(names, lines):
-        raw = raw.strip()
         try:
-            number = int(raw) if name == "n_neurons" else float(raw)
+            values[name] = float(raw.strip())
         except ValueError:
             return None
-        if not math.isfinite(number):
+        if not math.isfinite(values[name]):
             return None
-        (extras if name in SIM_EXTRA_KEYS else values)[name] = number
     try:
-        return SimParams(**values), extras
+        return SimParams(**values)
     except InvalidArgumentError:
         return None
 
@@ -73,11 +73,7 @@ def test_sim_params_file_parses_as_expected_or_raises_config_error(lines):
         with pytest.raises(ConfigError):
             parse_sim_params(text)
         return
-    params, extras = parse_sim_params(text)
-    assert (params, extras) == want
-    assert {name: type(v) for name, v in extras.items()} == {
-        name: type(v) for name, v in want[1].items()
-    }
+    assert parse_sim_params(text) == want
 
 
 # ---------------------------------------------------------------------------

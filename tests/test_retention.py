@@ -169,8 +169,8 @@ def test_digest_separates_distinct_macros():
 
 def test_source_records_the_experiment_as_given(tmp_path):
     """``source`` holds kind, digest, dt, the decay, gains and pattern count
-    and all six experiment keys; a simulator file's values replace the
-    config's."""
+    and all six experiment keys; a simulator file changes the constants and
+    leaves the experiment keys the config's."""
     keys = {"kind", "digest", "dt", "decay", "gains", "patterns", *SIM_EXTRA_KEYS}
     cfg = RunConfig(
         n_segments=2, retention_mode="derived", n_neurons=2, cycle_seconds=4.0, spacing=1.5
@@ -181,10 +181,10 @@ def test_source_records_the_experiment_as_given(tmp_path):
     assert source["spacing"] == 1.5
     assert source["dt"] == ng.SimParams().dt
     sim_file = tmp_path / "sim.params"
-    sim_file.write_text("dt = 0.02\nspacing = 2.5\n")
+    sim_file.write_text("dt = 0.02\n")
     source = resolve_schedule(dataclasses.replace(cfg, sim_params_file=str(sim_file))).source
     assert set(source) == keys
-    assert (source["spacing"], source["dt"]) == (2.5, 0.02)
+    assert (source["spacing"], source["dt"]) == (1.5, 0.02)
     assert (source["n_neurons"], source["cycle_seconds"]) == (2, 4.0)
 
 
