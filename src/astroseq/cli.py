@@ -114,12 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     """The run ``--config`` describes (the defaults if none), refused here,
-    before any ``--out-dir`` is made, unless its task and its model build
-    and its simulator parameter file parses."""
+    before any ``--out-dir`` is made, unless it parses (its ``[simulator]``
+    constants included) and its task and its model build."""
     cfg = RunConfig() if args.config is None else load_run_config(args.config)
     spec = cfg.build_task().spec
     cfg.model_config(spec.vocab_size, spec.n_classes)
-    cfg.sim_params()
     return cfg
 
 

@@ -1,17 +1,16 @@
-"""Run configuration (INI sections), stored runs and simulator parameter files.
+"""Run configuration (INI sections) and stored runs.
 
-Three formats feed the command-line tools:
+Two formats feed the command-line tools:
 
 * A *run config*: INI sections ``[task]``, ``[model]``, ``[recurrence]``,
-  ``[training]``, ``[retention]`` describing one training or evaluation
-  run.  Every key has a default, so an empty file is a valid run.
-* A *simulator parameter file*: flat ``key = value`` lines of the
-  dynamical system's numeric constants (its nonlinearities are fixed),
-  each key a ``SimParams`` field name.  The experiment around the system
-  (grid size, drive rate, cycle length, ...) is set in ``[retention]``
-  only.  A relative ``params_file`` names a file in the working directory
-  of ``load_run_config``, wherever the run is read back.
-* A *stored run*: ``asdict(RunConfig)`` as JSON, a checkpoint's ``run`` block.
+  ``[training]``, ``[retention]`` and ``[simulator]`` describing one
+  training or evaluation run.  Every key has a default, so an empty file
+  is a valid run.  ``[simulator]`` takes the dynamical system's numeric
+  constants (its nonlinearities are fixed), each key a ``SimParams`` field
+  name; the experiment around the system (grid size, drive rate, cycle
+  length, ...) is set in ``[retention]`` only.
+* A *stored run*: ``asdict(RunConfig)`` as JSON, a checkpoint's ``run``
+  block, its ``simulator`` an object of every constant.
 
 A setting's type is the annotation of its ``RunConfig`` or ``SimParams``
 field; ``_check`` states what each type admits.
@@ -26,16 +25,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InvalidArgumentError
-from .model import ModelConfig
+from .model import MAX_AXIS, ModelConfig
 from .neuroglia import SimParams
 from .tasks import CopyTask, KVRetrievalTask, ListOpsTask
 
 _KINDS = {"int": int, "float": float, "str": str}
+_SIM_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
 
 
 def _check(annotation: str, value, where: str):
     """``value`` as a field annotated ``int``, ``float`` or ``str`` (or ``| None``):
-    no bool is a number, an int may stand for a float, floats must be finite."""
+    no bool is a number, an int may stand for a float, floats must be finite.
+    A ``SimParams`` field is an object of every constant (``_stored``)."""
+    if annotation == "SimParams":
+        return _simulator(_stored(value, _SIM_TYPES, where), where)
     kind = annotation.removesuffix(" | None")
     if value is None and kind != annotation:
         return None
@@ -62,61 +65,31 @@ def _convert(annotation: str, raw: str, where: str):
     return _check(kind, value, where)
 
 
-# ---------------------------------------------------------------------------
-# simulator parameter files
+def _stored(data, types: dict, where: str) -> dict:
+    """The JSON object ``data`` as fields of these annotations: every name
+    present and no other, each value through ``_check``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {type(data).__name__}")
+    unknown, missing = sorted(set(data) - set(types)), sorted(set(types) - set(data))
+    if unknown or missing:
+        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    return {name: _check(kind, data[name], f"{where}: {name}") for name, kind in types.items()}
 
-_SIM_TYPES = {f.name: f.type for f in dataclasses.fields(SimParams)}
 
-
-def parse_sim_params(text: str) -> SimParams:
-    """Parse ``key = value`` lines into SimParams.
-
-    ``#`` starts a comment; blank lines are skipped; keys other than the
-    ``SimParams`` field names, and repeated keys, are errors.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _SIM_TYPES:
-            raise ConfigError(f"line {lineno}: unknown simulator key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _convert(_SIM_TYPES[key], value, f"line {lineno}: {key}")
+def _simulator(values: dict, where: str) -> SimParams:
     try:
         return SimParams(**values)
     except InvalidArgumentError as exc:
-        raise ConfigError(f"bad simulator parameters: {exc}") from exc
-
-
-def _read(path, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def load_sim_params(path) -> SimParams:
-    return parse_sim_params(_read(path, "simulator parameters"))
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # run configuration
 
 # INI keys named differently from their RunConfig fields.
-_RENAMED = {
-    "name": "task",
-    "mode": "retention_mode",
-    "scale": "coupling_scale",
-    "params_file": "sim_params_file",
-}
+_RENAMED = {"name": "task", "mode": "retention_mode", "scale": "coupling_scale"}
 
-# section -> ini key -> RunConfig field
+# section -> ini key -> field: a RunConfig field, in [simulator] a SimParams one
 _RUN_SCHEMA: dict[str, dict[str, str]] = {
     section: {key: _RENAMED.get(key, key) for key in keys.split()}
     for section, keys in {
@@ -127,17 +100,14 @@ _RUN_SCHEMA: dict[str, dict[str, str]] = {
             "epochs batch_size train_samples val_samples lr weight_decay grad_clip "
             "target_val_acc"
         ),
-        "retention": "mode n_neurons spacing scale cycle_seconds drive_hz init_stp params_file",
+        "retention": "mode n_neurons spacing scale cycle_seconds drive_hz init_stp",
+        "simulator": " ".join(_SIM_TYPES),
     }.items()
 }
 
 # The experiment keys of [retention] -> RunConfig field: the extras of
 # ``RunConfig.sim_params``.
-SIM_EXTRA_KEYS = {
-    key: name
-    for key, name in _RUN_SCHEMA["retention"].items()
-    if key not in ("mode", "params_file")
-}
+SIM_EXTRA_KEYS = {key: name for key, name in _RUN_SCHEMA["retention"].items() if key != "mode"}
 
 
 @dataclass(frozen=True)
@@ -183,7 +153,8 @@ class RunConfig:
     cycle_seconds: float = 50.0
     drive_hz: float = 10.0
     init_stp: float = 0.05
-    sim_params_file: str | None = None
+    # simulator
+    simulator: SimParams = SimParams()
 
     def __post_init__(self):
         if self.task not in ("copy", "kv_retrieval", "listops"):
@@ -203,6 +174,12 @@ class RunConfig:
         for name in ("epochs", "batch_size", "train_samples", "val_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("batch_size", "train_samples", "val_samples"):
+            if getattr(self, name) > MAX_AXIS:
+                raise ConfigError(
+                    f"{name} = {getattr(self, name)} is too large: a split or batch holds "
+                    f"at most {MAX_AXIS} samples"
+                )
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:
@@ -237,13 +214,9 @@ class RunConfig:
         return ModelConfig(**{**shared, "vocab_size": vocab_size, "n_classes": n_classes})
 
     def sim_params(self) -> tuple[SimParams, dict]:
-        """(SimParams, extras) for derived retention: the constants of
-        ``params_file`` (the defaults if none) and this config's six
-        experiment keys."""
-        extras = {key: getattr(self, name) for key, name in SIM_EXTRA_KEYS.items()}
-        if self.sim_params_file is None:
-            return SimParams(), extras
-        return load_sim_params(self.sim_params_file), extras
+        """(SimParams, extras) for derived retention: the ``[simulator]``
+        constants and this config's six experiment keys."""
+        return self.simulator, {key: getattr(self, name) for key, name in SIM_EXTRA_KEYS.items()}
 
 
 _RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -259,50 +232,45 @@ def parse_run_config(text: str) -> RunConfig:
     if cp.defaults():
         raise ConfigError(f"unknown config section [{cp.default_section}]")
     values: dict = {}
+    constants: dict = {}
     for section in cp.sections():
         if section not in _RUN_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         schema = _RUN_SCHEMA[section]
+        into, types = (constants, _SIM_TYPES) if section == "simulator" else (values, _RUN_TYPES)
         for key, raw in cp.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name = schema[key]
-            values[name] = _convert(_RUN_TYPES[name], raw, f"[{section}] {key}")
-    return RunConfig(**values)
+            into[schema[key]] = _convert(types[schema[key]], raw, f"[{section}] {key}")
+    return RunConfig(**values, simulator=_simulator(constants, "[simulator]"))
 
 
 def load_run_config(path) -> RunConfig:
-    """The run config file ``path``; a relative ``params_file`` is stored as
-    the absolute path it names from the working directory, so a stored run
-    names the same file wherever it is read back."""
-    cfg = parse_run_config(_read(path, "run config"))
-    if cfg.sim_params_file is None:
-        return cfg
-    return dataclasses.replace(cfg, sim_params_file=str(Path(cfg.sim_params_file).absolute()))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read run config {path}: {exc}") from exc
+    return parse_run_config(text)
 
 
 def read_stored_run(data) -> RunConfig:
     """A stored run, ``asdict(RunConfig)`` read back from JSON: every field
-    present, each with a value of its field's type (``_check``)."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"stored run must be an object, got {type(data).__name__}")
-    unknown, missing = sorted(set(data) - set(_RUN_TYPES)), sorted(set(_RUN_TYPES) - set(data))
-    if unknown or missing:
-        raise ConfigError(f"stored run: unknown keys {unknown}, missing keys {missing}")
-    return RunConfig(**{
-        name: _check(annotation, data[name], f"stored run: {name}")
-        for name, annotation in _RUN_TYPES.items()
-    })
+    present and no other, each with a value of its field's type
+    (``_check``), ``simulator`` as strictly as the run."""
+    return RunConfig(**_stored(data, _RUN_TYPES, "stored run"))
 
 
 def check_same_run(given: RunConfig, stored: RunConfig) -> None:
-    """Refuse ``given`` if a [task], [model] or [retention] field differs from
-    ``stored``, naming each; [recurrence] and [training] do not change a score."""
+    """Refuse ``given`` if a [task], [model], [retention] or [simulator]
+    setting differs from ``stored``, naming each; [recurrence] and
+    [training] do not change a score."""
+    compared = [(given, stored, _RUN_SCHEMA[s].values()) for s in ("task", "model", "retention")]
+    compared.append((given.simulator, stored.simulator, _SIM_TYPES))
     mismatched = [
-        f"{name} {getattr(given, name)!r} vs {getattr(stored, name)!r}"
-        for section in ("task", "model", "retention")
-        for name in _RUN_SCHEMA[section].values()
-        if getattr(given, name) != getattr(stored, name)
+        f"{name} {getattr(a, name)!r} vs {getattr(b, name)!r}"
+        for a, b, names in compared
+        for name in names
+        if getattr(a, name) != getattr(b, name)
     ]
     if mismatched:
         raise InvalidArgumentError(f"config differs from the stored run ({', '.join(mismatched)})")

@@ -16,7 +16,7 @@ class InvalidArgumentError(AstroseqError, ValueError):
 
 
 class ConfigError(AstroseqError, ValueError):
-    """A config or parameter file could not be parsed or validated."""
+    """A run config or stored run could not be parsed or validated."""
 
 
 class ShapeError(InvalidArgumentError):

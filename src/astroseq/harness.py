@@ -42,7 +42,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_file
 from .config import RunConfig, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
 from .model import ModelConfig, SegmentModel, stack_batches
-from .retention import RetentionSchedule, drive_patterns, retention_schedule, uniform_schedule
+from .retention import RetentionSchedule, retention_schedule, uniform_schedule
 from .seeding import STREAM_SHUFFLE, spawn
 from .trainer import (
     AdamW,
@@ -396,12 +396,13 @@ def bench_retention(cfg: RunConfig, segment_counts=(2, 4, 8, 16)) -> list[dict]:
     params, extras = cfg.sim_params()
     rows = []
     for n_segments in segment_counts:
-        timed = _best(lambda: retention_schedule(n_segments, params, extras), 1)
+        schedules = []
+        timed = _best(lambda: schedules.append(retention_schedule(n_segments, params, extras)), 1)
         rows.append(
             {
                 "n_segments": n_segments,
                 **_timing(timed),
-                "simulated_cycles": len(drive_patterns(n_segments, params, extras)[0]),
+                "simulated_cycles": schedules[0].source["patterns"],
             }
         )
     return rows

@@ -2,9 +2,10 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ import astroseq
 from astroseq import cli, harness, retention
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
-from astroseq.config import SIM_EXTRA_KEYS, load_run_config
-from astroseq.model import SegmentModel
+from astroseq.config import SIM_EXTRA_KEYS, load_run_config, read_stored_run
+from astroseq.model import MAX_AXIS, SegmentModel
+from astroseq.neuroglia import SimParams
 from conftest import write_raw_checkpoint
 
 
@@ -309,6 +311,7 @@ def train_tiny(tmp_path, extra=""):
 
 
 DERIVED = "\n[retention]\nmode = derived\nn_neurons = 2\ncycle_seconds = 4\n"
+SLOW_LTP = "\n[simulator]\ntau_ltp = 7.0\n"
 
 
 def test_eval_without_config_scores_the_stored_run(tmp_path, capsys):
@@ -335,6 +338,17 @@ def test_eval_config_with_other_retention_mode_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "retention_mode" in err
 
 
+def test_eval_config_with_other_simulator_constants_exits_2(tmp_path, capsys):
+    cfg, out = train_tiny(tmp_path, DERIVED + SLOW_LTP)
+    other = tmp_path / "other.ini"
+    other.write_text(cfg.read_text().replace("tau_ltp = 7.0", "tau_ltp = 8.0"))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(other), "--checkpoint", str(out / "model.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tau_ltp 8.0 vs 7.0" in err
+
+
 def test_eval_config_may_change_training_keys(tmp_path, capsys):
     cfg, out = train_tiny(tmp_path)
     other = tmp_path / "other.ini"
@@ -349,65 +363,64 @@ def test_eval_config_may_change_training_keys(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n_samples"] == 7
 
 
-def test_eval_elsewhere_reads_the_params_file_training_read(tmp_path, monkeypatch, capsys):
-    """A relative ``params_file`` is stored as the file training read, so an
-    eval run from another directory scores the run under the same schedule."""
-    train_dir, eval_dir = tmp_path / "a", tmp_path / "b"
-    train_dir.mkdir()
-    eval_dir.mkdir()
-    (train_dir / "sim.params").write_text("tau_ltp = 7.0\n")
-    # A file of the same name where eval runs must not be the one read.
-    (eval_dir / "sim.params").write_text("tau_ltp = 9.0\n")
-    monkeypatch.chdir(train_dir)
-    _, out = train_tiny(train_dir, DERIVED + "params_file = sim.params\n")
+def test_eval_elsewhere_scores_under_the_stored_constants(tmp_path, monkeypatch, capsys):
+    """The stored run carries the ``[simulator]`` constants, so eval of the
+    checkpoint alone, from another directory, derives training's factors."""
+    (tmp_path / "train").mkdir()
+    _, out = train_tiny(tmp_path / "train", DERIVED + SLOW_LTP)
     trained = json.loads((out / "run.json").read_text())
+    assert trained["config"]["simulator"]["tau_ltp"] == 7.0
+    # ...and they matter: the default constants derive other factors.
+    stored = read_stored_run(trained["config"])
+    default = harness.resolve_schedule(replace(stored, simulator=SimParams()))
+    assert trained["retention"]["factors"] != list(default.factors)
+    eval_dir = tmp_path / "eval"
+    eval_dir.mkdir()
+    (out / "model.ckpt").rename(eval_dir / "model.ckpt")
+    shutil.rmtree(tmp_path / "train")
     monkeypatch.chdir(eval_dir)
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(out / "model.ckpt")]) == 0
+    assert main(["eval", "--checkpoint", "model.ckpt"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["val_acc"] == trained["final"]["val_acc"]
+    assert record["retention"]["factors"] == trained["retention"]["factors"]
     assert record["retention"]["source"]["digest"] == trained["retention"]["source"]["digest"]
+    assert record["val_acc"] == trained["final"]["val_acc"]
+
+
+def test_eval_of_a_run_stored_with_a_simulator_file_exits_2(tmp_path, capsys):
+    """A run block of the shape stored before ``[simulator]`` (a
+    ``sim_params_file`` and no ``simulator``) is refused with one line,
+    before ``--out-dir`` is made."""
+    _, run, arrays = tiny_checkpoint_inputs(tmp_path)
+    del run["simulator"]
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, {"run": {**run, "sim_params_file": None}, "seed": 0}, arrays)
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "['sim_params_file']" in captured.err and "['simulator']" in captured.err
 
 
 def test_stored_config_names_the_experiment_the_schedule_ran(tmp_path, capsys):
-    """A simulator file sets constants only, so ``run.json``'s config and its
-    schedule's ``source`` agree on the six experiment keys; a file that also
-    sets one makes ``train`` exit 2 before ``--out-dir`` is made."""
-    sim_file = tmp_path / "sim.params"
-    sim_file.write_text("tau_ltp = 7.0\n")
-    cfg, out = train_tiny(tmp_path, DERIVED + f"params_file = {sim_file}\n")
+    """``[simulator]`` sets constants only, so ``run.json``'s config and its
+    schedule's ``source`` agree on the six experiment keys; a section that
+    also sets one makes ``train`` exit 2 before ``--out-dir`` is made."""
+    cfg, out = train_tiny(tmp_path, DERIVED + SLOW_LTP)
     run = json.loads((out / "run.json").read_text())
     source = run["retention"]["source"]
     assert {key: run["config"][name] for key, name in SIM_EXTRA_KEYS.items()} == {
         key: source[key] for key in SIM_EXTRA_KEYS
     }
-    sim_file.write_text("tau_ltp = 7.0\nn_neurons = 2\n")
+    cfg.write_text(cfg.read_text() + "n_neurons = 2\n")
     refused = tmp_path / "refused"
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--out-dir", str(refused)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "'n_neurons'" in captured.err
+    assert "'n_neurons' in section [simulator]" in captured.err
     assert not refused.exists()
-
-
-def test_eval_with_deleted_params_file_exits_2_before_making_out_dir(
-    tmp_path, monkeypatch, capsys
-):
-    """Eval reads the checkpoint and the stored run's simulator file before
-    it makes ``--out-dir``, so a refused run leaves no directory behind."""
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sim.params").write_text("tau_ltp = 7.0\n")
-    _, out = train_tiny(tmp_path, DERIVED + "params_file = sim.params\n")
-    (tmp_path / "sim.params").unlink()
-    capsys.readouterr()
-    eval_dir = tmp_path / "evout"
-    code = main(["eval", "--checkpoint", str(out / "model.ckpt"), "--out-dir", str(eval_dir)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.count("error:") == 1 and err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
-    assert not eval_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -432,13 +445,11 @@ def test_simulate_and_retention_share_initial_state(tmp_path, monkeypatch, capsy
         return original(*args, initial=initial, **kwargs)
 
     monkeypatch.setattr(retention, "run_stp_cycles", spy)
-    sim_file = tmp_path / "sim.params"
-    sim_file.write_text("dt = 0.02\n")
     digests = []
     for init_stp, n_neurons, extra in (
         (0.2, 2, "init_stp = 0.2\n"),
         (0.0, 2, "init_stp = 0.0\n"),
-        (0.0, 2, f"init_stp = 0.0\nparams_file = {sim_file}\n"),
+        (0.0, 2, "init_stp = 0.0\n[simulator]\ndt = 0.02\n"),
     ):
         cfg = write_tiny_config(
             tmp_path,
@@ -525,6 +536,25 @@ def test_bench_size_too_large_to_build_exits_2(size):
     assert "--sizes" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "key, command", [("batch_size", "bench"), ("train_samples", "train"), ("val_samples", "train")]
+)
+def test_sample_count_past_max_axis_exits_2(tmp_path, capsys, key, command):
+    """A sample count past ``model.MAX_AXIS`` is refused as the config is
+    read, with one line naming it, before ``--out-dir`` is made or any
+    sample is drawn."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[training]\n{key} = {MAX_AXIS + 1}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: {key} = {MAX_AXIS + 1} is too large: a split or batch holds at most "
+        f"{MAX_AXIS} samples\n"
+    )
+
+
 def test_listops_depth_past_the_generator_bound_exits_2(tmp_path):
     """A ListOps depth the expression generator cannot recurse to is refused
     with one line, before any draw and before ``--out-dir`` is made, in its
@@ -598,13 +628,11 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     "line", ["act_ltp = sigmoid", "kappa = sigmoid", "tau_n = 0.5", "init_stp = 0.1"]
 )
 def test_removed_nonlinearity_key_exits_2(tmp_path, capsys, line):
-    """A parameter file takes only ``SimParams`` field names: one that still
+    """``[simulator]`` takes only ``SimParams`` field names: one that still
     names a nonlinearity (now fixed), a field's old alias or an experiment
     key (set in ``[retention]`` only) is refused with one line, before
     ``--out-dir`` is made."""
-    sim_file = tmp_path / "sim.params"
-    sim_file.write_text(line + "\n")
-    cfg = write_tiny_config(tmp_path, DERIVED + f"params_file = {sim_file}\n")
+    cfg = write_tiny_config(tmp_path, DERIVED + f"\n[simulator]\n{line}\n")
     out = tmp_path / "out"
     assert main(["retention", "--config", str(cfg), "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Config parsing: simulator parameter files and INI run configs."""
+"""Config parsing: INI run configs and their ``[simulator]`` constants."""
 
 import configparser
 import dataclasses
@@ -11,9 +11,8 @@ from astroseq.config import (
     _RUN_SCHEMA,
     RunConfig,
     load_run_config,
-    load_sim_params,
     parse_run_config,
-    parse_sim_params,
+    read_stored_run,
 )
 from astroseq.errors import ConfigError
 from astroseq.neuroglia import SimParams
@@ -23,41 +22,43 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # ---------------------------------------------------------------------------
-# simulator parameter files
+# [simulator]
+
+
+def simulator(text):
+    return parse_run_config("[simulator]\n" + text).simulator
 
 
 def test_sim_params_rejects_duplicate_keys():
-    with pytest.raises(ConfigError, match="duplicate key 'tau_mem'"):
-        parse_sim_params("tau_mem = 0.5\ntau_mem = 0.6\n")
+    with pytest.raises(ConfigError, match="'tau_mem'"):
+        simulator("tau_mem = 0.5\ntau_mem = 0.6\n")
 
 
 def test_sim_params_rejects_unknown_keys_and_bad_values():
+    with pytest.raises(ConfigError, match=r"unknown key 'tau_q' in section \[simulator\]"):
+        simulator("tau_q = 1.0\n")
+    with pytest.raises(ConfigError, match=r"\[simulator\] tau_mem = 'fast' is not a valid float"):
+        simulator("tau_mem = fast\n")
     with pytest.raises(ConfigError):
-        parse_sim_params("tau_q = 1.0\n")
-    with pytest.raises(ConfigError):
-        parse_sim_params("tau_mem = fast\n")
-    with pytest.raises(ConfigError):
-        parse_sim_params("just a line\n")
+        simulator("just a line\n")
 
 
 def test_sim_params_validation_errors_become_config_errors():
-    with pytest.raises(ConfigError):
-        parse_sim_params("dt = -0.1\n")
-    with pytest.raises(ConfigError):
-        parse_sim_params("tau_ltp = 0.5\n")  # not above tau_stp
+    with pytest.raises(ConfigError, match=r"\[simulator\]: dt must be positive"):
+        simulator("dt = -0.1\n")
+    with pytest.raises(ConfigError, match="slow astrocyte timescale"):
+        simulator("tau_ltp = 0.5\n")  # not above tau_stp
 
 
 def test_sim_params_file_parses_to_values():
-    text = "tau_mem = 0.7\nleak = 0.3\n"
-    assert parse_sim_params(text) == SimParams(tau_mem=0.7, leak=0.3)
+    assert simulator("tau_mem = 0.7\nleak = 0.3\n") == SimParams(tau_mem=0.7, leak=0.3)
+    assert parse_run_config("").simulator == SimParams()
 
 
 def test_load_sim_params_from_file(tmp_path):
-    path = tmp_path / "sim.params"
-    path.write_text("tau_mem = 0.5\ndt = 0.02\n")
-    assert load_sim_params(path) == SimParams(tau_mem=0.5, dt=0.02)
-    with pytest.raises(ConfigError):
-        load_sim_params(tmp_path / "missing.params")
+    path = tmp_path / "run.ini"
+    path.write_text("[simulator]\ntau_mem = 0.5\ndt = 0.02\n")
+    assert load_run_config(path).simulator == SimParams(tau_mem=0.5, dt=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,9 @@ grad_clip = none
 
 [retention]
 mode = derived
-params_file = none
+
+[simulator]
+tau_ltp = 7.0
 """
     assert parse_run_config(text) == RunConfig(
         task="kv_retrieval",
@@ -101,7 +104,7 @@ params_file = none
         loss_mode="per_segment",
         retention_mode="derived",
         grad_clip=None,
-        sim_params_file=None,
+        simulator=SimParams(tau_ltp=7.0),
     )
 
 
@@ -129,6 +132,9 @@ def test_run_config_rejects_unknown_sections_keys_and_values():
         parse_run_config("[optimizer]\nlr = 1\n")
     with pytest.raises(ConfigError):
         parse_run_config("[training]\nmomentum = 0.9\n")
+    # Constants are set in [simulator]; no key names a file of them.
+    with pytest.raises(ConfigError, match=r"unknown key 'params_file' in section \[retention\]"):
+        parse_run_config("[retention]\nparams_file = sim.params\n")
     with pytest.raises(ConfigError):
         parse_run_config("[training]\nepochs = soon\n")
     with pytest.raises(ConfigError):
@@ -162,17 +168,20 @@ def test_readme_example_parses_and_sets_every_key():
     assert {s: set(cp[s]) for s in cp.sections()} == {
         s: set(keys) for s, keys in _RUN_SCHEMA.items()
     }
-    # ...and the schema names every RunConfig field once.
-    fields = [name for keys in _RUN_SCHEMA.values() for name in keys.values()]
-    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    # ...and the schema names every RunConfig field once, [simulator] every
+    # SimParams field.
+    fields = [name for s, keys in _RUN_SCHEMA.items() if s != "simulator" for name in keys.values()]
+    assert sorted([*fields, "simulator"]) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert list(_RUN_SCHEMA["simulator"].values()) == [f.name for f in dataclasses.fields(SimParams)]
 
 
-def test_readme_simulator_file_sets_every_constant_once():
-    """The README's simulator file parses and sets each ``SimParams`` field
+def test_readme_simulator_section_sets_every_constant_once():
+    """The README's ``[simulator]`` section sets each ``SimParams`` field
     once, to its default."""
-    block = re.search(r"```conf\n(.*?)```", README.read_text(), re.S).group(1)
-    assert parse_sim_params(block) == SimParams()
-    keys = [line.split("=")[0].strip() for line in block.splitlines()]
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    assert parse_run_config(block).simulator == SimParams()
+    section = block.split("[simulator]\n", 1)[1]
+    keys = [line.split("=")[0].strip() for line in section.splitlines() if "=" in line]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SimParams))
 
 
@@ -189,15 +198,13 @@ def test_run_config_builds_task_and_model():
     assert mc.n_segments == 8
 
 
-def test_run_config_sim_params_defaults_and_file(tmp_path):
+def test_run_config_sim_params_defaults_and_file():
     cfg = RunConfig()
     params, extras = cfg.sim_params()
     assert params == SimParams()
     assert extras["n_neurons"] == cfg.n_neurons
 
-    sim_file = tmp_path / "sim.params"
-    sim_file.write_text("tau_mem = 0.45\n")
-    cfg2 = RunConfig(n_neurons=7, sim_params_file=str(sim_file))
+    cfg2 = parse_run_config("[retention]\nn_neurons = 7\n[simulator]\ntau_mem = 0.45\n")
     params2, extras2 = cfg2.sim_params()
     assert params2 == SimParams(tau_mem=0.45)
     assert extras2["n_neurons"] == 7
@@ -223,7 +230,25 @@ def test_run_config_rejects_non_finite_floats(section, key, value):
 @pytest.mark.parametrize("line", ["tau_mem = nan", "tau_ltp = inf"])
 def test_sim_params_reject_non_finite_floats(line):
     with pytest.raises(ConfigError, match="not finite"):
-        parse_sim_params(line + "\n")
+        simulator(line + "\n")
+
+
+@pytest.mark.parametrize(
+    "simulator, named",
+    [
+        (None, "simulator must be an object"),
+        ({"tau_ltp": 7.0}, "missing keys ['bias',"),
+        ({**dataclasses.asdict(SimParams()), "kappa": 1.0}, "unknown keys ['kappa']"),
+        ({**dataclasses.asdict(SimParams()), "dt": "0.04"}, "dt = '0.04' is not a valid float"),
+        ({**dataclasses.asdict(SimParams()), "tau_ltp": 0.5}, "slow astrocyte timescale"),
+    ],
+    ids=["null", "missing", "unknown", "mistyped", "invalid"],
+)
+def test_stored_simulator_is_read_as_strictly_as_the_run(simulator, named):
+    stored = {**dataclasses.asdict(RunConfig()), "simulator": simulator}
+    with pytest.raises(ConfigError, match=r"^stored run: simulator") as caught:
+        read_stored_run(stored)
+    assert named in str(caught.value)
 
 
 def test_load_run_config_missing_file(tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests for simulator parameter files, which parse as expected or
-raise ConfigError, and for stored runs, which read back or make eval exit 2."""
+"""Property tests for a run config's ``[simulator]`` section, which parses
+as expected or raises ConfigError, and for stored runs, which read back or
+make eval exit 2."""
 
 import contextlib
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from astroseq.checkpoint import save_checkpoint
 from astroseq.cli import main
-from astroseq.config import RunConfig, parse_sim_params, read_stored_run
+from astroseq.config import RunConfig, parse_run_config, read_stored_run
 from astroseq.errors import ConfigError, InvalidArgumentError
 from astroseq.neuroglia import SimParams
 
@@ -21,8 +22,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 FIELDS = [f.name for f in dataclasses.fields(SimParams)]
-# Names a simulator file no longer takes: the compact aliases of SimParams
-# fields, and the experiment keys, which only [retention] sets.
+# Names [simulator] does not take: the compact aliases earlier simulator
+# files took for SimParams fields, and the experiment keys, which only
+# [retention] sets.
 REMOVED = [
     "tau_n", "tau_s", "tau_p_s", "tau_p_l", "lambda", "beta", "gamma_s", "gamma_l", "b", "c", "d",
     "n_neurons", "spacing", "scale", "cycle_seconds", "drive_hz", "init_stp",
@@ -33,8 +35,8 @@ ANY_VALUE = st.one_of(
     st.floats(-1.0, 10.0).map(repr),
     st.integers(-2, 9).map(str),
     st.sampled_from(["nan", "-inf", "Infinity", "1e999", "none", ""]),
-    # Garbage: printable ASCII without the comment character.
-    st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"), max_size=6),
+    # Garbage: printable ASCII.
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
 )
 
 
@@ -66,14 +68,14 @@ def expected(lines):
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
 @hypothesis.given(lines=st.lists(st.sampled_from(KEYS).flatmap(line), max_size=6))
-def test_sim_params_file_parses_as_expected_or_raises_config_error(lines):
-    text = "".join(f"{key} = {value}\n" for key, value in lines)
+def test_simulator_section_parses_as_expected_or_raises_config_error(lines):
+    text = "[simulator]\n" + "".join(f"{key} = {value}\n" for key, value in lines)
     want = expected(lines)
     if want is None:
         with pytest.raises(ConfigError):
-            parse_sim_params(text)
+            parse_run_config(text)
         return
-    assert parse_sim_params(text) == want
+    assert parse_run_config(text) == RunConfig(simulator=want)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +90,19 @@ CHOICES = {
 }
 
 
+# Inside every range SimParams checks: dt below every time constant, tau_ltp
+# above tau_stp, v_th above v_reset.
+SIMULATORS = st.builds(
+    SimParams, tau_ltp=st.floats(1.5, 20.0), leak=st.floats(0.0, 1.0), bias=st.floats(-1.0, 1.0)
+)
+
+
 def well_typed(name):
     annotation = RUN_TYPES[name]
     kind = annotation.removesuffix(" | None")
-    if name in CHOICES:
+    if annotation == "SimParams":
+        value = SIMULATORS
+    elif name in CHOICES:
         value = st.sampled_from(CHOICES[name])
     elif kind == "int":
         value = st.integers(1, 64)
@@ -102,9 +113,10 @@ def well_typed(name):
     return value | st.none() if kind != annotation else value
 
 
-def mistyped(name):
+def mistyped(annotation):
     """JSON values that a field of this annotation must refuse."""
-    annotation = RUN_TYPES[name]
+    if annotation == "SimParams":
+        return bad_simulator()
     kind = annotation.removesuffix(" | None")
     bad = [st.booleans()]
     if kind == "int":
@@ -120,8 +132,21 @@ def mistyped(name):
 
 RUNS = st.builds(RunConfig, **{name: well_typed(name) for name in RUN_TYPES})
 UNKNOWN_KEYS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10).filter(
-    lambda key: key not in RUN_TYPES
+    lambda key: key not in RUN_TYPES and key not in FIELDS
 )
+
+
+def bad_simulator():
+    """A stored ``simulator`` to refuse: no object, or an object with one
+    constant mistyped, missing or added."""
+    base = dataclasses.asdict(SimParams())
+    names = st.sampled_from(FIELDS)
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=4), st.lists(st.none()),
+        st.tuples(names, mistyped("float")).map(lambda kv: {**base, kv[0]: kv[1]}),
+        names.map(lambda key: {k: v for k, v in base.items() if k != key}),
+        UNKNOWN_KEYS.map(lambda key: {**base, key: 1.0}),
+    )
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
@@ -140,8 +165,8 @@ def test_stored_run_reads_back_and_a_mistyped_one_makes_eval_exit_2(run, data):
         named = repr(field)
     else:
         field = data.draw(st.sampled_from(sorted(RUN_TYPES)), label="field")
-        stored[field] = data.draw(mistyped(field), label="value")
-        named = f"stored run: {field} ="
+        stored[field] = data.draw(mistyped(RUN_TYPES[field]), label="value")
+        named = f"stored run: {field}" + ("" if field == "simulator" else " =")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"

@@ -167,9 +167,9 @@ def test_digest_separates_distinct_macros():
     assert len(set(digests.values())) == len(digests), digests
 
 
-def test_source_records_the_experiment_as_given(tmp_path):
+def test_source_records_the_experiment_as_given():
     """``source`` holds kind, digest, dt, the decay, gains and pattern count
-    and all six experiment keys; a simulator file changes the constants and
+    and all six experiment keys; ``[simulator]`` changes the constants and
     leaves the experiment keys the config's."""
     keys = {"kind", "digest", "dt", "decay", "gains", "patterns", *SIM_EXTRA_KEYS}
     cfg = RunConfig(
@@ -180,9 +180,7 @@ def test_source_records_the_experiment_as_given(tmp_path):
     assert source["kind"] == "derived"
     assert source["spacing"] == 1.5
     assert source["dt"] == ng.SimParams().dt
-    sim_file = tmp_path / "sim.params"
-    sim_file.write_text("dt = 0.02\n")
-    source = resolve_schedule(dataclasses.replace(cfg, sim_params_file=str(sim_file))).source
+    source = resolve_schedule(dataclasses.replace(cfg, simulator=ng.SimParams(dt=0.02))).source
     assert set(source) == keys
     assert (source["spacing"], source["dt"]) == (1.5, 0.02)
     assert (source["n_neurons"], source["cycle_seconds"]) == (2, 4.0)
