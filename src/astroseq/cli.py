@@ -49,7 +49,8 @@ from .harness import (
     train_run,
 )
 from .model import MAX_AXIS
-from .retention import ltp_levels, simulate_cycles
+from .neuroglia import MAX_STEPS, steps_per_cycle
+from .retention import check_experiment, ltp_levels, simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
 
 EXIT_OK = 0
@@ -113,12 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The run ``--config`` describes (the defaults if none), refused here,
-    before any ``--out-dir`` is made, unless it parses (its ``[simulator]``
-    constants included) and its task and its model build."""
+    """The run ``--config`` describes (the defaults if none).  Before any
+    ``--out-dir`` is made, it refuses a file that does not parse (its
+    ``[simulator]`` constants and sample counts included), a task or model
+    that does not build, and an experiment key the simulator would refuse,
+    whatever the retention mode, since ``simulate`` reads them under
+    ``uniform`` too."""
     cfg = RunConfig() if args.config is None else load_run_config(args.config)
     spec = cfg.build_task().spec
     cfg.model_config(spec.vocab_size, spec.n_classes)
+    check_experiment(*cfg.sim_params())
     return cfg
 
 
@@ -158,9 +163,17 @@ def _emit(payload: dict, out_dir: Path | None, filename: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out_dir = _out_dir(args)
     params, extras = cfg.sim_params()
-    n_cycles = args.cycles if args.cycles is not None else cfg.n_segments
+    n_cycles, named = (
+        (cfg.n_segments, "n_segments") if args.cycles is None else (args.cycles, "--cycles")
+    )
+    if n_cycles < 1:
+        raise InvalidArgumentError(f"{named} must be at least 1, got {n_cycles}")
+    if n_cycles * steps_per_cycle(extras["cycle_seconds"], params.dt) >= MAX_STEPS:
+        raise InvalidArgumentError(
+            f"{named} = {n_cycles}: the run passes step 2**53 of dt {params.dt}: too many cycles"
+        )
+    out_dir = _out_dir(args)
     trace = simulate_cycles(n_cycles, params, extras)
     boundaries = {
         "cycle_ends": [int(i) for i in trace.cycle_ends],
@@ -248,7 +261,6 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    out_dir = _out_dir(args)
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     except ValueError as exc:
@@ -261,6 +273,7 @@ def cmd_bench(args) -> int:
         )
     if args.repeats < 1:
         raise InvalidArgumentError(f"--repeats must be positive, got {args.repeats}")
+    out_dir = _out_dir(args)
     payload = {
         "schema": BENCH_SCHEMA,
         "attention": bench_attention(sizes=sizes, repeats=args.repeats, seed=args.seed),

@@ -108,9 +108,8 @@ class SimParams:
 MAX_SYNAPSES = 2**28
 
 
-def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
-    """The (n^2, n^2) distances between synapse midpoints, with neurons at
-    0, spacing, 2*spacing, ...; synapse (i, j) is row-major entry i*n + j."""
+def check_neurons(n_neurons: int) -> None:
+    """A network of n_neurons**2 synapses, 1 to ``MAX_SYNAPSES``."""
     if n_neurons < 1:
         raise InvalidArgumentError("n_neurons must be at least 1")
     if n_neurons * n_neurons > MAX_SYNAPSES:
@@ -118,8 +117,25 @@ def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
             f"n_neurons = {n_neurons} is too large: a network holds at most "
             f"{MAX_SYNAPSES} synapses (n_neurons**2)"
         )
+
+
+def check_spacing(spacing: float) -> None:
+    """Neurons a positive distance apart."""
     if spacing <= 0:
         raise InvalidArgumentError("spacing must be positive")
+
+
+def check_scale(scale: float) -> None:
+    """A coupling that does not grow with distance."""
+    if scale < 0:
+        raise InvalidArgumentError("coupling scale must be non-negative")
+
+
+def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
+    """The (n^2, n^2) distances between synapse midpoints, with neurons at
+    0, spacing, 2*spacing, ...; synapse (i, j) is row-major entry i*n + j."""
+    check_neurons(n_neurons)
+    check_spacing(spacing)
     positions = np.arange(n_neurons, dtype=np.float64) * spacing
     midpoints = 0.5 * (positions[:, None] + positions[None, :])
     flat = midpoints.ravel()
@@ -129,8 +145,7 @@ def build_geometry(n_neurons: int, spacing: float = 1.0) -> np.ndarray:
 def coupling_tensor(distances: np.ndarray, scale: float) -> np.ndarray:
     """exp(-distance * scale) influence weights between the synapse pairs of
     a ``build_geometry`` distance matrix."""
-    if scale < 0:
-        raise InvalidArgumentError("coupling scale must be non-negative")
+    check_scale(scale)
     return np.exp(-distances * scale)
 
 

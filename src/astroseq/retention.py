@@ -56,6 +56,9 @@ from .neuroglia import (
     SimState,
     SimTrace,
     build_geometry,
+    check_neurons,
+    check_scale,
+    check_spacing,
     coupling_tensor,
     initial_state,
     run_stp_cycles,
@@ -133,6 +136,24 @@ def ltp_increments(trace: SimTrace, n_segments: int) -> np.ndarray:
             f"trace has {len(trace.cycle_ends)} cycles, need {n_segments}"
         )
     return np.diff(ltp_levels(trace)[: n_segments + 1])
+
+
+def check_experiment(params: SimParams, extras: dict) -> None:
+    """Refuse, naming its ``[retention]`` key, an experiment key that
+    ``simulate_cycles`` or ``retention_schedule`` would refuse, without
+    building anything for it.  ``init_stp`` takes any finite level."""
+    checks = {
+        "n_neurons": check_neurons,
+        "spacing": check_spacing,
+        "scale": check_scale,
+        "drive_hz": DriveSpec,
+        "cycle_seconds": lambda seconds: steps_per_cycle(seconds, params.dt),
+    }
+    for key, check in checks.items():
+        try:
+            check(extras[key])
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"[retention] {key}: {exc}") from exc
 
 
 def _experiment(params: SimParams, extras: dict) -> tuple[np.ndarray, SimState, DriveSpec]:

@@ -5,13 +5,14 @@ runs a single reverse sweep: exact gradients, activation storage growing
 with the number of segments.
 
 ``amrb_rollout`` computes the same gradients with bounded storage.  A
-tape-free forward keeps only the memory matrix entering each segment (the
-replay buffer).  Walking segments last to first, it replays one segment on
-a fresh tape with the buffered memory as a detached leaf, and makes one
-reverse sweep from up to two roots: that segment's loss, if it has one,
-and the replayed memory output seeded with the gradient flowing in from
-the *later* segment.  The gradient reaching the memory leaf becomes the
-injection for the segment before it.
+tape-free forward keeps only the memories that cross a segment boundary,
+those entering segments 2..T (the replay buffer).  Walking segments last
+to first, it replays one segment on a fresh tape with the buffered memory
+as a detached leaf (segment 1 from the model's memory seed itself), and
+makes one reverse sweep from up to two roots: that segment's loss, if it
+has one, and the replayed memory output seeded with the gradient flowing
+in from the *later* segment.  The gradient reaching the memory leaf
+becomes the injection for the segment before it.
 
 Both take a stack of B sequences (``SegmentBatch``; one sample is a
 stack of one).  A stack's loss is the sum of its samples' losses, so its
@@ -25,10 +26,10 @@ no segment tape rebuilds R or applies phi to it.
 
 Replay's forward and each replayed segment, like BPTT's forward, walk
 ``SegmentModel.segments``, which applies the retention factor.  The
-parameters are the autodiff leaves, so both rollouts add each gradient
-straight into ``model.params[...].grad``.  Replay visits the
-operations in the order the single BPTT sweep does, so the two give the
-same gradients bit for bit.
+parameters are the autodiff leaves, so both rollouts add each gradient,
+the memory seed's included, straight into the parameter's ``grad``.
+Replay visits the operations in the order the single BPTT sweep does, so
+the two give the same gradients bit for bit.
 
 Both take their loss from ``classification_loss``.  Replay runs the
 token rows only where the loss reads them: its tape-free forward never
@@ -48,12 +49,15 @@ Per-rollout reports count float64 activation storage: what the forward
 retains for backward (tape contents for BPTT, the replay buffer for
 AMRB), and the peak alive during the backward phase (retained storage
 plus transient gradient matrices; for AMRB, the buffer plus one segment's
-tape; for both, the step's P build and P's gradient).  Parameter values,
-their gradient accumulators, and optimizer moments are identical between
-the two algorithms and are not counted.  The counts hold recorded values
-(``Tape.stored_floats``); they leave out inputs, leaves and constants, of
-which the n x n decay profile of each layer's R build is the largest, and
-per-row statistics, so a rollout's real peak sits somewhat above them.
+tape).  Both add the step's P build and P's gradient, the one term they
+share; every other counted float belongs to one sample of the stack, so
+a backward peak is that term plus B times a per-sample part.  Parameter
+values, their gradient accumulators, and optimizer moments are identical
+between the two algorithms and are not counted.  The counts hold
+recorded values (``Tape.stored_floats``); they leave out inputs, leaves
+and constants, of which the n x n decay profile of each layer's R build
+is the largest, and per-row statistics, so a rollout's real peak sits
+somewhat above them.
 """
 
 from __future__ import annotations
@@ -178,18 +182,18 @@ def amrb_rollout(
     own_step, step = step is None, step or PositionalStep(model)
     walk = partial(model.segments, batch, schedule, step.leaves, drop_seed)
 
-    # Forward, tape-free: remember only what enters each segment.
-    replay = [model.params["mem_init"].value.copy()]
-    replay += [mem.value for _, _, mem in islice(walk(tokens_from=T + 1), T - 1)]
+    # Forward, tape-free: remember only the memories leaving segments 1..T-1.
+    replay = [mem.value for _, _, mem in islice(walk(tokens_from=T + 1), T - 1)]
     replay_floats = sum(mem.size for mem in replay)
 
-    # Backward, last segment first, one tape per segment.
+    # Backward, last segment first, one tape per segment; segment 1 walks
+    # from the memory seed itself.
     seg_losses = [0.0] * T
     grad_mem_next: np.ndarray | None = None
     backward_peak = 0
     for t in range(T, 0, -1):
         with ad.Tape() as tape:
-            mem_in = ad.leaf(replay[t - 1])
+            mem_in = ad.leaf(replay[t - 2]) if t > 1 else None
             _, out, mem_scaled = next(walk(start=t, memory=mem_in, tokens_from=loss_fn.tokens_from))
             loss_node = loss_fn(t, out, mem_scaled)
         roots = []
@@ -199,10 +203,9 @@ def amrb_rollout(
         if grad_mem_next is not None and grad_mem_next.size > 0:
             roots.append((mem_scaled, grad_mem_next))
         pending_peak = ad.backward(*roots[0], more=roots[1:]) if roots else 0
-        grad_mem_next = mem_in.grad
+        grad_mem_next = None if mem_in is None else mem_in.grad
         backward_peak = max(backward_peak, replay_floats + tape.stored_floats + pending_peak)
 
-    model.params["mem_init"].grad[...] += grad_mem_next
     if own_step:
         step.backward()
     return GradReport(

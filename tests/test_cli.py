@@ -95,11 +95,24 @@ def test_unknown_task_exits_2(tmp_path, capsys, command):
         pytest.param("[model]\nd_model = -5\n", "d_model", id="d_model_-5"),
         pytest.param("[model]\ndropout = 3\n", "dropout", id="dropout_3"),
         pytest.param("[task]\nseg_len = 0\n", "copy task", id="seg_len_0"),
+        *(
+            pytest.param(f"[retention]\nmode = derived\n{key} = {value}\n", key,
+                         id=f"{key}_{value}")
+            for key, value in [
+                ("n_neurons", 0), ("spacing", 0), ("scale", -1), ("drive_hz", -1),
+                ("cycle_seconds", 0.03),
+            ]
+        ),
+        pytest.param("[retention]\nmode = uniform\nn_neurons = 0\n", "n_neurons",
+                     id="uniform_n_neurons_0"),
     ],
 )
 def test_every_command_refuses_what_train_refuses(tmp_path, capsys, text, named, command):
-    """A config whose task or model cannot be built exits 2 with one error
-    line, before any ``--out-dir`` is made, whatever the command."""
+    """A config whose task or model cannot be built, or whose experiment
+    the simulator would refuse (0.03 s is no multiple of the 0.04 s step),
+    exits 2 with one error line, before any ``--out-dir`` is made or any
+    network is built, whatever the command and the retention mode, since
+    ``simulate`` reads the experiment under ``uniform`` too."""
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "out"
@@ -722,11 +735,21 @@ def test_bench_bad_sizes_exits_2(tmp_path, capsys):
         ["gradcheck", "--tolerance=-1e-8"],
         ["gradcheck", "--tolerance=nan"],
         ["gradcheck", "--tolerance=inf"],
+        ["simulate", "--cycles=0"],
+        ["simulate", f"--cycles={10**20}"],
+        ["bench", "--repeats=0"],
+        ["bench", "--sizes=0"],
     ],
 )
-def test_out_of_range_option_exits_2(argv, capsys):
-    assert main(argv) == 2
-    assert argv[-1].split("=")[0] in capsys.readouterr().err
+def test_out_of_range_option_exits_2(tmp_path, argv, capsys):
+    """An option out of range is refused with one line naming it, before
+    ``--out-dir`` is made."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert argv[-1].split("=")[0] in captured.err
 
 
 @pytest.mark.parametrize(

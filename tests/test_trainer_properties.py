@@ -1,14 +1,15 @@
 """Properties of the rollouts over random small runs: replay and full
 backprop agree bit for bit on stacks of 1 to 3, a stack's gradients are
-the sum of its samples' one-sample rollouts, and prediction scores the
-logits both rollouts train on."""
+the sum of its samples' one-sample rollouts, each counted peak is a
+shared term plus one part per sample, and prediction scores the logits
+both rollouts train on."""
 
 import numpy as np
 import pytest
 
 from astroseq.model import ModelConfig, SegmentModel, split_segments, stack_batches
 from astroseq.retention import RetentionSchedule
-from astroseq.trainer import amrb_rollout, bptt_rollout, classification_loss
+from astroseq.trainer import PositionalStep, amrb_rollout, bptt_rollout, classification_loss
 
 from conftest import rel_err
 from test_model import scored_logits
@@ -103,6 +104,33 @@ def test_stacked_rollout_equals_the_sum_of_single_rollouts(
     summed = np.sum([r.seg_losses for r in singles], axis=0)
     assert rel_err(report.seg_losses, summed) <= 1e-12
     assert B > 1 or report.seg_losses == singles[0].seg_losses
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
+@hypothesis.given(B=st.integers(1, 3), data=st.data(), **{**CONFIGS, "T": st.integers(1, 5)})
+def test_counted_peaks_are_the_step_term_plus_one_part_per_sample(
+    n_heads, n_layers, mem_tokens, T, seg_len, dropout, mode, B, data
+):
+    """Replay's buffer, its whole forward peak, holds the T - 1 memories
+    that cross a segment boundary, and under either rollout the backward
+    peak past the positional step's floats holds one equal part per
+    stacked sample: a stack of two counts twice a stack of one."""
+    model, samples, schedule, drop_seeds = _draw_run(
+        data, n_heads, n_layers, mem_tokens, T, seg_len, dropout, max(B, 2)
+    )
+
+    def rollout_of(rollout, n):
+        stack = stack_batches(samples[:n])
+        seeds = None if drop_seeds is None else drop_seeds[:n]
+        return rollout(model, stack, schedule, classification_loss(model, stack, mode), seeds)
+
+    report = rollout_of(amrb_rollout, B)
+    boundaries = (T - 1) * B * mem_tokens * model.config.d_model
+    assert report.forward_peak == report.replay_floats == boundaries
+    shared = PositionalStep(model).floats
+    for rollout in (amrb_rollout, bptt_rollout):
+        one, two = (rollout_of(rollout, n).backward_peak - shared for n in (1, 2))
+        assert two == 2 * one, rollout.__name__
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
