@@ -1,16 +1,27 @@
-"""Single-file binary checkpoints: a versioned header, a config block as
-embedded JSON, and every parameter as name + shape + row-major float64.
+"""Single-file checkpoints: a zip of ``.npy`` members (NEP 1), which
+``numpy.load`` opens.
 
-Layout (all integers little-endian):
+Layout: a zip archive whose members are all stored uncompressed and dated
+1980-01-01, so equal contents give equal bytes:
 
-    8 bytes   magic ``ASEQCKPT``
-    uint32    format version (currently 1)
-    uint64    config JSON byte length, then that many UTF-8 bytes
-    uint32    parameter count, then per parameter:
-        uint32  name byte length, then that many UTF-8 bytes
-        uint64  rows
-        uint64  cols
-        rows * cols float64 values
+    config.json    the config block, as JSON with sorted keys
+    <name>.npy     one per parameter, in sorted name order, each a
+                   row-major 2-D float64 array
+
+The reader refuses, as a ``ConfigError`` of one line:
+
+* the ``ASEQCKPT`` layout of earlier versions, whose models must be
+  retrained;
+* bytes that do not start with a zip local file header, or do not end
+  with the end-of-central-directory record and an empty comment, so no
+  bytes may come before or after the archive;
+* a central directory that lists other than the end record's member
+  count, a name held twice, no ``config.json``, a member that is neither
+  it nor a ``.npy``, or one that is compressed or encrypted, so no
+  decompressor ever runs;
+* a member whose CRC-32 fails (each is read whole, and checked, before it
+  is parsed), a config block that is not JSON, and an array that needs
+  unpickling or is not 2-D float64.
 
 Every artifact a command writes, checkpoints included, goes through
 ``write_file``.
@@ -18,16 +29,16 @@ Every artifact a command writes, checkpoints included, goes through
 
 from __future__ import annotations
 
+import io
 import json
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 
-MAGIC = b"ASEQCKPT"
-VERSION = 1
+CONFIG = "config.json"
 
 
 def write_file(path, data: bytes) -> None:
@@ -47,72 +58,54 @@ def write_file(path, data: bytes) -> None:
 
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write config and named parameter arrays to ``path`` atomically."""
-    config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
-    chunks.append(struct.pack("<Q", len(config_bytes)))
-    chunks.append(config_bytes)
-    chunks.append(struct.pack("<I", len(arrays)))
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        if arr.ndim != 2:
-            raise ConfigError(f"checkpoint arrays must be 2-D; {name!r} is {arr.shape}")
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        chunks.append(arr.tobytes(order="C"))
-    write_file(path, b"".join(chunks))
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        # A ZipInfo is stored uncompressed and dated 1980-01-01 unless told otherwise.
+        zf.writestr(zipfile.ZipInfo(CONFIG), json.dumps(config, sort_keys=True))
+        for name in sorted(arrays):
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w") as member:
+                arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+                np.lib.format.write_array(member, arr, allow_pickle=False)
+    write_file(path, buf.getvalue())
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path: Path):
-        self.blob = blob
-        self.offset = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise ConfigError(f"checkpoint {self.path} is truncated")
-        out = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _members(blob: bytes) -> dict[str, bytes]:
+    """Each member's bytes by name, read whole and CRC-checked, once the
+    member list passes the rules; a ``ValueError`` names the one broken."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        infos = zf.infolist()
+        names = [info.filename for info in infos]
+        if CONFIG not in names or len(names) != int.from_bytes(blob[-12:-10], "little"):
+            raise ValueError(f"members {names} lack {CONFIG} or are not as its end record counts")
+        for info in infos:
+            name = info.filename
+            if names.count(name) > 1 or name != CONFIG and not name.endswith(".npy"):
+                raise ValueError(f"member {name!r} is held twice or is no {CONFIG} or .npy")
+            if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+                raise ValueError(f"member {name!r} is compressed or encrypted")
+        return {info.filename: zf.read(info) for info in infos}
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back (config, arrays); rejects wrong magic, version, truncation,
-    and malformed or repeated parameter names."""
-    path = Path(path)
+    """Read back (config, arrays) under the rules in the module docstring."""
     try:
-        blob = path.read_bytes()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob, path)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise ConfigError(f"{path} is not a checkpoint file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    (config_len,) = r.unpack("<Q")
+    if blob.startswith(b"ASEQCKPT"):
+        raise ConfigError(f"{path} has the old ASEQCKPT checkpoint layout: retrain the model")
+    if not (blob[:4] == b"PK\x03\x04" and blob[-22:-18] == b"PK\x05\x06" and blob[-2:] == b"\0\0"):
+        raise ConfigError(f"{path} is not a checkpoint file: it must be one zip and no more")
     try:
-        config = json.loads(r.take(config_len).decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an int past Python's digit limit
-        raise ConfigError(f"checkpoint {path} has a corrupt config block: {exc}") from exc
-    (n_params,) = r.unpack("<I")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<I")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"checkpoint {path} has a corrupt parameter name: {exc}") from exc
-        if name in arrays:
-            raise ConfigError(f"checkpoint {path} holds parameter {name!r} twice")
-        rows, cols = r.unpack("<QQ")
-        data = r.take(rows * cols * 8)
-        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-    if r.offset != len(blob):
-        raise ConfigError(f"checkpoint {path} has {len(blob) - r.offset} trailing bytes")
+        members = _members(blob)
+        config = json.loads(members.pop(CONFIG))
+        arrays = {
+            name[:-4]: np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+            for name, data in members.items()
+        }
+    except (zipfile.BadZipFile, ValueError, EOFError, NotImplementedError) as exc:
+        raise ConfigError(f"checkpoint {path} is corrupt: {exc}") from exc
+    for name, arr in arrays.items():
+        if arr.ndim != 2 or arr.dtype != np.float64:
+            raise ConfigError(f"{path}: {name!r} is {arr.ndim}-D {arr.dtype}, not 2-D float64")
     return config, arrays

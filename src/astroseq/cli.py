@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_file
-from .config import RunConfig, load_run_config
+from .config import RunConfig, check_run, load_run_config
 from .errors import NUMERICAL_ERRORS, USAGE_ERRORS, InvalidArgumentError
 from .harness import (
     BENCH_SCHEMA,
@@ -50,7 +50,7 @@ from .harness import (
 )
 from .model import MAX_AXIS
 from .neuroglia import MAX_STEPS, steps_per_cycle
-from .retention import check_experiment, ltp_levels, simulate_cycles
+from .retention import ltp_levels, simulate_cycles
 from .trainer import amrb_rollout, bptt_rollout, classification_loss
 
 EXIT_OK = 0
@@ -116,14 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> RunConfig:
     """The run ``--config`` describes (the defaults if none).  Before any
     ``--out-dir`` is made, it refuses a file that does not parse (its
-    ``[simulator]`` constants and sample counts included), a task or model
-    that does not build, and an experiment key the simulator would refuse,
-    whatever the retention mode, since ``simulate`` reads them under
-    ``uniform`` too."""
+    ``[simulator]`` constants and sample counts included) and a run
+    ``check_run`` refuses; experiment keys are checked under ``uniform``
+    too, since ``simulate`` reads them there."""
     cfg = RunConfig() if args.config is None else load_run_config(args.config)
-    spec = cfg.build_task().spec
-    cfg.model_config(spec.vocab_size, spec.n_classes)
-    check_experiment(*cfg.sim_params())
+    check_run(cfg)
     return cfg
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidArgumentError
 from .model import MAX_AXIS, ModelConfig
 from .neuroglia import SimParams
+from .retention import check_experiment
 from .tasks import CopyTask, KVRetrievalTask, ListOpsTask
 
 _KINDS = {"int": int, "float": float, "str": str}
@@ -258,6 +259,23 @@ def read_stored_run(data) -> RunConfig:
     present and no other, each with a value of its field's type
     (``_check``), ``simulator`` as strictly as the run."""
     return RunConfig(**_stored(data, _RUN_TYPES, "stored run"))
+
+
+def check_run(cfg: RunConfig) -> None:
+    """Refuse a run that could not be carried out, building nothing for
+    it: a task or model that does not build, an experiment key the
+    simulator would refuse, whatever the retention mode, and
+    ``mem_tokens = 0`` where the task's shortest sequence fits in the
+    first T - 1 segments, which leaves segment T only padding and no row
+    to attend over."""
+    task = cfg.build_task()
+    cfg.model_config(task.spec.vocab_size, task.spec.n_classes)
+    check_experiment(*cfg.sim_params())
+    if cfg.mem_tokens == 0 and task.min_tokens <= cfg.seg_len * (cfg.n_segments - 1):
+        raise InvalidArgumentError(
+            f"segment {cfg.n_segments} may hold only padding ({cfg.task} draws {task.min_tokens} "
+            "tokens or more), and mem_tokens = 0 leaves it no row to attend over"
+        )
 
 
 def check_same_run(given: RunConfig, stored: RunConfig) -> None:

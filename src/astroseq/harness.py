@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_file
-from .config import RunConfig, check_same_run, read_stored_run
+from .config import RunConfig, check_run, check_same_run, read_stored_run
 from .errors import ConfigError, InvalidArgumentError
 from .model import ModelConfig, SegmentModel, stack_batches
 from .retention import RetentionSchedule, retention_schedule, uniform_schedule
@@ -266,12 +266,17 @@ def _write_artifacts(out_path: Path, record: dict, model: SegmentModel):
 
 def eval_run(checkpoint_path: str | Path, cfg: RunConfig | None = None, seed: int = 0) -> dict:
     """Reload a checkpoint and score it, under the run it stores, on a fresh
-    validation split.  A ``cfg`` must describe that run (``check_same_run``);
-    it sets only the number of validation samples."""
+    validation split.  The stored run must pass ``check_run``, as a run
+    config does.  A ``cfg`` must describe that run (``check_same_run``); it
+    sets only the number of validation samples."""
     payload, arrays = load_checkpoint(checkpoint_path)
     if not isinstance(payload, dict) or "run" not in payload:
         raise ConfigError(f"checkpoint {checkpoint_path} holds no run config")
     run = read_stored_run(payload["run"])
+    try:
+        check_run(run)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"stored run: {exc}") from exc
     if cfg is not None:
         check_same_run(cfg, run)
         run = replace(run, val_samples=cfg.val_samples)

@@ -47,6 +47,12 @@ class TaskSpec:
 class _TaskBase:
     spec: TaskSpec
 
+    @property
+    def min_tokens(self) -> int:
+        """The fewest tokens a sequence holds; segmentation pads the rest
+        of the capacity."""
+        return self.spec.capacity
+
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         raise NotImplementedError
 
@@ -199,14 +205,15 @@ class ListOpsTask(_TaskBase):
     # ``_gen_expr`` draws an argument count below max_args + 1, and numpy
     # takes an exclusive int64 bound of at most 2**63.
     MAX_ARGS = 2**63 - 1
+    # The shortest expression is OPEN op digit digit CLOSE.
+    min_tokens = 5
 
     def __init__(self, seg_len: int, n_segments: int, max_depth: int = 2, max_args: int = 4):
         if not (1 <= max_depth <= self.MAX_DEPTH and 2 <= max_args <= self.MAX_ARGS):
             raise InvalidArgumentError(
                 f"listops needs max_depth 1..{self.MAX_DEPTH}, max_args 2..{self.MAX_ARGS}"
             )
-        # The shortest expression is OPEN op digit digit CLOSE.
-        if seg_len * n_segments < 5:
+        if seg_len * n_segments < self.min_tokens:
             raise InvalidArgumentError("listops needs room for one bracketed operation")
         self.max_depth = max_depth
         self.max_args = max_args

@@ -1,5 +1,5 @@
 """Property test for checkpoint files: a damaged checkpoint makes ``eval``
-exit with a code, never a traceback."""
+exit with a code, never a traceback, and never scores an altered model."""
 
 import contextlib
 import io
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from astroseq.checkpoint import save_checkpoint
+from astroseq.checkpoint import load_checkpoint, save_checkpoint
 from astroseq.cli import main
 from astroseq.config import RunConfig
 from astroseq.model import SegmentModel
@@ -18,9 +18,9 @@ from astroseq.model import SegmentModel
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-# A tiny copy run, about 650 bytes of config block and 2,300 of arrays, so
-# flips land in both; a flip of one to three bytes can ask for at most
-# about a hundred samples or segments of a few rows.
+# A tiny copy run: about 860 bytes of config block and 1,700 of array values
+# in some 6,800 bytes of zip, so flips land in the config, the arrays and
+# the zip and .npy headers.
 RUN = RunConfig(
     task="copy", seg_len=4, n_segments=2, n_classes=3, d_model=4, m_hidden=4, ffn_dim=4,
     mem_tokens=2, val_samples=4,
@@ -36,7 +36,16 @@ def tiny_checkpoint() -> bytes:
         return path.read_bytes()
 
 
+def loaded(blob: bytes):
+    """(config, arrays) as ``load_checkpoint`` reads ``blob``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+
 BLOB = tiny_checkpoint()
+CONFIG, ARRAYS = loaded(BLOB)
 FLIPS = st.lists(
     st.tuples(st.integers(0, len(BLOB) - 1), st.integers(1, 255)), min_size=1, max_size=3
 )
@@ -56,8 +65,10 @@ def flipped(flips) -> bytes:
     )
 )
 def test_damaged_checkpoint_makes_eval_exit_with_a_code(blob):
-    """Flipped bytes or a truncation give exit 0 (the damage left a valid
-    run), 2 with one ``error:`` line, or 3 (non-finite logits)."""
+    """Flipped bytes or a truncation give exit 0 only where they load to the
+    undamaged config and parameters bit for bit (a flip in a header field
+    the reader ignores), else 2 with one ``error:`` line, or 3 (non-finite
+    logits)."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
@@ -67,6 +78,11 @@ def test_damaged_checkpoint_makes_eval_exit_with_a_code(blob):
     assert code in (0, 2, 3)
     if code == 0:
         assert json.loads(out.getvalue())["kind"] == "eval"
+        config, arrays = loaded(blob)
+        assert config == CONFIG and arrays.keys() == ARRAYS.keys()
+        for name, values in arrays.items():
+            assert values.shape == ARRAYS[name].shape
+            assert values.tobytes() == ARRAYS[name].tobytes()
     elif code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     else:

@@ -105,14 +105,20 @@ def test_unknown_task_exits_2(tmp_path, capsys, command):
         ),
         pytest.param("[retention]\nmode = uniform\nn_neurons = 0\n", "n_neurons",
                      id="uniform_n_neurons_0"),
+        pytest.param(
+            "[task]\nname = listops\nseg_len = 16\nn_segments = 4\n[model]\nmem_tokens = 0\n",
+            "mem_tokens = 0", id="listops_mem_tokens_0",
+        ),
     ],
 )
 def test_every_command_refuses_what_train_refuses(tmp_path, capsys, text, named, command):
-    """A config whose task or model cannot be built, or whose experiment
-    the simulator would refuse (0.03 s is no multiple of the 0.04 s step),
-    exits 2 with one error line, before any ``--out-dir`` is made or any
-    network is built, whatever the command and the retention mode, since
-    ``simulate`` reads the experiment under ``uniform`` too."""
+    """A config whose task or model cannot be built, whose experiment the
+    simulator would refuse (0.03 s is no multiple of the 0.04 s step), or
+    whose last segment may hold only padding with no memory rows (a
+    5-token ListOps expression fits in 3 segments of 16), exits 2 with one
+    error line, before any ``--out-dir`` is made or any network is built,
+    whatever the command and the retention mode, since ``simulate`` reads
+    the experiment under ``uniform`` too."""
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "out"
@@ -242,7 +248,7 @@ def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "names,reason",
-    [([b"\xff\xfe"], "corrupt parameter name"), ([b"w", b"w"], "'w' twice")],
+    [([b"\xff\xfe"], "'utf-8' codec can't decode"), ([b"w", b"w"], "'w.npy' is held twice")],
     ids=["not_utf8", "duplicate"],
 )
 def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, names, reason):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from astroseq.checkpoint import save_checkpoint
+from astroseq.cli import main
 from astroseq.config import (
     _RUN_SCHEMA,
     RunConfig,
@@ -15,6 +17,7 @@ from astroseq.config import (
     read_stored_run,
 )
 from astroseq.errors import ConfigError
+from astroseq.model import SegmentModel
 from astroseq.neuroglia import SimParams
 from astroseq.tasks import KVRetrievalTask
 
@@ -249,6 +252,34 @@ def test_stored_simulator_is_read_as_strictly_as_the_run(simulator, named):
     with pytest.raises(ConfigError, match=r"^stored run: simulator") as caught:
         read_stored_run(stored)
     assert named in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("n_neurons", 0, "n_neurons"),
+        ("spacing", 0.0, "spacing"),
+        ("coupling_scale", -1.0, "scale"),
+        ("drive_hz", -1.0, "drive_hz"),
+        ("cycle_seconds", -5.0, "cycle_seconds"),
+    ],
+)
+def test_stored_experiment_is_checked_as_strictly_as_the_run(tmp_path, capsys, field, value,
+                                                              named):
+    """``eval`` refuses a stored run whose experiment key ``train`` would
+    refuse in a config file, under ``uniform`` too, before making
+    ``--out-dir``."""
+    run = RunConfig(seg_len=3, n_segments=2, n_classes=3, d_model=4, m_hidden=4, ffn_dim=6)
+    spec = run.build_task().spec
+    arrays = SegmentModel(run.model_config(spec.vocab_size, spec.n_classes)).state_arrays()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"run": {**dataclasses.asdict(run), field: value}}, arrays)
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: stored run: [retention] {named}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_load_run_config_missing_file(tmp_path):

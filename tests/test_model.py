@@ -216,6 +216,15 @@ def test_zero_memory_tokens_runs_end_to_end():
     assert model.params["mem_init"].value.shape == (0, cfg.d_model)
 
 
+def test_zero_memory_tokens_refuses_a_segment_of_only_padding():
+    # A run config refuses this before any model is built; the model
+    # itself refuses it too, naming the segment.
+    model = SegmentModel(tiny_config(mem_tokens=0), seed=0)
+    batch = split_segments([1, 2, 3], seg_len=3, n_segments=2, label=0)
+    with pytest.raises(InvalidArgumentError, match="segment 2 holds only padding"):
+        model.predict(batch, uniform_schedule(2), model.positional())
+
+
 def test_classify_matches_manual_pooling():
     cfg = tiny_config()
     model = SegmentModel(cfg, seed=3)
